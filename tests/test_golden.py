@@ -1,0 +1,74 @@
+"""Golden corpus: every recorded argv must reproduce its exit code,
+stdout and stderr byte for byte.
+
+Record (only when a report is meant to change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from moravak.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
+
+README = [
+    ("twist", "--encode", "(0,1)"),
+    ("twist", "--vanishing", "4", "2"),
+    ("tor", "--module", "r0free", "--against", "M"),
+    ("khorami", "--module", "r0free"),
+    ("ahss", "--space", "s3", "--n", "1", "--twist", "fundamental"),
+    ("ahss", "--space", "synth12", "--n", "2", "--twist", "h4", "--integral"),
+    ("fgl", "--law", "gm", "--check-grouplike", "1+x"),
+    ("fgl", "--law", "gm", "--two-series", "--solve-theta", "4", "--height"),
+    ("obstruct", "--manifold", "genspin", "--check", "wu", "--i", "7", "--j", "8"),
+    ("obstruct", "--manifold", "m10", "--check", "phase", "--a", "c", "--b", "b"),
+    ("obstruct", "--manifold", "pair12", "--check", "relative", "--h4", "u4"),
+]
+SPACES = ["fb12", "genspin", "m10", "pair12", "point", "rp_inf", "s3", "synth12"]
+MANIFOLDS = ["genspin", "m10", "pair12", "fb12", "synth12"]
+CHECKS = ["string", "heterotic", "fivebrane", "quadratic",
+          "phase", "relative", "wu", "integral-sw"]
+
+
+def corpus_argv() -> list[list[str]]:
+    argvs = [[*argv, "--json"] for argv in README]
+    for space in SPACES:
+        for n in ("1", "2"):
+            base = ["ahss", "--space", space, "--n", n, "--twist", "0"]
+            argvs += [base, base + ["--integral"]]
+    argvs += [["obstruct", "--manifold", m, "--check", c]
+              for m in MANIFOLDS for c in CHECKS]
+    for module in ("point", "r0free"):
+        argvs += [["tor", "--module", module, "--against", "M"],
+                  ["tor", "--module", module, "--against", "N"],
+                  ["khorami", "--module", module]]
+    return argvs
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "code": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    return {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("argv", corpus_argv(), ids=" ".join)
+def test_golden(argv, recorded):
+    assert run(argv) == recorded[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps([run(argv) for argv in corpus_argv()], indent=1) + "\n")
