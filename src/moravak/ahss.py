@@ -204,12 +204,9 @@ def turn_page(page: Page) -> Page:
         if p in page.incomplete:
             new_bases[p] = old
             continue
-        dim = len(old)
-        kernel = gf2.kernel_basis(list(page.diff[p]), dim)
-        image = list(page.diff[p - R]) if p - R >= 0 else []
-        reps = gf2.quotient_representatives(kernel, image)
+        image = page.diff[p - R] if p - R >= 0 else ()
         elems = []
-        for rep in reps:
+        for rep in gf2.homology(page.diff[p], len(old), image):
             e = ZERO
             for i in gf2.bits(rep):
                 e = e + old[i]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__, fixtures
@@ -25,6 +25,7 @@ from .ahss import (
     twist_term,
 )
 from .errors import MoravakError, ParseError, ValidationError
+from .f2alg import GradedElement
 from .fgl import (
     FGL,
     grouplike_check,
@@ -140,8 +141,7 @@ def cmd_twist(args) -> Report:
         payload["series"] = f.series_string()
         payload["encoded"] = twistgroup.encode(f).value
     if args.decode is not None:
-        d = twistgroup.Dyadic(args.decode % (1 << M), M)
-        f = twistgroup.decode(d)
+        f = twistgroup.decode(twistgroup.Dyadic.residue(args.decode, M))
         inputs["decode"] = args.decode
         payload["element"] = str(f)
         payload["series"] = f.series_string()
@@ -333,6 +333,23 @@ def cmd_fgl(args) -> Report:
 
 # -- obstruct ---------------------------------------------------------------------
 
+def _report_payload(report) -> dict:
+    """Every field of a check's report except its notes, as JSON values."""
+    payload = {}
+    for f in fields(report):
+        if f.name == "notes":
+            continue
+        value = getattr(report, f.name)
+        if isinstance(value, TriState):
+            value = _tristate(value)
+        elif isinstance(value, GradedElement):
+            value = str(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        payload[f.name] = value
+    return payload
+
+
 def cmd_obstruct(args) -> Report:
     parsed = parse_file(_resolve_path(args.manifold))
     model = parsed.model
@@ -343,33 +360,16 @@ def cmd_obstruct(args) -> Report:
     inputs = {"manifold": Path(args.manifold).name, "check": args.check,
               "echo": serialize_model(parsed)}
     check = args.check
-    if check == "string":
-        report = twisted_string_check(model, TwistClass(elem(args.h4)))
+    if check in ("string", "relative"):
+        run = twisted_string_check if check == "string" else relative_obstruction
+        payload = _report_payload(run(model, TwistClass(elem(args.h4))))
         inputs["h4"] = args.h4
-        payload = {"status": report.status, "obstruction": str(report.obstruction),
-                   "certificate": _tristate(report.certificate),
-                   "warnings": list(report.warnings)}
-    elif check == "relative":
-        report = relative_obstruction(model, TwistClass(elem(args.h4)))
-        inputs["h4"] = args.h4
-        payload = {"status": report.status, "obstruction": str(report.obstruction),
-                   "certificate": _tristate(report.certificate),
-                   "warnings": list(report.warnings)}
     elif check == "heterotic":
-        report = heterotic_check(model, elem(args.a), elem(args.b))
+        payload = _report_payload(heterotic_check(model, elem(args.a), elem(args.b)))
         inputs["a"], inputs["b"] = args.a, args.b
-        payload = {"status": report.status, "obstruction": str(report.obstruction),
-                   "certificate": _tristate(report.certificate),
-                   "hypothesis_ok": report.hypothesis_ok,
-                   "failed_hypotheses": list(report.failed_hypotheses)}
     elif check == "fivebrane":
-        report = fivebrane_check(model, elem(args.h5))
+        payload = _report_payload(fivebrane_check(model, elem(args.h5)))
         inputs["h5"] = args.h5
-        payload = {"status": report.status, "obstruction": str(report.obstruction),
-                   "certificate": _tristate(report.certificate),
-                   "alpha8": str(report.alpha8),
-                   "cross_check_agrees": report.cross_check_agrees,
-                   "warnings": list(report.warnings)}
     elif check == "quadratic":
         if parsed.index is None:
             raise ValidationError("quadratic check needs an index table in the file")
@@ -379,12 +379,9 @@ def cmd_obstruct(args) -> Report:
     elif check == "phase":
         if parsed.index is None:
             raise ValidationError("phase check needs an index table in the file")
-        report = phase_invariance_check(model, parsed.index, elem(args.a), elem(args.b))
+        payload = _report_payload(
+            phase_invariance_check(model, parsed.index, elem(args.a), elem(args.b)))
         inputs["a"], inputs["b"] = args.a, args.b
-        payload = {"invariant": report.invariant, "correction": report.correction,
-                   "sq3_condition_holds": report.sq3_condition_holds,
-                   "orientation_status": report.orientation_status,
-                   "orientation_certificate": _tristate(report.orientation_certificate)}
     elif check == "wu":
         result = wu_sq(model, args.i, args.j)
         inputs["i"], inputs["j"] = args.i, args.j

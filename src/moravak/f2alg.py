@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import gf2
 from .errors import (
@@ -77,13 +77,9 @@ class GradedElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(format_monomial(m) for m in sorted(self.terms, key=_plain_key))
+        return " + ".join(format_monomial(m) for m in sorted(self.terms))
 
     __repr__ = __str__
-
-    @staticmethod
-    def from_monomials(monos: Iterable[Monomial]) -> "GradedElement":
-        return GradedElement(frozenset(monos))
 
 
 ZERO = GradedElement(frozenset())
@@ -101,10 +97,6 @@ def format_monomial(m: Monomial) -> str:
     if not m:
         return "1"
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
-
-
-def _plain_key(m: Monomial):
-    return m
 
 
 # -- element expression parsing ----------------------------------------------
@@ -206,9 +198,6 @@ class PresentedAlgebra:
         if len(degs) > 1:
             raise IllFormedElementError(f"element is not homogeneous: {e}")
         return degs.pop()
-
-    def is_homogeneous(self, e: GradedElement) -> bool:
-        return len(self.degrees_of(e)) <= 1
 
     # -- canonical form ---------------------------------------------------
 
@@ -389,7 +378,7 @@ class PresentedAlgebra:
         rows = []
         for r in self.relations:
             dr = self.degree_of(GradedElement(r.terms))
-            for mult in self._multiplier_monomials(d - dr):
+            for mult in self._monomials_of_degree(d - dr):
                 vec = self._relation_multiple(mult, r, index)
                 if vec:
                     rows.append(vec)
@@ -397,10 +386,6 @@ class PresentedAlgebra:
         piv = gf2.pivots(rel_rows)
         basis_indices = tuple(i for i in range(len(candidates)) if i not in piv)
         return _DegreeData(candidates, index, rel_rows, basis_indices)
-
-    def _multiplier_monomials(self, d: int) -> list[Monomial]:
-        """Monomials usable as relation multipliers in degree d."""
-        return self._monomials_of_degree(d)
 
     def _relation_multiple(self, mult: Monomial, r: GradedElement,
                            index: Mapping[Monomial, int]) -> int | None:

@@ -30,6 +30,8 @@ class Series:
 
     def __init__(self, nvars: int, trunc: int, modulus: int,
                  coeffs: Mapping[tuple, int] | None = None):
+        if modulus < 2 or modulus & (modulus - 1):
+            raise ValidationError(f"modulus must be a power of 2, at least 2: {modulus}")
         self.nvars = nvars
         self.trunc = trunc
         self.modulus = modulus

@@ -6,6 +6,19 @@ Row reduction always pivots on the *highest* set bit, so reduced
 representatives are supported on the lowest possible coordinates; with
 coordinates sorted in increasing monomial order this yields the
 lexicographically least representatives everywhere downstream.
+
+All elimination runs through the one loop in ``reduce_vector``.  The
+fully reduced echelon form that ``reduce_rows`` returns (every pivot
+set in exactly one row, rows by descending pivot) depends only on the
+span of its input, never on the order or choice of the input rows.
+Every kernel, image and quotient basis below is such a form, so any
+route to the same subspace gives the same bits.
+
+Kernels use the augmented-row trick: the row ``(col_j << dim) | 1 << j``
+pairs the image of ``e_j`` with its tag.  Highest-bit pivoting clears
+the image part first, so after reduction the rows without image bits
+are exactly the reduced basis of the kernel, and the tags of the other
+rows record how their image parts arose.
 """
 
 from __future__ import annotations
@@ -13,11 +26,19 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
+def reduce_vector(vec: int, reduced: Sequence[int]) -> int:
+    """Reduce vec against already-reduced rows (highest-pivot convention)."""
+    for b in reduced:
+        if vec and (vec >> (b.bit_length() - 1)) & 1:
+            vec ^= b
+    return vec
+
+
 def reduce_rows(rows: Iterable[int]) -> list[int]:
     """Row-reduce, pivoting on highest set bits; returns nonzero rows."""
     basis: list[int] = []  # each with a distinct highest bit
     for row in rows:
-        row = _reduce_by(row, basis)
+        row = reduce_vector(row, basis)
         if row:
             # keep basis fully reduced against the new pivot
             pivot = row.bit_length() - 1
@@ -27,24 +48,8 @@ def reduce_rows(rows: Iterable[int]) -> list[int]:
     return basis
 
 
-def _reduce_by(vec: int, reduced: Sequence[int]) -> int:
-    for b in reduced:
-        if vec and (vec >> (b.bit_length() - 1)) & 1:
-            vec ^= b
-    return vec
-
-
-def reduce_vector(vec: int, reduced: Sequence[int]) -> int:
-    """Reduce vec against already-reduced rows (highest-pivot convention)."""
-    return _reduce_by(vec, reduced)
-
-
-def rank(rows: Iterable[int]) -> int:
-    return len(reduce_rows(rows))
-
-
 def in_span(vec: int, reduced: Sequence[int]) -> bool:
-    return _reduce_by(vec, reduced) == 0
+    return reduce_vector(vec, reduced) == 0
 
 
 def pivots(reduced: Sequence[int]) -> set[int]:
@@ -66,68 +71,35 @@ def compose_columns(outer: Sequence[int], inner: Sequence[int]) -> list[int]:
     return [apply_columns(outer, col) for col in inner]
 
 
+def _augmented(cols: Sequence[int], dim: int) -> list[int]:
+    """Reduced rows of the (image, tag) pairs of the first dim columns."""
+    return reduce_rows((cols[j] << dim) | 1 << j for j in range(dim))
+
+
 def kernel_basis(cols: Sequence[int], source_dim: int) -> list[int]:
-    """Basis of the kernel of the map with the given columns.
-
-    Standard tag trick: eliminate on the image part of (image, tag) pairs;
-    rows whose image part vanishes have kernel vectors as tags.
-    """
-    pairs = [(cols[j], 1 << j) for j in range(source_dim)]
-    done: list[tuple[int, int]] = []
-    kernel: list[int] = []
-    for vec, tag in pairs:
-        for bvec, btag in done:
-            if vec and (vec >> (bvec.bit_length() - 1)) & 1:
-                vec ^= bvec
-                tag ^= btag
-        if vec:
-            done.append((vec, tag))
-            done.sort(key=lambda p: p[0].bit_length(), reverse=True)
-        else:
-            kernel.append(tag)
-    return reduce_rows(kernel)
-
-
-def image_basis(cols: Sequence[int]) -> list[int]:
-    return reduce_rows(cols)
-
-
-def quotient_representatives(kernel: Sequence[int], image: Sequence[int]) -> list[int]:
-    """Reduced basis of ker/im, as vectors in the ambient coordinates."""
-    image_red = reduce_rows(image)
-    residues = [_reduce_by(v, image_red) for v in kernel]
-    return reduce_rows(residues)
-
-
-def solve(cols: Sequence[int], source_dim: int, target: int) -> int | None:
-    """One solution x with map(x) = target, or None."""
-    done: list[tuple[int, int]] = []
-    for j in range(source_dim):
-        vec, tag = cols[j], 1 << j
-        for bvec, btag in done:
-            if vec and (vec >> (bvec.bit_length() - 1)) & 1:
-                vec ^= bvec
-                tag ^= btag
-        if vec:
-            done.append((vec, tag))
-            done.sort(key=lambda p: p[0].bit_length(), reverse=True)
-    x = 0
-    for bvec, btag in done:
-        if target and (target >> (bvec.bit_length() - 1)) & 1:
-            target ^= bvec
-            x ^= btag
-    return x if target == 0 else None
+    """Reduced basis of the kernel of the map with the given columns."""
+    return [row for row in _augmented(cols, source_dim) if not row >> source_dim]
 
 
 def invert_columns(cols: Sequence[int], dim: int) -> list[int] | None:
     """Columns of the inverse map, or None if not invertible."""
-    out = []
-    for i in range(dim):
-        x = solve(cols, dim, 1 << i)
-        if x is None:
-            return None
-        out.append(x)
-    return out
+    rows = _augmented(cols, dim)
+    # invertible exactly when the image parts reduce to e_{dim-1}, ..., e_0
+    if [row >> dim for row in rows] != [1 << i for i in reversed(range(dim))]:
+        return None
+    mask = (1 << dim) - 1
+    return [row & mask for row in reversed(rows)]
+
+
+def homology(out_cols: Sequence[int], dim: int, in_cols: Iterable[int]) -> list[int]:
+    """Reduced representatives of ker(out) modulo the span of in_cols.
+
+    ``out_cols`` are the dim columns of the outgoing map; pass zeros for
+    the whole space.  Each representative is reduced against the image,
+    so it avoids the image's pivots.
+    """
+    image = reduce_rows(in_cols)
+    return reduce_rows(reduce_vector(v, image) for v in kernel_basis(out_cols, dim))
 
 
 def bits(vec: int) -> list[int]:

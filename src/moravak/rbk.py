@@ -194,12 +194,12 @@ def _resolution_map(operator: tuple[int, ...], rank: int, against: StandardModul
     return odd if position % 2 == 1 else even
 
 
-def _quotient_module(n: int, degrees: Sequence[int], kernel: Sequence[int],
+def _quotient_module(n: int, degrees: Sequence[int], out_cols: Sequence[int],
                      image: Sequence[int]) -> GradedKnModule:
-    reps = gf2.quotient_representatives(kernel, image)
+    """Degree classes of ker(out_cols) / span(image) over the generators."""
     classes = []
     w = v_degree(n)
-    for rep in reps:
+    for rep in gf2.homology(out_cols, len(degrees), image):
         support = gf2.bits(rep)
         cls = {degrees[i] % w for i in support}
         if len(cls) != 1:
@@ -216,13 +216,9 @@ def tor(P: RbkModule, against: StandardModule | str, i: int) -> GradedKnModule:
     if i < 0:
         raise InvalidIndexError(f"homological index must be nonnegative: {i}")
     rank = P.rank
-    full = [1 << j for j in range(rank)]
-    if i == 0:
-        image = _resolution_map(P.operator, rank, against, 1)
-        return _quotient_module(P.n, P.degrees, full, image)
-    kernel = gf2.kernel_basis(_resolution_map(P.operator, rank, against, i), rank)
+    out = _resolution_map(P.operator, rank, against, i) if i else [0] * rank
     image = _resolution_map(P.operator, rank, against, i + 1)
-    return _quotient_module(P.n, P.degrees, kernel, image)
+    return _quotient_module(P.n, P.degrees, out, image)
 
 
 def _factor_kind(hom: AlgebraHom, k: int) -> StandardModule:
@@ -243,6 +239,8 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
     Only the universal hom computes twisted homology; other homs are
     accepted as experimental coefficient structures.
     """
+    if max_degree < 0:
+        raise ValidationError(f"max_degree must be >= 0: {max_degree}")
     if hom.height != P.n:
         raise ValidationError("hom height does not match the module height")
     if hom.truncation != P.truncation:
@@ -281,15 +279,12 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
         return cols
 
     out: list[GradedKnModule] = []
+    outgoing = [0] * r  # degree 0 has no outgoing boundary
     for m in range(max_degree + 1):
-        dim_m = len(layers[m]) * r
-        degrees = [P.degrees[i % r] for i in range(dim_m)]
-        if m == 0:
-            kernel = [1 << i for i in range(dim_m)]
-        else:
-            kernel = gf2.kernel_basis(boundary(m), dim_m)
-        image = gf2.image_basis(boundary(m + 1))
-        out.append(_quotient_module(P.n, degrees, kernel, image))
+        degrees = [P.degrees[i % r] for i in range(len(layers[m]) * r)]
+        incoming = boundary(m + 1)
+        out.append(_quotient_module(P.n, degrees, outgoing, incoming))
+        outgoing = incoming
     return out
 
 
@@ -307,5 +302,4 @@ def khorami_quotient(P: TensorModule) -> GradedKnModule:
         if k == 0:
             cols = [cols[i] ^ identity[i] for i in range(r)]
         stacked.extend(cols)
-    full = [1 << i for i in range(r)]
-    return _quotient_module(P.n, P.degrees, full, stacked)
+    return _quotient_module(P.n, P.degrees, [0] * r, stacked)

@@ -16,13 +16,26 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from . import gf2
 from .errors import (
+    ComputationError,
     MalformedExponentListError,
     NotGrouplikeError,
     ValidationError,
 )
 
 DEFAULT_TRUNCATION = 8
+# a series truncated at y^(2^M) is an int of 2^M bits; this bounds it
+MAX_SERIES_TRUNCATION = 16
+
+
+def _check_truncation(truncation: int) -> None:
+    if truncation < 0:
+        raise ValidationError(f"truncation order must be >= 0: {truncation}")
+    if truncation > MAX_SERIES_TRUNCATION:
+        raise ComputationError(
+            f"truncation order {truncation} means series of 2^{truncation} "
+            f"coefficients; the limit is 2^{MAX_SERIES_TRUNCATION}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +46,7 @@ class TwistElement:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        _check_truncation(self.truncation)
         ks = self.exponents
         if list(ks) != sorted(set(ks)):
             raise MalformedExponentListError(f"exponents must strictly increase: {ks}")
@@ -50,7 +64,7 @@ class TwistElement:
 
     def series_string(self) -> str:
         terms = []
-        for e in _bit_positions(self.series_bits):
+        for e in gf2.bits(self.series_bits):
             terms.append("1" if e == 0 else ("y" if e == 1 else f"y^{e}"))
         return " + ".join(terms) if terms else "0"
 
@@ -68,9 +82,16 @@ class Dyadic:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        _check_truncation(self.truncation)
         if not 0 <= self.value < (1 << self.truncation):
             raise ValidationError(
                 f"dyadic value {self.value} outside [0, 2^{self.truncation})")
+
+    @classmethod
+    def residue(cls, value: int, truncation: int = DEFAULT_TRUNCATION) -> "Dyadic":
+        """Any integer, reduced mod 2^M."""
+        _check_truncation(truncation)
+        return cls(value % (1 << truncation), truncation)
 
 
 @dataclass(frozen=True)
@@ -108,17 +129,6 @@ def clmul(a: int, b: int) -> int:
     return out
 
 
-def _bit_positions(v: int) -> list[int]:
-    out = []
-    pos = 0
-    while v:
-        if v & 1:
-            out.append(pos)
-        v >>= 1
-        pos += 1
-    return out
-
-
 def from_exponents(exponents, truncation: int = DEFAULT_TRUNCATION) -> TwistElement:
     return TwistElement(tuple(exponents), truncation)
 
@@ -139,11 +149,12 @@ def factor_series(bits: int, truncation: int) -> TwistElement:
     the submasks of d = sum 2^k, so d is the bitwise OR of the exponents
     and the submask structure is verified exhaustively.
     """
+    _check_truncation(truncation)
     mask = (1 << (1 << truncation)) - 1
     bits &= mask
     if not bits & 1:
         raise NotGrouplikeError("series has no constant term 1")
-    exps = _bit_positions(bits)
+    exps = gf2.bits(bits)
     d = 0
     for e in exps:
         d |= e
@@ -151,7 +162,7 @@ def factor_series(bits: int, truncation: int) -> TwistElement:
         raise NotGrouplikeError("series exponents exceed the truncation order")
     if len(exps) != (1 << bin(d).count("1")) or any((e & d) != e for e in exps):
         raise NotGrouplikeError("series is not a product of (1 + y^{2^k}) factors")
-    return TwistElement(tuple(_bit_positions(d)), truncation)
+    return TwistElement(tuple(gf2.bits(d)), truncation)
 
 
 def multiply(f: TwistElement, g: TwistElement) -> TwistElement:
@@ -169,7 +180,7 @@ def encode(f: TwistElement) -> Dyadic:
 
 def decode(d: Dyadic) -> TwistElement:
     """Inverse isomorphism: set bits of d become the exponent list."""
-    return TwistElement(tuple(_bit_positions(d.value)), d.truncation)
+    return TwistElement(tuple(gf2.bits(d.value)), d.truncation)
 
 
 def to_algebra_hom(f: TwistElement, n: int, truncation: int) -> AlgebraHom:

@@ -181,3 +181,16 @@ def test_text_report_contains_json_block(capsys):
     text, _, blob = out.partition("--- json ---")
     assert "moravak" in text
     assert json.loads(blob)["payload"]["encoded"] == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("twist", "--decode", "3", "--truncation", "-1"), 3),
+    (("twist", "--decode", "3", "--truncation", "100000"), 4),
+    (("fgl", "--modulus", "0", "--two-series"), 3),
+    (("khorami", "--module", "point", "--max-degree", "-1"), 3),
+])
+def test_out_of_range_arguments_are_typed_errors(capsys, argv, code):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -13,7 +13,6 @@ def to_cols(rows):
 
 def test_reduce_rows_and_pivots():
     reduced = gf2.reduce_rows([0b110, 0b011, 0b101])
-    assert gf2.rank([0b110, 0b011, 0b101]) == 2
     assert len(reduced) == 2
     # fully reduced: each pivot appears in exactly one row
     pivots = gf2.pivots(reduced)
@@ -31,33 +30,44 @@ def test_in_span():
 def test_kernel_basis():
     # map e0 -> a, e1 -> a, e2 -> 0: kernel is span(e0+e1, e2)
     kernel = gf2.kernel_basis([0b1, 0b1, 0b0], 3)
-    assert gf2.rank(kernel) == 2
+    assert len(gf2.reduce_rows(kernel)) == 2
     assert gf2.in_span(0b011, kernel) and gf2.in_span(0b100, kernel)
     assert not gf2.in_span(0b001, kernel)
 
 
-def test_solve_and_invert_roundtrip():
+def test_invert_roundtrip():
     rnd = random.Random(SEED)
     for _ in range(50):
         dim = rnd.randint(1, 6)
         cols = [rnd.randrange(1 << dim) for _ in range(dim)]
-        target = rnd.randrange(1 << dim)
-        x = gf2.solve(cols, dim, target)
-        if x is not None:
-            assert gf2.apply_columns(cols, x) == target
         inv = gf2.invert_columns(cols, dim)
-        if inv is not None:
+        if inv is None:
+            assert gf2.kernel_basis(cols, dim)
+        else:
             for i in range(dim):
                 assert gf2.apply_columns(cols, inv[i]) == 1 << i
 
 
-def test_quotient_representatives():
-    kernel = [0b001, 0b010, 0b100]
-    image = [0b011]
-    reps = gf2.quotient_representatives(kernel, image)
+def test_homology():
+    # zero out-map: the whole space modulo span(e0 + e1)
+    reps = gf2.homology([0, 0, 0], 3, [0b011])
     assert len(reps) == 2
     # representatives avoid the eliminated pivot of the image row
     assert all(not (rep >> 1) & 1 for rep in reps)
+
+
+def test_homology_dimension(rng):
+    for _ in range(40):
+        rows, dim = rng.randint(1, 7), rng.randint(1, 7)
+        out = [rng.randrange(1 << rows) for _ in range(dim)]
+        kernel = gf2.kernel_basis(out, dim)
+        incoming = [gf2.apply_columns(kernel, rng.randrange(1 << len(kernel)))
+                    for _ in range(rng.randint(0, 4))]
+        reps = gf2.homology(out, dim, incoming)
+        image = gf2.reduce_rows(incoming)
+        assert len(reps) == len(kernel) - len(image)
+        assert all(gf2.apply_columns(out, rep) == 0 for rep in reps)
+        assert len(gf2.reduce_rows(reps + image)) == len(kernel)
 
 
 def test_compose_columns():
@@ -72,5 +82,5 @@ def test_kernel_image_dimensions_match(rng):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         matrix = [rng.randrange(1 << rows) for _ in range(cols)]
         k = len(gf2.kernel_basis(matrix, cols))
-        r = len(gf2.image_basis(matrix))
+        r = len(gf2.reduce_rows(matrix))
         assert k + r == cols

@@ -4,6 +4,7 @@ import pytest
 
 from moravak import twistgroup as tw
 from moravak.errors import (
+    ComputationError,
     MalformedExponentListError,
     NotGrouplikeError,
     ValidationError,
@@ -99,6 +100,16 @@ def test_not_grouplike_guard():
 def test_truncation_mismatch_rejected():
     with pytest.raises(ValidationError):
         tw.multiply(tw.universal(4), tw.universal(8))
+
+
+def test_truncation_order_is_bounded():
+    top = tw.MAX_SERIES_TRUNCATION
+    assert tw.decode(tw.Dyadic.residue(-1, top)).exponents == tuple(range(top))
+    assert tw.universal(top).series_string() == "1 + y"
+    with pytest.raises(ComputationError, match=f"2\\^{top + 1} coefficients"):
+        tw.Dyadic.residue(3, top + 1)
+    with pytest.raises(ValidationError):
+        tw.identity(-1)
 
 
 def test_to_algebra_hom():
