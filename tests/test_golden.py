@@ -13,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from moravak import fixtures
 from moravak.cli import main
+from moravak.f2alg import format_monomial
+from moravak.obstruct import ManifoldData
+from moravak.spacefile import parse_file
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus.json"
 
@@ -36,12 +40,33 @@ CHECKS = ["string", "heterotic", "fivebrane", "quadratic",
           "phase", "relative", "wu", "integral-sw"]
 
 
+def twists(space: str) -> list[tuple[str, list[str]]]:
+    """(n, twists) for n in 1..3 with n + 2 within the cap: every basis
+    monomial of degree n + 2, plus their sum when there are several."""
+    model = parse_file(fixtures.path(space)).model
+    algebra = (model.space if isinstance(model, ManifoldData) else model).algebra
+    out = []
+    for n in (1, 2, 3):
+        if n + 2 > algebra.degree_cap:
+            continue
+        terms = [format_monomial(m) for m in algebra.basis(n + 2)]
+        if len(terms) > 1:
+            terms.append(" + ".join(terms))
+        out.append((str(n), terms))
+    return out
+
+
 def corpus_argv() -> list[list[str]]:
     argvs = [[*argv, "--json"] for argv in README]
     for space in SPACES:
         for n in ("1", "2"):
             base = ["ahss", "--space", space, "--n", n, "--twist", "0"]
             argvs += [base, base + ["--integral"]]
+    for space in SPACES:
+        for n, terms in twists(space):
+            for twist in terms:
+                base = ["ahss", "--space", space, "--n", n, "--twist", twist]
+                argvs += [base, base + ["--integral"]]
     argvs += [["obstruct", "--manifold", m, "--check", c]
               for m in MANIFOLDS for c in CHECKS]
     for module in ("point", "r0free"):
