@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -24,7 +25,7 @@ from .ahss import (
     turn_page,
     twist_term,
 )
-from .errors import MoravakError, ParseError, ValidationError
+from .errors import ComputationError, MoravakError, ParseError, ValidationError
 from .f2alg import GradedElement
 from .fgl import (
     FGL,
@@ -56,6 +57,9 @@ from .rbk import (
 from .spacefile import parse_file, parse_module, serialize_model
 from . import twistgroup
 from .steenrod import TriState
+
+# tor reports one entry per index; longer ranges are refused
+MAX_TOR_INDICES = 2048
 
 
 @dataclass
@@ -188,11 +192,20 @@ def cmd_tor(args) -> Report:
     if isinstance(mod, TensorModule):
         mod = mod.factor(args.k)
     lo, hi = args.i
+    if hi - lo + 1 > MAX_TOR_INDICES:
+        raise ComputationError(
+            f"tor range [{lo}, {hi}] has {hi - lo + 1} indices; "
+            f"the limit is {MAX_TOR_INDICES}")
+    # the resolution is 2-periodic, so Tor_i for i >= 1 depends only on
+    # the parity of i: compute each distinct group once
+    groups = {}
     entries = {}
     for i in range(lo, hi + 1):
-        result = tor(mod, StandardModule(args.against), i)
-        entries[f"Tor_{i}"] = {"rank": result.rank,
-                               "degrees_mod_v": list(result.degree_classes)}
+        key = i if i < 1 else 2 - i % 2
+        if key not in groups:
+            groups[key] = tor(mod, StandardModule(args.against), key)
+        entries[f"Tor_{i}"] = {"rank": groups[key].rank,
+                               "degrees_mod_v": list(groups[key].degree_classes)}
     return Report("tor",
                   {"module": Path(args.module).name, "against": args.against,
                    "range": [lo, hi], **_module_payload(mod)},
@@ -278,23 +291,24 @@ def cmd_ahss(args) -> Report:
 
 # -- fgl -------------------------------------------------------------------------
 
+_SERIES_TERM = re.compile(r"(\d+)|x(?:\^(\d+))?")
+
+
 def _parse_series(raw: str, trunc: int, modulus: int):
+    """Signed terms like ``1 - x + x^3``; exponents are nonnegative integers."""
     coeffs: dict[int, int] = {}
-    for chunk in raw.replace("-", "+").split("+"):
-        chunk = chunk.strip()
+    for sign, chunk in re.findall(r"([+-]?)([^+-]*)", raw.replace(" ", "")):
         if not chunk:
             continue
-        if chunk.isdigit():
-            coeffs[0] = coeffs.get(0, 0) + int(chunk)
-        elif chunk == "x":
-            coeffs[1] = coeffs.get(1, 0) + 1
-        elif chunk.startswith("x^"):
-            coeffs[int(chunk[2:])] = coeffs.get(int(chunk[2:]), 0) + 1
-        else:
-            raise ParseError(f"bad series term {chunk!r}")
-    top = max(coeffs, default=0)
+        match = _SERIES_TERM.fullmatch(chunk)
+        if not match:
+            raise ParseError(f"bad series term {chunk!r} in {raw!r} "
+                             "(terms are integers, x or x^k with k >= 0)")
+        const, exp = match.groups()
+        deg, c = (0, int(const)) if const else (int(exp or 1), 1)
+        coeffs[deg] = coeffs.get(deg, 0) + (-c if sign == "-" else c)
     return series_from_coefficients(
-        [coeffs.get(i, 0) for i in range(top + 1)], trunc, modulus)
+        [coeffs.get(i, 0) for i in range(trunc + 1)], trunc, modulus)
 
 
 def _law(name: str, trunc: int, modulus: int) -> FGL:

@@ -55,10 +55,6 @@ class DegreeCapExceededError(ValidationError):
     """A degree query lies outside the algebra's truncation window."""
 
 
-class ActionNotCheckedError(ValidationError):
-    """A Steenrod action was used before passing validation."""
-
-
 class NotIntegralError(ValidationError):
     """A class required to lie in the declared integral image does not."""
 

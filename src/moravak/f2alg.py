@@ -12,6 +12,14 @@ algebra on the span of relation multiples.  Every algebra carries a
 hard degree cap ``D``: monomials whose total degree or whose
 laurent-free degree exceeds ``D`` are truncated away, which keeps each
 degree window finite and exact.
+
+One routine turns monomials into reduced coordinate vectors, one per
+degree; ``reduce``, ``express`` and ``express_bits`` all read from it.
+Reduction is linear and works degree by degree, so a sum of canonical
+forms, and the part of one degree of a canonical form, are canonical.
+Ring maps given on generators (``AlgebraMap``, and the total Steenrod
+square in ``steenrod``) share one substitution with cached generator
+powers and cached monomial images.
 """
 
 from __future__ import annotations
@@ -218,28 +226,30 @@ class PresentedAlgebra:
                 return False
         return True
 
-    def _in_window(self, m: Monomial) -> bool:
-        total = self.monomial_degree(m)
-        return 0 <= total <= self.degree_cap and \
-            self.laurent_free_degree(m) <= self.degree_cap
-
-    def reduce(self, e: GradedElement) -> GradedElement:
-        """Canonical form: truncate, then reduce modulo relations."""
-        by_degree: dict[int, set[Monomial]] = {}
+    def _coordinates(self, e: GradedElement) -> dict[int, int]:
+        """Reduced coordinate vectors of e over each degree's candidate
+        monomials, keyed by degree; a vector may be zero.  Exterior
+        squares and monomials outside the window are dropped."""
+        cap = self.degree_cap
+        by_degree: dict[int, int] = {}
         for m in e.terms:
             if not self._check_monomial(m):
                 continue
-            if not self._in_window(m):
+            d = self.monomial_degree(m)
+            if not 0 <= d <= cap:
                 continue
-            by_degree.setdefault(self.monomial_degree(m), set()).add(m)
+            if self.laurent is not None and self.laurent_free_degree(m) > cap:
+                continue
+            by_degree[d] = by_degree.get(d, 0) ^ 1 << self._deg_data(d).index[m]
+        return {d: gf2.reduce_vector(vec, self._deg_data(d).rel_rows)
+                for d, vec in by_degree.items()}
+
+    def reduce(self, e: GradedElement) -> GradedElement:
+        """Canonical form: truncate, then reduce modulo relations."""
         out: set[Monomial] = set()
-        for d, monos in by_degree.items():
-            data = self._deg_data(d)
-            vec = 0
-            for m in monos:
-                vec ^= 1 << data.index[m]
-            vec = gf2.reduce_vector(vec, data.rel_rows)
-            out.update(data.candidates[i] for i in gf2.bits(vec))
+        for d, vec in self._coordinates(e).items():
+            candidates = self._deg_data(d).candidates
+            out.update(candidates[i] for i in gf2.bits(vec))
         return GradedElement(frozenset(out))
 
     def mul(self, a: GradedElement, b: GradedElement) -> GradedElement:
@@ -247,21 +257,8 @@ class PresentedAlgebra:
         raw: set[Monomial] = set()
         for ma in a.terms:
             for mb in b.terms:
-                m = monomial(*ma, *mb)
-                if not self._check_monomial(m):
-                    continue
-                if self._in_window(m):
-                    raw ^= {m}
+                raw ^= {monomial(*ma, *mb)}
         return self.reduce(GradedElement(frozenset(raw)))
-
-    def power(self, e: GradedElement, k: int) -> GradedElement:
-        out = ONE
-        for _ in range(k):
-            out = self.mul(out, e)
-        return out
-
-    def equal(self, a: GradedElement, b: GradedElement) -> bool:
-        return self.reduce(a + b) == ZERO
 
     # -- degreewise linear algebra ----------------------------------------
 
@@ -277,28 +274,18 @@ class PresentedAlgebra:
         return tuple(GradedElement(frozenset({m})) for m in self.basis(d))
 
     def express(self, e: GradedElement) -> dict[int, tuple[int, ...]]:
-        """Coordinates of the canonical form, one vector per degree."""
-        e = self.reduce(e)
+        """Coordinates of the canonical form, one vector per nonzero degree."""
         out: dict[int, tuple[int, ...]] = {}
-        for d in sorted(self.degrees_of(e)):
-            data = self._deg_data(d)
-            vec = 0
-            for m in e.terms:
-                if self.monomial_degree(m) == d:
-                    vec ^= 1 << data.index[m]
-            out[d] = tuple((vec >> i) & 1 for i in data.basis_indices)
+        for d, vec in sorted(self._coordinates(e).items()):
+            if vec:
+                out[d] = tuple((vec >> i) & 1 for i in self._deg_data(d).basis_indices)
         return out
 
     def express_bits(self, e: GradedElement, d: int) -> int:
         """Coordinates in degree d as a bitmask over basis(d)."""
-        e = self.reduce(e)
-        data = self._deg_data(d)
-        vec = 0
-        for m in e.terms:
-            if self.monomial_degree(m) == d:
-                vec ^= 1 << data.index[m]
+        vec = self._coordinates(e).get(d, 0)
         out = 0
-        for pos, i in enumerate(data.basis_indices):
+        for pos, i in enumerate(self._deg_data(d).basis_indices):
             if (vec >> i) & 1:
                 out |= 1 << pos
         return out
@@ -377,7 +364,7 @@ class PresentedAlgebra:
         index = {m: i for i, m in enumerate(candidates)}
         rows = []
         for r in self.relations:
-            dr = self.degree_of(GradedElement(r.terms))
+            dr = self.degree_of(r)
             for mult in self._monomials_of_degree(d - dr):
                 vec = self._relation_multiple(mult, r, index)
                 if vec:
@@ -416,6 +403,46 @@ class _DegreeData:
         self.basis_indices = tuple(basis_indices)
 
 
+class _Substitution:
+    """The ring map that sends each generator to a given image.
+
+    Images of monomials are products of cached generator powers, each
+    product started from the target's reduced unit, so every cached
+    image is a canonical form.  Source monomials that vanish (exterior
+    squares) map to zero.
+    """
+
+    def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
+                 images: Mapping[str, GradedElement]):
+        self.source = source
+        self.target = target
+        self.images = images
+        self._unit = target.reduce(ONE)
+        self._powers: dict[str, list[GradedElement]] = {}
+        self._monomials: dict[Monomial, GradedElement] = {}
+
+    def _power(self, name: str, exp: int) -> GradedElement:
+        powers = self._powers.setdefault(name, [self._unit])
+        while len(powers) <= exp and powers[-1]:
+            powers.append(self.target.mul(powers[-1], self.images[name]))
+        return powers[exp] if exp < len(powers) else ZERO
+
+    def image(self, m: Monomial) -> GradedElement:
+        if m not in self._monomials:
+            out = self._unit if self.source._check_monomial(m) else ZERO
+            for name, exp in m:
+                out = self.target.mul(out, self._power(name, exp))
+            self._monomials[m] = out
+        return self._monomials[m]
+
+    def apply(self, e: GradedElement) -> GradedElement:
+        """The image of e: a sum of canonical forms, hence canonical."""
+        out: set[Monomial] = set()
+        for m in e.terms:
+            out ^= self.image(m).terms
+        return GradedElement(frozenset(out))
+
+
 class AlgebraMap:
     """Degree-preserving algebra map given on generators.
 
@@ -438,15 +465,10 @@ class AlgebraMap:
                 raise InvalidPairError(
                     f"image of {g.name} is not homogeneous of degree {g.degree}")
             self.images[g.name] = img
+        self._substitution = _Substitution(source, target, self.images)
         for r in source.relations:
             if self.apply(r) != target.zero:
                 raise InvalidPairError(f"relation {r} is not carried to zero")
 
     def apply(self, e: GradedElement) -> GradedElement:
-        out = ZERO
-        for m in e.terms:
-            term = ONE
-            for name, exp in m:
-                term = self.target.mul(term, self.target.power(self.images[name], exp))
-            out = out + term
-        return self.target.reduce(out)
+        return self._substitution.apply(e)

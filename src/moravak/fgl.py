@@ -201,6 +201,8 @@ class FGL:
     def __init__(self, law: Series):
         if law.nvars != 2:
             raise ValidationError("a formal group law has two variables")
+        if law.trunc < 1:
+            raise ValidationError(f"truncation order must be >= 1: {law.trunc}")
         self.law = law
         self.trunc = law.trunc
         self.modulus = law.modulus
@@ -270,6 +272,8 @@ def solve_theta(F: FGL, count: int, target: Series | None = None,
     truncation order, else the law is rejected as not 2-typical at the
     first unmatched degree.
     """
+    if count < 1:
+        raise ValidationError(f"theta count must be >= 1: {count}")
     if target is None:
         target = two_series(F)
     lin = target.coefficient((1,))

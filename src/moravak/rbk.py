@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from . import gf2
 from .errors import (
+    ComputationError,
     InvalidIndexError,
     InvalidTensorModuleError,
     ValidationError,
@@ -29,6 +31,8 @@ from .errors import (
 from .twistgroup import AlgebraHom
 
 DEFAULT_TENSOR_TRUNCATION = 6
+# bar_e2 refuses complexes with more generators than this (under a second)
+MAX_BAR_COMPLEX = 5000
 
 
 def v_degree(n: int) -> int:
@@ -126,6 +130,9 @@ class TensorModule:
         return len(self.degrees)
 
     def factor(self, k: int) -> RbkModule:
+        if not 0 <= k < self.truncation:
+            raise ValidationError(
+                f"factor index {k} outside the tensor truncation [0, {self.truncation})")
         return RbkModule(self.n, k, self.degrees, self.operators[k])
 
     @classmethod
@@ -246,6 +253,11 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
     if hom.truncation != P.truncation:
         raise ValidationError("hom truncation does not match the module truncation")
     K, r = P.truncation, P.rank
+    size = r * comb(max_degree + 1 + K, K)  # copies of P in degrees 0 .. max_degree + 1
+    if size > MAX_BAR_COMPLEX:
+        raise ComputationError(
+            f"bar complex to degree {max_degree + 1} has {size} generators; "
+            f"the limit is {MAX_BAR_COMPLEX}")
     kinds = [_factor_kind(hom, k) for k in range(K)]
 
     def multi_indices(total: int):

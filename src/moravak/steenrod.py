@@ -1,13 +1,15 @@
 """Steenrod squares on presented algebras, Milnor primitives, and the
 mod-2 bookkeeping for odd integral operations beta∘Sq^{2k}.
 
-A SqAction stores Sq^i only on generators; products are always expanded
-through the Cartan formula Sq^k(ab) = sum_{i+j=k} Sq^i(a) Sq^j(b), so
-the unstable axioms on generators propagate to everything.  Validation
-is eager: an action whose table is incompatible with the algebra's
-relations (some Sq^i(r) nonzero in the quotient) is rejected at load,
-since a silently inconsistent table would poison every differential
-computed from it.
+A SqAction stores Sq^i only on generators.  By the Cartan formula
+Sq^k(ab) = sum_{i+j=k} Sq^i(a) Sq^j(b), the total square
+Sq = sum_i Sq^i is a ring map, so it is applied to monomials by the
+same generator substitution as ``f2alg.AlgebraMap``, and the unstable
+axioms on generators propagate to everything.  Validation is eager and
+cannot be skipped: an action whose table is incompatible with the
+algebra's relations (some Sq^i(r) nonzero in the quotient) is rejected
+at load, since a silently inconsistent table would poison every
+differential computed from it.
 
 Integral statements are never decided on integral cohomology itself;
 they are decided through mod-2 representatives plus a declared
@@ -21,11 +23,7 @@ import enum
 from typing import Mapping, Sequence
 
 from . import gf2
-from .errors import (
-    ActionNotCheckedError,
-    NotIntegralError,
-    ValidationError,
-)
+from .errors import NotIntegralError, ValidationError
 from .f2alg import (
     LAURENT,
     AlgebraMap,
@@ -33,6 +31,7 @@ from .f2alg import (
     Monomial,
     PresentedAlgebra,
     ZERO,
+    _Substitution,
 )
 
 
@@ -51,8 +50,7 @@ class SqAction:
     """
 
     def __init__(self, algebra: PresentedAlgebra,
-                 table: Mapping[str, Mapping[int, GradedElement]] | None = None,
-                 _validate: bool = True):
+                 table: Mapping[str, Mapping[int, GradedElement]] | None = None):
         if any(g.kind == LAURENT for g in algebra.generators):
             raise ValidationError(
                 "Sq actions are defined on coefficient-free algebras only")
@@ -81,19 +79,14 @@ class SqAction:
             self._table[g.name] = row
         if table:
             raise ValidationError(f"Sq table for unknown generators: {sorted(table)}")
-        self._total_cache: dict[Monomial, GradedElement] = {}
-        self._power_cache: dict[tuple[str, int], GradedElement] = {}
-        self.validated = False
-        if _validate:
-            self._check_relations()
-            self.validated = True
-
-    @classmethod
-    def unchecked(cls, algebra: PresentedAlgebra,
-                  table: Mapping[str, Mapping[int, GradedElement]] | None = None
-                  ) -> "SqAction":
-        """Build without relation validation; sq() will refuse to run."""
-        return cls(algebra, table, _validate=False)
+        totals = {}
+        for g in algebra.generators:
+            total = ZERO
+            for i in range(g.degree + 1):
+                total = total + self.generator_sq(g.name, i)
+            totals[g.name] = total
+        self._total = _Substitution(algebra, algebra, totals)
+        self._check_relations()
 
     def generator_sq(self, name: str, i: int) -> GradedElement:
         g = self.algebra._gen(name)
@@ -106,47 +99,25 @@ class SqAction:
             return self.algebra.mul(gen, gen)
         return self._table[name].get(i, ZERO)
 
-    def _total_sq_power(self, name: str, exp: int) -> GradedElement:
-        """Total square of g^exp, all degrees mixed into one element."""
-        key = (name, exp)
-        if key not in self._power_cache:
-            if exp == 0:
-                out = self.algebra.one
-            else:
-                half = self._total_sq_power(name, exp // 2)
-                out = self.algebra.mul(half, half)
-                if exp % 2:
-                    g = self.algebra._gen(name)
-                    total = ZERO
-                    for i in range(g.degree + 1):
-                        total = total + self.generator_sq(name, i)
-                    out = self.algebra.mul(out, total)
-            self._power_cache[key] = out
-        return self._power_cache[key]
-
-    def total_sq_monomial(self, m: Monomial) -> GradedElement:
-        if m not in self._total_cache:
-            out = self.algebra.one
-            for name, exp in m:
-                out = self.algebra.mul(out, self._total_sq_power(name, exp))
-            self._total_cache[m] = out
-        return self._total_cache[m]
-
     def _check_relations(self):
         for r in self.algebra.relations:
             d = self.algebra.degree_of(r)
             for i in range(d + 1):
-                if sq(i, r, self, _skip_check=True) != ZERO:
+                if sq(i, r, self) != ZERO:
                     raise ValidationError(
                         f"action does not descend to the quotient: "
                         f"Sq^{i}({r}) is nonzero")
 
 
-def sq(i: int, e: GradedElement, action: SqAction, *,
-       _skip_check: bool = False) -> GradedElement:
-    """Sq^i extended additively and by Cartan from the generator table."""
-    if not _skip_check and not action.validated:
-        raise ActionNotCheckedError("Sq action has not passed validation")
+def sq(i: int, e: GradedElement, action: SqAction) -> GradedElement:
+    """Sq^i extended additively and by Cartan from the generator table.
+
+    The total square of a monomial is its image under the ring map
+    g -> sum_i Sq^i(g); Sq^i of a degree-d monomial is the degree-(d+i)
+    part of that image.  The images are canonical forms, and a degree
+    part of a sum of canonical forms is canonical, so the result needs
+    no further reduction.
+    """
     if i < 0:
         raise ValidationError("Sq index must be nonnegative")
     alg = action.algebra
@@ -155,11 +126,10 @@ def sq(i: int, e: GradedElement, action: SqAction, *,
         target = alg.monomial_degree(m) + i
         if target > alg.degree_cap:
             continue
-        total = action.total_sq_monomial(m)
-        for mono in total.terms:
+        for mono in action._total.image(m).terms:
             if alg.monomial_degree(mono) == target:
                 out ^= {mono}
-    return alg.reduce(GradedElement(frozenset(out)))
+    return GradedElement(frozenset(out))
 
 
 def milnor_q(j: int, e: GradedElement, action: SqAction) -> GradedElement:
@@ -171,6 +141,8 @@ def milnor_q(j: int, e: GradedElement, action: SqAction) -> GradedElement:
     """
     if j < 0:
         raise ValidationError("Milnor index must be nonnegative")
+    if not e:
+        return ZERO  # Q_j is linear; this also keeps Q_j(0) from costing 2^j calls
     if j == 0:
         return sq(1, e, action)
     s = 1 << j
@@ -226,12 +198,9 @@ class IntegralityData:
                 elements.setdefault(d, []).append(e)
         self._elements = elements
         for d, elems in elements.items():
-            rows = [self._vector(e, d) for e in elems]
+            rows = [self.algebra.express_bits(e, d) for e in elems]
             self._rows[d] = gf2.reduce_rows(rows)
         self._validate()
-
-    def _vector(self, e: GradedElement, d: int) -> int:
-        return self.algebra.express_bits(e, d)
 
     def contains(self, e: GradedElement) -> bool:
         e = self.algebra.reduce(e)

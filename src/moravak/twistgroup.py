@@ -27,6 +27,8 @@ from .errors import (
 DEFAULT_TRUNCATION = 8
 # a series truncated at y^(2^M) is an int of 2^M bits; this bounds it
 MAX_SERIES_TRUNCATION = 16
+# an algebra hom is reported with one assignment per tensor factor
+MAX_FACTORS = 64
 
 
 def _check_truncation(truncation: int) -> None:
@@ -106,6 +108,11 @@ class AlgebraHom:
     def __post_init__(self):
         if self.height < 1:
             raise ValidationError("height must be >= 1")
+        if self.truncation < 1:
+            raise ValidationError(f"tensor truncation must be >= 1: {self.truncation}")
+        if self.truncation > MAX_FACTORS:
+            raise ComputationError(
+                f"tensor truncation {self.truncation} exceeds the limit {MAX_FACTORS}")
         if any(k < 0 or k >= self.truncation for k in self.active):
             raise ValidationError("active factors must lie below the truncation")
 
@@ -206,6 +213,8 @@ def vanishing_check(m: int, n: int, p: int = 2) -> TwistVerdict:
     remains.  Below the boundary the classification is not part of this
     tool's contract.
     """
+    if p < 2:
+        raise ValidationError(f"p must be at least 2: {p}")
     if m < 1:
         raise ValidationError("m must be >= 1")
     if n < 1:

@@ -7,7 +7,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from moravak.f2alg import EXTERIOR, GradedGenerator, PresentedAlgebra, parse_element
+from moravak.f2alg import (
+    EXTERIOR,
+    LAURENT,
+    GradedElement,
+    GradedGenerator,
+    PresentedAlgebra,
+    monomial,
+    parse_element,
+)
 from moravak.steenrod import SqAction
 
 SEED = int(os.environ.get("MORAVAK_SEED", "20260810"))
@@ -66,3 +74,25 @@ def random_homogeneous(alg: PresentedAlgebra, rnd: random.Random,
         if e:
             return e
     return alg.one
+
+
+def random_unreduced(alg: PresentedAlgebra, rnd: random.Random) -> GradedElement:
+    """A random element that is generally not in canonical form: a few
+    monomials on one or two generators with exponents up to one past the
+    cap (so exterior squares and out-of-window terms occur), plus raw,
+    unreduced multiples of the relations."""
+    cap = alg.degree_cap
+    terms: set = set()
+    for _ in range(rnd.randint(1, 4)):
+        pairs = []
+        for g in rnd.sample(alg.generators, min(2, len(alg.generators))):
+            low = -2 if g.kind == LAURENT else 0
+            pairs.append((g.name, rnd.randint(low, cap // g.degree + 1)))
+        terms ^= {monomial(*pairs)}
+    plain = [g for g in alg.generators if g.kind != LAURENT]
+    for r in alg.relations:
+        if rnd.random() < 0.5:
+            mult = monomial(*((g.name, rnd.randint(0, 2)) for g in plain))
+            for t in r.terms:
+                terms ^= {monomial(*mult, *t)}
+    return GradedElement(frozenset(terms))

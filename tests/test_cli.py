@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -67,6 +68,13 @@ def test_fgl_commands(capsys):
     assert doc["payload"]["grouplike"] is True
     doc = run_json(capsys, "fgl", "--law", "gm", "--check-grouplike", "1+x+x^2")
     assert doc["payload"]["grouplike"] is False
+    # signs count mod 4; mod 2, 1 - x is the grouplike 1 + x
+    doc = run_json(capsys, "fgl", "--modulus", "4", "--check-grouplike", "1-x")
+    assert doc["payload"]["grouplike"] is False
+    doc = run_json(capsys, "fgl", "--modulus", "4", "--check-grouplike", "1+x")
+    assert doc["payload"]["grouplike"] is True
+    doc = run_json(capsys, "fgl", "--check-grouplike", "1-x")
+    assert doc["payload"]["grouplike"] is True
     doc = run_json(capsys, "fgl", "--law", "gm", "--two-series",
                    "--solve-theta", "4", "--height")
     assert doc["payload"]["two_series"] == "x^2"
@@ -188,9 +196,61 @@ def test_text_report_contains_json_block(capsys):
     (("twist", "--decode", "3", "--truncation", "100000"), 4),
     (("fgl", "--modulus", "0", "--two-series"), 3),
     (("khorami", "--module", "point", "--max-degree", "-1"), 3),
+    (("twist", "--vanishing", "4", "2", "--p", "1"), 3),
+    (("twist", "--vanishing", "4", "2", "--p", "0"), 3),
+    (("twist", "--vanishing", "4", "2", "--p", "-3"), 3),
+    (("tor", "--module", "r0free", "--k", "99"), 3),
+    (("twist", "--hom", "(0,1)", "--factors", "-1"), 3),
+    (("fgl", "--solve-theta", "0"), 3),
+    (("fgl", "--solve-theta", "-1"), 3),
+    (("fgl", "--truncation", "0", "--two-series"), 3),
+    (("fgl", "--truncation", "-1", "--two-series"), 3),
+    (("fgl", "--check-grouplike", "x^"), 2),
+    (("fgl", "--check-grouplike", "1+x^-1"), 2),
+    (("ahss", "--space", "s3", "--n", "1025", "--twist", "0"), 4),
+    (("tor", "--module", "r0free", "--i", "0", "100000"), 4),
+    (("khorami", "--module", "r0free", "--max-degree", "9"), 4),
+    (("khorami", "--module", "r0free", "--max-degree", "12"), 4),
+    (("twist", "--hom", "(0,1)", "--factors", "3000000"), 4),
 ])
 def test_out_of_range_arguments_are_typed_errors(capsys, argv, code):
     assert main(list(argv)) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_truncation_error_names_the_order(capsys):
+    assert main(["fgl", "--truncation", "0", "--two-series"]) == 3
+    assert "truncation order must be >= 1: 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ahss", "--space", "s3", "--n", "20", "--twist", "0"),
+    ("ahss", "--space", "s3", "--n", "1024", "--twist", "0"),
+    ("ahss", "--space", "rp_inf", "--n", "40", "--twist", "0"),
+    ("tor", "--module", "r0free", "--i", "0", "2047"),
+    ("twist", "--hom", "(0,1)", "--factors", "64"),
+])
+def test_work_at_the_limits_is_bounded(capsys, argv):
+    start = time.perf_counter()
+    assert main(list(argv)) == 0
+    assert time.perf_counter() - start < 2.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("module, k", [("r0free", "0"), ("r0free", "1"), ("point", "0")])
+@pytest.mark.parametrize("against", ["M", "N"])
+def test_tor_range_matches_each_index(capsys, module, k, against):
+    from moravak import fixtures
+    from moravak.rbk import TensorModule, tor
+    from moravak.spacefile import parse_module
+    mod = parse_module(fixtures.path(module, ".module"))
+    if isinstance(mod, TensorModule):
+        mod = mod.factor(int(k))
+    doc = run_json(capsys, "tor", "--module", module, "--k", k, "--against", against,
+                   "--i", "0", "9")
+    for i in range(10):
+        group = tor(mod, against, i)
+        assert doc["payload"][f"Tor_{i}"] == {
+            "rank": group.rank, "degrees_mod_v": list(group.degree_classes)}

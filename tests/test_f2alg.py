@@ -10,13 +10,22 @@ from moravak.f2alg import (
     EXTERIOR,
     LAURENT,
     AlgebraMap,
+    GradedElement,
     GradedGenerator,
     PresentedAlgebra,
     format_monomial,
+    monomial,
     parse_element,
 )
 
-from conftest import exterior_pair, projective_product, projective_space, random_element
+from conftest import (
+    exterior_pair,
+    projective_product,
+    projective_space,
+    random_element,
+    random_unreduced,
+    truncated_projective,
+)
 
 
 def rbk_algebra(n=2, cap=12):
@@ -179,3 +188,75 @@ def test_algebra_map_validation():
     free = projective_space(8)[0]
     with pytest.raises(InvalidPairError):
         AlgebraMap(trunc, free, {"t": free.generator("t")})
+
+
+def cubic_relation(cap=12):
+    """F2[x2, y3]/(y^2 + x^3): a relation that is not a monomial."""
+    gens = [GradedGenerator("x", 2), GradedGenerator("y", 3)]
+    return PresentedAlgebra(gens, [parse_element("y^2 + x^3")], cap)
+
+
+ALGEBRAS = {
+    "projective": lambda: projective_space(8)[0],
+    "product": lambda: projective_product(2, 8)[0],
+    "truncated": lambda: truncated_projective(9, 12)[0],
+    "exterior": lambda: exterior_pair()[0],
+    "cubic": cubic_relation,
+    "rbk": lambda: rbk_algebra(cap=18),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_canonical_routes_agree_on_unreduced_input(name, rng):
+    alg = ALGEBRAS[name]()
+    for _ in range(40):
+        e = random_unreduced(alg, rng)
+        r = alg.reduce(e)
+        assert alg.reduce(r) == r
+        assert alg.express(e) == alg.express(r)
+        for d in range(alg.degree_cap + 1):
+            assert alg.express_bits(e, d) == alg.express_bits(r, d)
+
+
+def expand(fmap: AlgebraMap, e: GradedElement) -> GradedElement:
+    """The image of e written out: multiply the generator images into
+    each monomial one factor at a time as raw monomial sets, add the
+    terms, and reduce once at the end."""
+    out: set = set()
+    for m in e.terms:
+        term = {()}
+        for name, exp in m:
+            for _ in range(exp):
+                nxt: set = set()
+                for a in term:
+                    for b in fmap.images[name].terms:
+                        nxt ^= {monomial(*a, *b)}
+                term = nxt
+        out ^= term
+    return fmap.target.reduce(GradedElement(frozenset(out)))
+
+
+def algebra_maps():
+    """(source, target, images as text) for a few maps of algebras."""
+    plane = PresentedAlgebra([GradedGenerator("a", 1), GradedGenerator("b", 1)], (), 8)
+    node = PresentedAlgebra([GradedGenerator("x", 1), GradedGenerator("y", 1)],
+                            [parse_element("x^2 + x*y")], 8)
+    trunc = truncated_projective(9, 12)[0]
+    short = PresentedAlgebra([GradedGenerator("s", 1)], [parse_element("s^5")], 12)
+    odd = PresentedAlgebra([GradedGenerator("a", 3)], (), 12)
+    ext, _ = exterior_pair()
+    return {
+        "plane-to-node": (plane, node, {"a": "x + y", "b": "y"}),
+        "truncated": (trunc, short, {"t": "s"}),
+        "to-exterior": (odd, ext, {"a": "x3"}),
+        "cubic": (cubic_relation(), cubic_relation(), {"x": "x", "y": "y"}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(algebra_maps()))
+def test_algebra_map_matches_product_expansion(name, rng):
+    source, target, images = algebra_maps()[name]
+    fmap = AlgebraMap(source, target, {g: target.element(t) for g, t in images.items()})
+    for _ in range(30):
+        e = random_element(source, rng.randint(0, source.degree_cap), rng)
+        assert fmap.apply(e) == expand(fmap, e)

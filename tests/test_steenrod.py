@@ -2,11 +2,7 @@ from math import comb
 
 import pytest
 
-from moravak.errors import (
-    ActionNotCheckedError,
-    NotIntegralError,
-    ValidationError,
-)
+from moravak.errors import NotIntegralError, ValidationError
 from moravak.f2alg import GradedGenerator, PresentedAlgebra, parse_element
 from moravak.steenrod import (
     IntegralityData,
@@ -24,6 +20,7 @@ from conftest import (
     projective_product,
     projective_space,
     random_element,
+    random_unreduced,
     truncated_projective,
 )
 from oracles import brute_milnor_multi, brute_milnor_on_power, sq_on_multipower
@@ -78,6 +75,19 @@ def test_cartan_identity(rng):
             for i in range(k + 1):
                 rhs = rhs + alg.mul(sq(i, a, act), sq(k - i, b, act))
             assert lhs == alg.reduce(rhs)
+
+
+@pytest.mark.parametrize("fixture", [
+    lambda: projective_space(10), lambda: projective_product(2, 10),
+    lambda: truncated_projective(9, 12), exterior_pair,
+], ids=["projective", "product", "truncated", "exterior"])
+def test_sq_is_canonical_on_unreduced_input(fixture, rng):
+    alg, act = fixture()
+    for _ in range(40):
+        e = random_unreduced(alg, rng)
+        for i in range(6):
+            out = sq(i, e, act)
+            assert out == sq(i, alg.reduce(e), act) == alg.reduce(out), (i, e)
 
 
 def test_milnor_oracle_on_powers():
@@ -193,13 +203,6 @@ def test_relation_compatibility_checked():
         SqAction(alg, {"x": {1: alg.element("y")}})
     # the compatible truncated model loads fine
     truncated_projective(9, 12)
-
-
-def test_action_not_checked_error():
-    alg, _ = projective_space(10)
-    act = SqAction.unchecked(alg, {})
-    with pytest.raises(ActionNotCheckedError):
-        sq(1, alg.generator("t"), act)
 
 
 def even_integrality(cap=12):
