@@ -25,7 +25,6 @@ from typing import Mapping, Optional
 
 from . import gf2
 from .errors import (
-    ComputationError,
     DifferentialNotFilledError,
     InconsistentActionError,
     IntegralDataRequiredError,
@@ -34,12 +33,8 @@ from .errors import (
     WrongTwistDegreeError,
 )
 from .f2alg import GradedElement, PresentedAlgebra, ZERO
-from .rbk import v_degree
+from .rbk import _check_height, v_degree
 from .steenrod import IntegralityData, SqAction, TriState, milnor_q, sq
-
-# reports name the differential d_{2^(n+1)-1}; past n of about 14 000
-# that number no longer converts to a string
-MAX_HEIGHT = 1024
 
 
 @dataclass
@@ -154,8 +149,7 @@ def e2_page(space: SpaceModel, n: int) -> Page:
     """Starting page: column p carries the degree-p quotient basis."""
     if n < 1:
         raise ValidationError("height must be >= 1")
-    if n > MAX_HEIGHT:
-        raise ComputationError(f"height {n} exceeds the limit {MAX_HEIGHT}")
+    _check_height(n)
     bases = {p: space.algebra.basis_elements(p)
              for p in range(space.algebra.degree_cap + 1)}
     return Page(n, space.algebra, bases, None, frozenset(), "E2")

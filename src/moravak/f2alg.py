@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 from . import gf2
 from .errors import (
+    ComputationError,
     DegreeCapExceededError,
     IllFormedElementError,
     InvalidPairError,
@@ -42,6 +43,10 @@ EXTERIOR = "exterior"
 LAURENT = "laurent-unit"
 
 _KINDS = (POLYNOMIAL, EXTERIOR, LAURENT)
+
+# an algebra whose window [0, cap] has more degrees or more laurent-free
+# monomials than this is refused before any monomial is enumerated
+MAX_WINDOW = 12000
 
 Monomial = tuple  # tuple[(name, exponent), ...] sorted by name
 
@@ -130,7 +135,10 @@ def parse_element(text: str, line: int | None = None) -> GradedElement:
             match = _FACTOR_RE.fullmatch(factor)
             if not match:
                 raise ParseError(f"bad monomial factor {factor!r}", line)
-            pairs.append((match.group(1), int(match.group(2) or 1)))
+            try:
+                pairs.append((match.group(1), int(match.group(2) or 1)))
+            except ValueError:  # more digits than int() converts
+                raise ParseError("exponent has too many digits", line) from None
         mono = monomial(*pairs)
         terms ^= {mono}
     return GradedElement(frozenset(terms))
@@ -161,6 +169,7 @@ class PresentedAlgebra:
         self.degree_cap = degree_cap
         self.laurent = laurent[0] if laurent else None
         self._by_name = {g.name: g for g in generators}
+        self._check_window()
         self.relations = tuple(self._normalize_relation(r) for r in relations)
         self._degree_cache: dict[int, _DegreeData] = {}
         self._reduced_relations_ok()
@@ -310,6 +319,22 @@ class PresentedAlgebra:
             if self.laurent_free_degree(m) > self.degree_cap:
                 raise ValidationError(f"relation term outside window: {r}")
         return r
+
+    def _check_window(self):
+        cap = self.degree_cap
+        if cap >= MAX_WINDOW:
+            raise ComputationError(f"degree cap {cap} exceeds the limit {MAX_WINDOW - 1}")
+        counts = [1] + [0] * cap  # laurent-free monomials of each degree
+        for g in self.generators:
+            if g.kind == LAURENT:
+                continue
+            w = g.degree  # an exterior generator enters at most once
+            for d in range(cap, w - 1, -1) if g.kind == EXTERIOR else range(w, cap + 1):
+                counts[d] += counts[d - w]
+        total = sum(counts)
+        if total > MAX_WINDOW:
+            raise ComputationError(f"degree window [0, {cap}] holds {total} laurent-free "
+                                   f"monomials; the limit is {MAX_WINDOW}")
 
     def _reduced_relations_ok(self):
         for r in self.relations:

@@ -17,6 +17,8 @@ from typing import Mapping, Sequence
 from .errors import ComputationError, Not2TypicalError, ValidationError
 
 DEFAULT_TRUNCATION = 16
+# solve_theta reports one value per theta; longer lists are refused
+MAX_THETA_COUNT = 1024
 
 
 class Series:
@@ -270,10 +272,14 @@ def solve_theta(F: FGL, count: int, target: Series | None = None,
     2^i of the residual because mixed formal-sum terms start strictly
     higher; after count steps the match must be exact up to the
     truncation order, else the law is rejected as not 2-typical at the
-    first unmatched degree.
+    first unmatched degree.  The formal sum is folded one nonzero theta
+    at a time; theta_i is 0 once 2^i exceeds the truncation order.
     """
     if count < 1:
         raise ValidationError(f"theta count must be >= 1: {count}")
+    if count > MAX_THETA_COUNT:
+        raise ComputationError(
+            f"theta count {count} exceeds the limit {MAX_THETA_COUNT}")
     if target is None:
         target = two_series(F)
     lin = target.coefficient((1,))
@@ -282,21 +288,20 @@ def solve_theta(F: FGL, count: int, target: Series | None = None,
             raise Not2TypicalError(1, "2-series has a unit linear term; "
                                       "supply linear_coeff explicitly")
         linear_coeff = lin
-    thetas: list[int] = []
 
-    def folded(values: list[int]) -> Series:
-        terms = []
-        if linear_coeff:
-            terms.append(Series(1, F.trunc, F.modulus, {(1,): linear_coeff}))
-        for i, v in enumerate(values, start=1):
-            if v:
-                terms.append(Series(1, F.trunc, F.modulus, {(1 << i,): v}))
-        return F.formal_sum(terms)
+    def plus(acc: Series, exponent: int, c: int) -> Series:
+        """acc +_F c x^exponent; F(0, z) = z needs no composition."""
+        term = Series(1, F.trunc, F.modulus, {(exponent,): c})
+        return term if acc.is_zero() else F.law.compose([acc, term])
 
-    for i in range(1, count + 1):
-        resid = target - folded(thetas)
-        thetas.append(resid.coefficient((1 << i,)))
-    resid = target - folded(thetas)
+    # the left fold of the nonzero terms so far
+    folded = plus(Series.zero(1, F.trunc, F.modulus), 1, linear_coeff)
+    thetas = [0] * count
+    for i in range(1, min(count, F.trunc.bit_length() - 1) + 1):
+        thetas[i - 1] = (target - folded).coefficient((1 << i,))
+        if thetas[i - 1]:
+            folded = plus(folded, 1 << i, thetas[i - 1])
+    resid = target - folded
     low = resid.lowest_term()
     if low is not None:
         raise Not2TypicalError(sum(low[0]))

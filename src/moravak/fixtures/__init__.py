@@ -23,8 +23,3 @@ def path(name: str, prefer: str | None = None) -> Path | None:
         if p.is_file() and p.parent == _HERE:
             return p
     return None
-
-
-def names() -> list[str]:
-    return sorted(p.name for p in _HERE.iterdir()
-                  if p.suffix in (".space", ".module"))

@@ -33,11 +33,19 @@ from .twistgroup import AlgebraHom
 DEFAULT_TENSOR_TRUNCATION = 6
 # bar_e2 refuses complexes with more generators than this (under a second)
 MAX_BAR_COMPLEX = 5000
+# reports name 2^(n+1) - 1 and |v| = 2^(n+1) - 2; past n of about 14 000
+# these numbers no longer convert to a string
+MAX_HEIGHT = 1024
 
 
 def v_degree(n: int) -> int:
     """Degree of the periodicity class at height n."""
     return 2 ** (n + 1) - 2
+
+
+def _check_height(n: int) -> None:
+    if n > MAX_HEIGHT:
+        raise ComputationError(f"height {n} exceeds the limit {MAX_HEIGHT}")
 
 
 def b_degree(n: int, k: int) -> int:
@@ -84,6 +92,7 @@ class RbkModule:
     def __post_init__(self):
         if self.n < 1 or self.k < 0:
             raise ValidationError("need height n >= 1 and factor index k >= 0")
+        _check_height(self.n)
         object.__setattr__(self, "degrees", tuple(self.degrees))
         object.__setattr__(self, "operator",
                            _check_operator(self.operator, self.degrees, self.n,
@@ -107,6 +116,7 @@ class TensorModule:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("need height n >= 1")
+        _check_height(self.n)
         if len(self.operators) != self.truncation:
             raise ValidationError("one operator per tensor factor is required")
         object.__setattr__(self, "degrees", tuple(self.degrees))

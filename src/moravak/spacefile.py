@@ -13,7 +13,9 @@ A space file is sectioned text; ``#`` starts a comment.  Sections:
 
 Manifold keys in [metadata] upgrade the result to ManifoldData.  A file
 whose first non-blank byte is ``{`` is parsed as the equivalent JSON
-document instead.  All diagnostics carry line numbers.
+document instead.  Module files ([module] and [operator k] sections) go
+through the same section and integer readers: a section appears once,
+and every diagnostic carries its line number (JSON rows have none).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from .ahss import SpaceModel
-from .errors import ParseError
+from .errors import ComputationError, ParseError
 from .f2alg import (
     EXTERIOR,
     LAURENT,
@@ -38,6 +40,11 @@ from .f2alg import (
 from .obstruct import IndexTable, ManifoldData, PairModel
 from .rbk import RbkModule, TensorModule
 from .steenrod import IntegralityData, SqAction
+from .twistgroup import _check_factors
+
+# module files of higher rank are refused before any matrix is built;
+# validating truncation K costs about K^2 * rank^2
+MAX_MODULE_RANK = 24
 
 _KIND_ALIASES = {
     "polynomial": POLYNOMIAL, "poly": POLYNOMIAL,
@@ -50,80 +57,137 @@ _SECTIONS = {
     "boundary-generators", "boundary-relations", "boundary-sq", "restriction",
 }
 
-_MANIFOLD_KEYS = {"dimension", "flags", "w", "lambda", "pairing", "torsion", "index"}
+_JSON_FIELDS = ("generators", "relations", "sq", "integral", "metadata", "boundary",
+                "restriction")
 
 
 @dataclass
 class ParsedSpace:
     model: object  # SpaceModel | ManifoldData
     index: Optional[IndexTable]
-    source: str
 
 
-def _lines(text: str):
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err}") from None
+
+
+def _int(text: str, line: int | None, message: str, allowed=None) -> int:
+    """The integer text spells, if it is one of the allowed values."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or (allowed is not None and value not in allowed):
+        raise ParseError(message, line)
+    return value
+
+
+def _split(line: str, lineno: int | None, count: int, expected: str) -> list[str]:
+    """The count whitespace-separated fields of line; the last takes the rest."""
+    parts = line.split(None, count - 1)
+    if len(parts) != count:
+        raise ParseError(f"expected: {expected}", lineno)
+    return parts
+
+
+def _read_sections(text: str, section_key) -> dict:
+    """Rows (line number, text) of each section, keyed by
+    section_key(name, line), which returns None for an unknown name.
+    Comments and blank lines are dropped."""
+    sections: dict = {}
+    rows = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _collect_sections(text: str) -> dict[str, list[tuple[int, str]]]:
-    sections: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
-    current = None
-    for lineno, line in _lines(text):
+        if not line:
+            continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            key = section_key(name, lineno)
+            if key is None:
                 raise ParseError(f"unknown section [{name}]", lineno)
-            current = name
-            continue
-        if current is None:
+            if key in sections:
+                raise ParseError(f"repeated section [{name}]", lineno)
+            rows = sections[key] = []
+        elif rows is None:
             raise ParseError("content before the first section header", lineno)
-        sections[current].append((lineno, line))
+        else:
+            rows.append((lineno, line))
     return sections
 
 
-def _json_to_sections(doc: dict) -> dict[str, list[tuple[int, str]]]:
+def _module_section(name: str, lineno: int) -> str | int | None:
+    """'module', or the factor index of an [operator k] block."""
+    if name == "module":
+        return name
+    if not name.startswith("operator"):
+        return None
+    rest = name[len("operator"):].strip()
+    return _int(rest, lineno, f"bad operator index {rest!r}") if rest else 0
+
+
+def _shaped(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ParseError(f"bad JSON document: {where} must be {what}")
+    return value
+
+
+def _json_to_sections(doc: dict) -> dict[str, list[tuple[None, str]]]:
     """Re-encode a JSON document as section lines so both paths share
     one validation and construction route."""
-    out: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
-    for row in doc.get("generators", []):
-        out["generators"].append((0, " ".join(str(x) for x in row)))
-    for expr in doc.get("relations", []):
-        out["relations"].append((0, str(expr)))
-    for gen, table in doc.get("sq", {}).items():
-        for i, expr in table.items():
-            out["sq"].append((0, f"{gen} {i} {expr}"))
-    for degree, exprs in doc.get("integral", {}).items():
-        for expr in exprs:
-            out["integral"].append((0, f"{degree} {expr}"))
-    for key, value in doc.get("metadata", {}).items():
+    out: dict[str, list[tuple[None, str]]] = {}
+
+    def emit(section: str, line: str):
+        out.setdefault(section, []).append((None, line))
+
+    def field(block: dict, key: str, kind: type, where: str):
+        return _shaped(block.get(key, kind()), kind, where + key)
+
+    boundary = field(doc, "boundary", dict, "")
+    for prefix, block, fields in (("", doc, _JSON_FIELDS),
+                                  ("boundary-", boundary, _JSON_FIELDS[:3])):
+        where = prefix.replace("-", ".")
+        unknown = sorted(set(block) - set(fields))
+        if unknown:
+            raise ParseError(f"bad JSON document: unknown field {where}{unknown[0]}")
+        for row in field(block, "generators", list, where):
+            emit(prefix + "generators",
+                 " ".join(str(x) for x in _shaped(row, list, where + "generators row")))
+        for expr in field(block, "relations", list, where):
+            emit(prefix + "relations", str(expr))
+        for gen, table in field(block, "sq", dict, where).items():
+            for i, expr in _shaped(table, dict, f"{where}sq.{gen}").items():
+                emit(prefix + "sq", f"{gen} {i} {expr}")
+    for degree, exprs in field(doc, "integral", dict, "").items():
+        for expr in _shaped(exprs, list, f"integral.{degree}"):
+            emit("integral", f"{degree} {expr}")
+    for key, value in field(doc, "metadata", dict, "").items():
         if key == "w":
-            for i, expr in value.items():
-                out["metadata"].append((0, f"w {i} {expr}"))
+            for i, expr in _shaped(value, dict, "metadata.w").items():
+                emit("metadata", f"w {i} {expr}")
         elif key == "flags":
-            out["metadata"].append((0, "flags " + " ".join(value)))
+            emit("metadata", "flags " + " ".join(
+                str(f) for f in _shaped(value, list, "metadata.flags")))
         elif key in ("torsion", "index"):
-            for row in value:
-                out["metadata"].append((0, f"{key} {row}"))
+            for row in _shaped(value, list, f"metadata.{key}"):
+                emit("metadata", f"{key} {row}")
         else:
-            out["metadata"].append((0, f"{key} {value}"))
-    boundary = doc.get("boundary", {})
-    for row in boundary.get("generators", []):
-        out["boundary-generators"].append((0, " ".join(str(x) for x in row)))
-    for expr in boundary.get("relations", []):
-        out["boundary-relations"].append((0, str(expr)))
-    for gen, table in boundary.get("sq", {}).items():
-        for i, expr in table.items():
-            out["boundary-sq"].append((0, f"{gen} {i} {expr}"))
-    for gen, expr in doc.get("restriction", {}).items():
-        out["restriction"].append((0, f"{gen} {expr}"))
+            emit("metadata", f"{key} {value}")
+    for gen, expr in field(doc, "restriction", dict, "").items():
+        emit("restriction", f"{gen} {expr}")
     return out
 
 
-def _parse_generators(rows) -> list[GradedGenerator]:
+def _build_algebra(sections, prefix: str, cap: int) -> tuple[PresentedAlgebra, SqAction]:
+    """The algebra and Sq action of the total space (prefix '') or of
+    the boundary (prefix 'boundary-')."""
     gens = []
-    for lineno, line in rows:
+    for lineno, line in sections[prefix + "generators"]:
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ParseError("expected: name degree [kind]", lineno)
@@ -131,69 +195,44 @@ def _parse_generators(rows) -> list[GradedGenerator]:
         kind = _KIND_ALIASES.get(parts[2].lower()) if len(parts) == 3 else POLYNOMIAL
         if kind is None:
             raise ParseError(f"unknown generator kind {parts[2]!r}", lineno)
-        try:
-            gens.append(GradedGenerator(name, int(degree), kind))
-        except ValueError:
-            raise ParseError(f"bad degree {degree!r}", lineno) from None
-    return gens
-
-
-def _build_algebra(gen_rows, rel_rows, cap: int) -> PresentedAlgebra:
-    gens = _parse_generators(gen_rows)
-    relations = [parse_element(line, lineno) for lineno, line in rel_rows]
-    return PresentedAlgebra(gens, relations, cap)
-
-
-def _build_action(algebra: PresentedAlgebra, sq_rows) -> SqAction:
+        gens.append(GradedGenerator(name, _int(degree, lineno, f"bad degree {degree!r}"),
+                                    kind))
+    relations = [parse_element(line, lineno)
+                 for lineno, line in sections[prefix + "relations"]]
+    algebra = PresentedAlgebra(gens, relations, cap)
     table: dict[str, dict[int, GradedElement]] = {}
-    for lineno, line in sq_rows:
-        parts = line.split(None, 2)
-        if len(parts) != 3:
-            raise ParseError("expected: generator i expression", lineno)
-        gen, i, expr = parts
-        try:
-            i = int(i)
-        except ValueError:
-            raise ParseError(f"bad Sq index {i!r}", lineno) from None
+    for lineno, line in sections[prefix + "sq"]:
+        gen, i, expr = _split(line, lineno, 3, "generator i expression")
+        i = _int(i, lineno, f"bad Sq index {i!r}")
         table.setdefault(gen, {})[i] = parse_element(expr, lineno)
-    return SqAction(algebra, table)
+    return algebra, SqAction(algebra, table)
 
 
 def parse_file(path: str | Path) -> ParsedSpace:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
+    text = _read(path)
     if text.lstrip().startswith("{"):
         try:
-            sections = _json_to_sections(json.loads(text))
-        except json.JSONDecodeError as err:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
             raise ParseError(f"bad JSON: {err}") from None
+        found = _json_to_sections(doc)
     else:
-        sections = _collect_sections(text)
+        found = _read_sections(text, lambda name, _: name if name in _SECTIONS else None)
+    sections = {s: [] for s in _SECTIONS} | found
 
     meta: dict[str, object] = {"flags": [], "w": {}, "torsion": [], "index": []}
     for lineno, line in sections["metadata"]:
-        parts = line.split(None, 1)
-        key = parts[0].lower()
-        rest = parts[1] if len(parts) > 1 else ""
+        key, rest = (line.split(None, 1) + [""])[:2]
+        key = key.lower()
         if key in ("cap", "topdegree", "dimension"):
-            try:
-                meta[key] = int(rest)
-            except ValueError:
-                raise ParseError(f"{key} expects an integer", lineno) from None
+            meta[key] = _int(rest, lineno, f"{key} expects an integer")
         elif key == "flags":
             meta["flags"] = rest.split()
         elif key == "w":
-            sub = rest.split(None, 1)
-            if len(sub) != 2:
-                raise ParseError("expected: w i expression", lineno)
-            meta["w"][int(sub[0])] = parse_element(sub[1], lineno)
-        elif key == "lambda":
-            meta["lambda"] = parse_element(rest, lineno)
-        elif key == "pairing":
-            meta["pairing"] = parse_element(rest, lineno)
+            i, expr = _split(rest, lineno, 2, "w i expression")
+            meta["w"][_int(i, lineno, f"bad w index {i!r}")] = parse_element(expr, lineno)
+        elif key in ("lambda", "pairing"):
+            meta[key] = parse_element(rest, lineno)
         elif key == "torsion":
             meta["torsion"].append(parse_element(rest, lineno))
         elif key == "index":
@@ -204,47 +243,39 @@ def parse_file(path: str | Path) -> ParsedSpace:
         else:
             raise ParseError(f"unknown metadata key {key!r}", lineno)
 
-    cap = int(meta.get("cap", 16))
-    algebra = _build_algebra(sections["generators"], sections["relations"], cap)
-    action = _build_action(algebra, sections["sq"])
-
+    cap = meta.get("cap", 16)
+    algebra, action = _build_algebra(sections, "", cap)
     integ = None
     if sections["integral"]:
         spans: dict[int, list[GradedElement]] = {}
         for lineno, line in sections["integral"]:
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ParseError("expected: degree expression", lineno)
-            spans.setdefault(int(parts[0]), []).append(parse_element(parts[1], lineno))
+            degree, expr = _split(line, lineno, 2, "degree expression")
+            degree = _int(degree, lineno, f"bad degree {degree!r}")
+            spans.setdefault(degree, []).append(parse_element(expr, lineno))
         integ = IntegralityData(action, spans)
-
     top = meta.get("topdegree", cap)
-    space = SpaceModel(algebra, action, integ, int(top))
+    space = SpaceModel(algebra, action, integ, top)
 
     is_manifold = any(k in meta for k in ("dimension", "lambda", "pairing")) or \
         any(meta[k] for k in ("flags", "w", "torsion", "index"))
     if not is_manifold:
-        return ParsedSpace(space, None, str(path))
+        return ParsedSpace(space, None)
 
     boundary = None
     if sections["boundary-generators"]:
-        balg = _build_algebra(sections["boundary-generators"],
-                              sections["boundary-relations"], cap)
-        baction = _build_action(balg, sections["boundary-sq"])
+        balg, baction = _build_algebra(sections, "boundary-", cap)
         bspace = SpaceModel(balg, baction, None, cap)
         images = {}
         for lineno, line in sections["restriction"]:
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ParseError("expected: generator expression", lineno)
-            images[parts[0]] = parse_element(parts[1], lineno)
+            gen, expr = _split(line, lineno, 2, "generator expression")
+            images[gen] = parse_element(expr, lineno)
         boundary = PairModel(bspace, AlgebraMap(algebra, balg, images))
     elif sections["restriction"]:
         raise ParseError("restriction given without boundary generators")
 
     manifold = ManifoldData(
         space=space,
-        dimension=int(meta.get("dimension", top)),
+        dimension=meta.get("dimension", top),
         sw=meta["w"],
         lam=meta.get("lambda", algebra.zero),
         pairing=meta.get("pairing", algebra.zero),
@@ -252,18 +283,23 @@ def parse_file(path: str | Path) -> ParsedSpace:
         torsion4=tuple(meta["torsion"]),
         boundary=boundary,
     )
-    index = None
-    if meta["index"]:
-        values = {}
-        for e, bit in meta["index"]:
-            values[algebra.express_bits(e, 4)] = bit
-        index = IndexTable(values)
-    return ParsedSpace(manifold, index, str(path))
+    index = IndexTable({algebra.express_bits(e, 4): bit for e, bit in meta["index"]}) \
+        if meta["index"] else None
+    return ParsedSpace(manifold, index)
 
 
 def parse_space(path: str | Path):
     """SpaceModel or ManifoldData from a space file."""
     return parse_file(path).model
+
+
+def _algebra_doc(space: SpaceModel) -> dict:
+    """Generators, relations and the nonzero Sq table of one space."""
+    gens, table = space.algebra.generators, space.action._table
+    return {"generators": [[g.name, g.degree, g.kind] for g in gens],
+            "relations": sorted(str(r) for r in space.algebra.relations),
+            "sq": {g.name: {str(i): str(e) for i, e in sorted(table[g.name].items()) if e}
+                   for g in gens if any(table[g.name].values())}}
 
 
 def serialize_model(parsed: ParsedSpace) -> dict:
@@ -276,17 +312,8 @@ def serialize_model(parsed: ParsedSpace) -> dict:
     model = parsed.model
     space = model.space if isinstance(model, ManifoldData) else model
     algebra = space.algebra
-    doc: dict = {
-        "generators": [[g.name, g.degree, g.kind] for g in algebra.generators],
-        "relations": sorted(str(r) for r in algebra.relations),
-        "sq": {},
-        "metadata": {"cap": algebra.degree_cap, "topdegree": space.top_degree},
-    }
-    for g in algebra.generators:
-        row = {str(i): str(e) for i, e in sorted(space.action._table[g.name].items())
-               if e}
-        if row:
-            doc["sq"][g.name] = row
+    doc = _algebra_doc(space)
+    doc["metadata"] = {"cap": algebra.degree_cap, "topdegree": space.top_degree}
     if space.integ is not None:
         doc["integral"] = {
             str(d): sorted(str(e) for e in elems)
@@ -307,16 +334,7 @@ def serialize_model(parsed: ParsedSpace) -> dict:
                 f"{algebra.element_from_bits(4, key)} {bit}"
                 for key, bit in sorted(parsed.index.values.items())]
         if model.boundary is not None:
-            bspace = model.boundary.space
-            doc["boundary"] = {
-                "generators": [[g.name, g.degree, g.kind]
-                               for g in bspace.algebra.generators],
-                "relations": sorted(str(r) for r in bspace.algebra.relations),
-                "sq": {g.name: {str(i): str(e) for i, e in
-                                sorted(bspace.action._table[g.name].items()) if e}
-                       for g in bspace.algebra.generators
-                       if any(bspace.action._table[g.name].values())},
-            }
+            doc["boundary"] = _algebra_doc(model.boundary.space)
             doc["restriction"] = {
                 name: str(img)
                 for name, img in sorted(model.boundary.restriction.images.items())}
@@ -328,72 +346,49 @@ def parse_module(path: str | Path) -> RbkModule | TensorModule:
 
     Matrix rows are 0/1 entries of the v-normalized operator; row i,
     column j is the coefficient of generator i in b_k * generator j.
+    The truncation and the rank are checked against their limits before
+    any list or matrix is built.
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
+    sections = _read_sections(_read(path), _module_section)
     header: dict[str, int] = {}
     degrees: list[int] = []
-    operators: dict[int, list[list[int]]] = {}
-    current: Optional[int] = None
-    in_module = False
-    for lineno, line in _lines(text):
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name == "module":
-                in_module, current = True, None
-            elif name.startswith("operator"):
-                rest = name[len("operator"):].strip()
-                current = int(rest) if rest else 0
-                operators[current] = []
-                in_module = False
-            else:
-                raise ParseError(f"unknown section [{name}]", lineno)
-            continue
-        if in_module:
-            parts = line.split()
-            key = parts[0].lower()
-            if key == "degrees":
-                degrees = [int(x) for x in parts[1:]]
-            elif key in ("n", "k", "rank", "truncation"):
-                header[key] = int(parts[1])
-            else:
-                raise ParseError(f"unknown module key {key!r}", lineno)
-        elif current is not None:
-            try:
-                operators[current].append([int(x) for x in line.split()])
-            except ValueError:
-                raise ParseError("matrix rows must be 0/1 entries", lineno) from None
+    for lineno, line in sections.pop("module", []):
+        key, rest = (line.split(None, 1) + [""])[:2]
+        key = key.lower()
+        if key == "degrees":
+            degrees = [_int(x, lineno, f"bad degree {x!r}") for x in rest.split()]
+        elif key in ("n", "k", "rank", "truncation"):
+            header[key] = _int(rest, lineno, f"{key} expects an integer")
         else:
-            raise ParseError("content before any section", lineno)
+            raise ParseError(f"unknown module key {key!r}", lineno)
     if "n" not in header:
         raise ParseError("module file must declare n")
+    K = header.get("truncation")
+    if K is not None:
+        _check_factors(K)
     rank = header.get("rank", len(degrees))
+    if rank > MAX_MODULE_RANK:
+        raise ComputationError(f"module rank {rank} exceeds the limit {MAX_MODULE_RANK}")
     if not degrees:
         degrees = [0] * rank
     if rank != len(degrees):
         raise ParseError("rank does not match the number of degrees")
 
-    def to_columns(rows: list[list[int]]) -> tuple[int, ...]:
-        if len(rows) != rank or any(len(r) != rank for r in rows):
+    def to_columns(rows: list[tuple[int, str]]) -> tuple[int, ...]:
+        bits = [[_int(x, lineno, "matrix rows must be 0/1 entries", (0, 1))
+                 for x in line.split()] for lineno, line in rows]
+        if len(bits) != rank or any(len(row) != rank for row in bits):
             raise ParseError(f"operator matrix must be {rank}x{rank}")
-        return tuple(sum((rows[i][j] & 1) << i for i in range(rank))
-                     for j in range(rank))
+        return tuple(sum(bits[i][j] << i for i in range(rank)) for j in range(rank))
 
-    if "truncation" in header:
-        K = header["truncation"]
-        ops = []
-        for k in range(K):
-            rows = operators.get(k)
-            ops.append(to_columns(rows) if rows is not None
-                       else tuple(0 for _ in range(rank)))
-        extra = set(operators) - set(range(K))
+    if K is not None:
+        extra = set(sections) - set(range(K))
         if extra:
             raise ParseError(f"operator index beyond the truncation: {sorted(extra)}")
-        return TensorModule(header["n"], K, tuple(degrees), tuple(ops))
-    if len(operators) != 1:
+        ops = tuple(to_columns(sections[k]) if k in sections else (0,) * rank
+                    for k in range(K))
+        return TensorModule(header["n"], K, tuple(degrees), ops)
+    if len(sections) != 1:
         raise ParseError("a single-factor module needs exactly one [operator] block")
-    cols = to_columns(next(iter(operators.values())))
+    cols = to_columns(next(iter(sections.values())))
     return RbkModule(header["n"], header.get("k", 0), tuple(degrees), cols)

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 from . import gf2
 from .errors import NotIntegralError, ValidationError
 from .f2alg import (
+    EXTERIOR,
     LAURENT,
     AlgebraMap,
     GradedElement,
@@ -39,6 +40,12 @@ class TriState(enum.Enum):
     YES = "yes"
     NO = "no"
     UNKNOWN = "unknown"
+
+
+def _window_indices(degree: int, cap: int) -> range:
+    """The i <= degree with degree + i <= cap: past them Sq^i of a class
+    of that degree leaves the window [0, cap] and is zero."""
+    return range(min(degree, cap - degree) + 1)
 
 
 class SqAction:
@@ -82,7 +89,7 @@ class SqAction:
         totals = {}
         for g in algebra.generators:
             total = ZERO
-            for i in range(g.degree + 1):
+            for i in _window_indices(g.degree, algebra.degree_cap):
                 total = total + self.generator_sq(g.name, i)
             totals[g.name] = total
         self._total = _Substitution(algebra, algebra, totals)
@@ -100,8 +107,21 @@ class SqAction:
         return self._table[name].get(i, ZERO)
 
     def _check_relations(self):
-        for r in self.algebra.relations:
-            d = self.algebra.degree_of(r)
+        """Sq^i(r) = 0 for every relation r, and for the relation x^2 = 0
+        of each exterior x: in characteristic 2, Sq^{2i}(x^2) = (Sq^i x)^2."""
+        alg = self.algebra
+        for g in alg.generators:
+            if g.kind != EXTERIOR:
+                continue
+            for i in _window_indices(g.degree, alg.degree_cap):
+                s = self.generator_sq(g.name, i)
+                square = alg.mul(s, s)
+                if square:
+                    raise ValidationError(
+                        f"action does not respect {g.name}^2 = 0: Sq^{2 * i}"
+                        f"({g.name}^2) = (Sq^{i} {g.name})^2 = {square} is nonzero")
+        for r in alg.relations:
+            d = alg.degree_of(r)
             for i in range(d + 1):
                 if sq(i, r, self) != ZERO:
                     raise ValidationError(
@@ -260,8 +280,9 @@ def sq_z(k: int, e: GradedElement, action: SqAction,
 def commutes_with_sq(fmap: AlgebraMap, source_action: SqAction,
                      target_action: SqAction) -> bool:
     """Whether f(Sq^i g) = Sq^i f(g) for every generator and index."""
+    cap = max(fmap.source.degree_cap, fmap.target.degree_cap)
     for g in fmap.source.generators:
-        for i in range(g.degree + 1):
+        for i in _window_indices(g.degree, cap):
             lhs = fmap.apply(source_action.generator_sq(g.name, i))
             rhs = sq(i, fmap.images[g.name], target_action)
             if fmap.target.reduce(lhs + rhs) != ZERO:

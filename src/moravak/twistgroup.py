@@ -40,6 +40,14 @@ def _check_truncation(truncation: int) -> None:
             f"coefficients; the limit is 2^{MAX_SERIES_TRUNCATION}")
 
 
+def _check_factors(truncation: int) -> None:
+    if truncation < 1:
+        raise ValidationError(f"tensor truncation must be >= 1: {truncation}")
+    if truncation > MAX_FACTORS:
+        raise ComputationError(
+            f"tensor truncation {truncation} exceeds the limit {MAX_FACTORS}")
+
+
 @dataclass(frozen=True)
 class TwistElement:
     """Canonical form: strictly increasing exponents k_i < M."""
@@ -108,11 +116,7 @@ class AlgebraHom:
     def __post_init__(self):
         if self.height < 1:
             raise ValidationError("height must be >= 1")
-        if self.truncation < 1:
-            raise ValidationError(f"tensor truncation must be >= 1: {self.truncation}")
-        if self.truncation > MAX_FACTORS:
-            raise ComputationError(
-                f"tensor truncation {self.truncation} exceeds the limit {MAX_FACTORS}")
+        _check_factors(self.truncation)
         if any(k < 0 or k >= self.truncation for k in self.active):
             raise ValidationError("active factors must lie below the truncation")
 

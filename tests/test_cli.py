@@ -212,6 +212,8 @@ def test_text_report_contains_json_block(capsys):
     (("khorami", "--module", "r0free", "--max-degree", "9"), 4),
     (("khorami", "--module", "r0free", "--max-degree", "12"), 4),
     (("twist", "--hom", "(0,1)", "--factors", "3000000"), 4),
+    (("fgl", "--solve-theta", "1025"), 4),
+    (("fgl", "--solve-theta", "20000"), 4),
 ])
 def test_out_of_range_arguments_are_typed_errors(capsys, argv, code):
     assert main(list(argv)) == code
@@ -231,6 +233,8 @@ def test_truncation_error_names_the_order(capsys):
     ("ahss", "--space", "rp_inf", "--n", "40", "--twist", "0"),
     ("tor", "--module", "r0free", "--i", "0", "2047"),
     ("twist", "--hom", "(0,1)", "--factors", "64"),
+    ("fgl", "--solve-theta", "1024"),
+    ("fgl", "--law", "additive", "--truncation", "64", "--solve-theta", "1024"),
 ])
 def test_work_at_the_limits_is_bounded(capsys, argv):
     start = time.perf_counter()

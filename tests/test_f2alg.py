@@ -1,6 +1,10 @@
+from itertools import product
+
 import pytest
 
+from moravak import f2alg
 from moravak.errors import (
+    ComputationError,
     DegreeCapExceededError,
     IllFormedElementError,
     InvalidPairError,
@@ -167,6 +171,39 @@ def test_generator_validation():
     with pytest.raises(ValidationError):
         PresentedAlgebra([GradedGenerator("u", 2, LAURENT),
                           GradedGenerator("v", 2, LAURENT)], (), 8)
+
+
+def _window_by_enumeration(gens, cap):
+    """Laurent-free monomials of degree <= cap, listed exponent by exponent."""
+    plain = [g for g in gens if g.kind != LAURENT]
+    ranges = [range(2 if g.kind == EXTERIOR else cap // g.degree + 1) for g in plain]
+    return sum(1 for exps in product(*ranges)
+               if sum(e * g.degree for e, g in zip(exps, plain)) <= cap)
+
+
+@pytest.mark.parametrize("gens, cap", [
+    ([GradedGenerator(f"t{i}", 1) for i in range(4)] + [GradedGenerator("h", 20)], 16),
+    ([GradedGenerator("v", 6, LAURENT), GradedGenerator("b0", 2),
+      GradedGenerator("t", 1)], 12),
+    ([GradedGenerator("a", 2), GradedGenerator("e", 3, EXTERIOR),
+      GradedGenerator("c", 5), GradedGenerator("f", 1, EXTERIOR)], 14),
+])
+def test_window_count_is_exact(monkeypatch, gens, cap):
+    count = _window_by_enumeration(gens, cap)
+    assert count > cap  # so that the limit on degrees does not decide
+    monkeypatch.setattr(f2alg, "MAX_WINDOW", count)
+    PresentedAlgebra(gens, (), cap)
+    monkeypatch.setattr(f2alg, "MAX_WINDOW", count - 1)
+    with pytest.raises(ComputationError) as exc:
+        PresentedAlgebra(gens, (), cap)
+    assert f"holds {count} laurent-free monomials" in str(exc.value)
+
+
+def test_window_degrees_are_bounded():
+    x = GradedGenerator("x", 3, EXTERIOR)
+    PresentedAlgebra([x], (), f2alg.MAX_WINDOW - 1)
+    with pytest.raises(ComputationError):
+        PresentedAlgebra([x], (), f2alg.MAX_WINDOW)
 
 
 def test_truncation_drops_high_degrees():

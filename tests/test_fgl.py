@@ -1,8 +1,9 @@
 import pytest
 
-from moravak.errors import Not2TypicalError, ValidationError
+from moravak.errors import ComputationError, Not2TypicalError, ValidationError
 from moravak.fgl import (
     FGL,
+    MAX_THETA_COUNT,
     Series,
     change_coordinates,
     grouplike_check,
@@ -32,6 +33,14 @@ def test_solve_theta_multiplicative():
     thetas = solve_theta(FGL.multiplicative(), 5)
     assert thetas.values == (1, 0, 0, 0, 0)
     assert thetas[1] == 1 and thetas[2] == 0
+
+
+def test_solve_theta_count_is_bounded():
+    # theta_i for 2^i above the truncation order 16 is zero without any work
+    values = solve_theta(FGL.multiplicative(), MAX_THETA_COUNT).values
+    assert values == (1,) + (0,) * (MAX_THETA_COUNT - 1)
+    with pytest.raises(ComputationError):
+        solve_theta(FGL.multiplicative(), MAX_THETA_COUNT + 1)
 
 
 def test_solve_theta_additive():

@@ -1,11 +1,20 @@
 import json
+import time
 
 import pytest
 
 from moravak.ahss import SpaceModel
+from moravak.cli import main
 from moravak.errors import ParseError, ValidationError
 from moravak.obstruct import ManifoldData
-from moravak.spacefile import parse_file, parse_module, parse_space, serialize_model
+from moravak.twistgroup import MAX_FACTORS
+from moravak.spacefile import (
+    MAX_MODULE_RANK,
+    parse_file,
+    parse_module,
+    parse_space,
+    serialize_model,
+)
 
 from conftest import FIXTURES
 
@@ -145,3 +154,102 @@ degrees 0
 """.strip(), "n1.module")
     mod = parse_module(path)
     assert mod.k == 1 and mod.operator == (1,)
+
+
+MODULE_HEAD = "[module]\nn 2\nrank 1\ndegrees 0\n"
+
+
+MALFORMED = [
+    ("opx.module", MODULE_HEAD + "[operator x]\n0\n", "tor", 2),
+    ("ntwo.module", "[module]\nn two\n", "tor", 2),
+    ("degz.module", "[module]\nn 2\ndegrees 0 z\n", "tor", 2),
+    ("nbare.module", "[module]\nn\n", "tor", 2),
+    ("trunc.module", "[module]\nn 2\ntruncation 1500\nrank 1\ndegrees 0\n", "tor", 4),
+    ("trunc.module", "[module]\nn 2\ntruncation 1500\nrank 1\ndegrees 0\n", "khorami", 4),
+    ("rank.module", "[module]\nn 2\nrank 30000000\n", "tor", 4),
+    ("height.module", "[module]\nn 20000\nrank 2\ndegrees 0 6\n[operator]\n0 0\n1 1\n",
+     "tor", 4),
+    ("repeat.module", MODULE_HEAD + "[operator]\n0\n[operator 0]\n1\n", "tor", 2),
+    ("entry.module", MODULE_HEAD + "[operator]\n2\n", "tor", 2),
+    ("w.space", "[generators]\nt 1\n[metadata]\nw x g\n", "ahss", 2),
+    ("integral.space", "[generators]\nt 1\n[integral]\nx g\n", "ahss", 2),
+    ("gens.space", '{"generators": 5}', "ahss", 2),
+    ("flags.space", '{"metadata": {"flags": 3}}', "ahss", 2),
+    ("sq.space", '{"sq": {"t": [1]}}', "ahss", 2),
+    ("exponent.space", "[generators]\nt 1\n[relations]\nt^" + "9" * 5000 + "\n", "ahss", 2),
+    ("binary.space", b"\xff\xfe\x00binary", "ahss", 2),
+    ("cap60.space", "[generators]\na 1\nb 1\nc 1\nd 1\n[metadata]\ncap 60\n", "ahss", 4),
+]
+
+
+@pytest.mark.parametrize("name, content, command, code", MALFORMED,
+                         ids=[f"{name}-{command}" for name, _, command, _ in MALFORMED])
+def test_malformed_files_end_in_typed_errors(tmp_path, capsys, name, content, command,
+                                             code):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    argv = {"tor": ["tor", "--module", str(path)],
+            "khorami": ["khorami", "--module", str(path)],
+            "ahss": ["ahss", "--space", str(path), "--n", "1"]}[command]
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_size_errors_name_their_limit(tmp_path, capsys):
+    path = write(tmp_path, "[module]\nn 2\ntruncation 65\nrank 1\ndegrees 0\n", "t.module")
+    for command in ("tor", "khorami"):
+        assert main([command, "--module", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"tensor truncation 65 exceeds the limit {MAX_FACTORS}" in err
+    path = write(tmp_path, f"[module]\nn 2\nrank {MAX_MODULE_RANK + 1}\n", "r.module")
+    assert main(["tor", "--module", str(path)]) == 4
+    assert f"module rank {MAX_MODULE_RANK + 1} exceeds the limit {MAX_MODULE_RANK}" \
+        in capsys.readouterr().err
+
+
+def test_largest_admitted_module_is_bounded(tmp_path, capsys):
+    """Truncation MAX_FACTORS and rank MAX_MODULE_RANK with dense commuting
+    idempotents: every operator is validated and every pair commuted."""
+    r = MAX_MODULE_RANK
+    b = r - 1 + r % 2  # an all-ones block of odd size b is idempotent
+    rows = [" ".join("1" if j < b else "0" for j in range(r))] * b + \
+        [" ".join(str(int(i == j)) for j in range(r)) for i in range(b, r)]
+    lines = ["[module]", "n 2", f"truncation {MAX_FACTORS}", f"rank {r}"]
+    for k in range(MAX_FACTORS):
+        lines += [f"[operator {k}]"] + rows
+    path = write(tmp_path, "\n".join(lines) + "\n", "dense.module")
+    start = time.perf_counter()
+    assert main(["tor", "--module", str(path), "--json"]) == 0
+    assert time.perf_counter() - start < 2.0
+    # against M, Tor_0 is the cokernel of an operator of rank 1 + r - b
+    assert json.loads(capsys.readouterr().out)["payload"]["Tor_0"]["rank"] == b - 1
+
+
+def test_json_errors_carry_no_line_number(tmp_path):
+    doc = {"generators": [["t", "one"]]}
+    with pytest.raises(ParseError) as exc:
+        parse_space(write(tmp_path, json.dumps(doc)))
+    assert str(exc.value) == "bad degree 'one'"
+    doc = {"generators": [["t", 1]], "boundary": {"sq": []}}
+    with pytest.raises(ParseError) as exc:
+        parse_space(write(tmp_path, json.dumps(doc)))
+    assert str(exc.value) == "bad JSON document: boundary.sq must be an object"
+    for doc, field in (({"generator": [["t", 1]]}, "generator"),
+                       ({"boundary": {"integral": {}}}, "boundary.integral")):
+        with pytest.raises(ParseError) as exc:
+            parse_space(write(tmp_path, json.dumps(doc)))
+        assert str(exc.value) == f"bad JSON document: unknown field {field}"
+
+
+def test_repeated_sections_rejected(tmp_path):
+    path = write(tmp_path, "[generators]\nt 1\n[metadata]\ncap 4\n[generators]\ns 2\n")
+    with pytest.raises(ParseError) as exc:
+        parse_space(path)
+    assert str(exc.value) == "line 5: repeated section [generators]"

@@ -3,13 +3,20 @@ from math import comb
 import pytest
 
 from moravak.errors import NotIntegralError, ValidationError
-from moravak.f2alg import GradedGenerator, PresentedAlgebra, parse_element
+from moravak.f2alg import (
+    EXTERIOR,
+    AlgebraMap,
+    GradedGenerator,
+    PresentedAlgebra,
+    parse_element,
+)
 from moravak.steenrod import (
     IntegralityData,
     SqAction,
     TriState,
     adem_spot_check,
     check_derivation,
+    commutes_with_sq,
     milnor_q,
     sq,
     sq_z,
@@ -203,6 +210,40 @@ def test_relation_compatibility_checked():
         SqAction(alg, {"x": {1: alg.element("y")}})
     # the compatible truncated model loads fine
     truncated_projective(9, 12)
+
+
+def test_exterior_squares_checked():
+    """Sq^{2i}(x^2) = (Sq^i x)^2 in characteristic 2, so an exterior x
+    needs (Sq^i x)^2 = 0 inside the window."""
+    gens = [GradedGenerator("x", 3, EXTERIOR), GradedGenerator("y", 4)]
+    alg = PresentedAlgebra(gens, (), 12)
+    with pytest.raises(ValidationError) as exc:
+        SqAction(alg, {"x": {1: alg.element("y")}})
+    assert "Sq^2(x^2) = (Sq^1 x)^2 = y^2 is nonzero" in str(exc.value)
+    gens = [GradedGenerator("x", 5, EXTERIOR), GradedGenerator("y", 7)]
+    alg = PresentedAlgebra(gens, (), 16)
+    with pytest.raises(ValidationError) as exc:
+        SqAction(alg, {"x": {2: alg.element("y")}})
+    assert "(Sq^2 x)^2" in str(exc.value)
+    # Lambda(x3, z5) with Sq^2 x = z: z^2 = 0, so the table is consistent
+    gens = [GradedGenerator("x", 3, EXTERIOR), GradedGenerator("z", 5, EXTERIOR)]
+    alg = PresentedAlgebra(gens, (), 12)
+    act = SqAction(alg, {"x": {2: alg.element("z")}})
+    assert sq(2, alg.element("x"), act) == alg.element("z")
+    assert sq(2, alg.element("x*z"), act) == alg.zero  # z^2 = 0
+
+
+def test_generators_above_the_window_cost_nothing():
+    """Sq^i(g) has degree |g| + i, so past the cap it is zero: a generator
+    of huge degree adds no work to building or checking an action."""
+    gens = [GradedGenerator("t", 1), GradedGenerator("h", 10**20),
+            GradedGenerator("e", 10**20, EXTERIOR)]
+    alg = PresentedAlgebra(gens, (), 12)
+    act = SqAction(alg, {})
+    assert sq(1, alg.generator("t"), act) == alg.element("t^2")
+    assert sq(1, alg.generator("h"), act) == alg.zero
+    identity = AlgebraMap(alg, alg, {g.name: alg.generator(g.name) for g in gens})
+    assert commutes_with_sq(identity, act, act)
 
 
 def even_integrality(cap=12):
