@@ -424,7 +424,7 @@ class _DegreeData:
     def __init__(self, candidates, index, rel_rows, basis_indices):
         self.candidates = tuple(candidates)
         self.index = dict(index)
-        self.rel_rows = list(rel_rows)
+        self.rel_rows = rel_rows  # keeps the pivot index of gf2.reduce_rows
         self.basis_indices = tuple(basis_indices)
 
 

@@ -7,12 +7,19 @@ representatives are supported on the lowest possible coordinates; with
 coordinates sorted in increasing monomial order this yields the
 lexicographically least representatives everywhere downstream.
 
-All elimination runs through the one loop in ``reduce_vector``.  The
+All elimination runs through the one loop in ``_eliminate``.  The
 fully reduced echelon form that ``reduce_rows`` returns (every pivot
 set in exactly one row, rows by descending pivot) depends only on the
 span of its input, never on the order or choice of the input rows.
 Every kernel, image and quotient basis below is such a form, so any
 route to the same subspace gives the same bits.
+
+The echelon form carries a pivot index: a mask of its pivot bits and a
+dict from pivot to row.  Reducing a vector XORs in the row of each
+pivot bit the vector has, highest first, so its cost follows the set
+bits of ``vec & mask``, not the number of rows.  Against a fully
+reduced form each XOR clears one pivot bit and sets no other, so a
+vector costs exactly one XOR per pivot it hits.
 
 Kernels use the augmented-row trick: the row ``(col_j << dim) | 1 << j``
 pairs the image of ``e_j`` with its tag.  Highest-bit pivoting clears
@@ -26,26 +33,54 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
-def reduce_vector(vec: int, reduced: Sequence[int]) -> int:
-    """Reduce vec against already-reduced rows (highest-pivot convention)."""
-    for b in reduced:
-        if vec and (vec >> (b.bit_length() - 1)) & 1:
-            vec ^= b
+class _Echelon(list):
+    """Fully reduced rows by descending pivot, with their pivot index."""
+
+    __slots__ = ("mask", "by_pivot")
+
+    def __init__(self, by_pivot: dict[int, int], mask: int):
+        super().__init__(by_pivot[p] for p in sorted(by_pivot, reverse=True))
+        self.by_pivot = by_pivot
+        self.mask = mask
+
+
+def _eliminate(vec: int, mask: int, by_pivot: dict[int, int]) -> int:
+    """Clear the pivot bits of vec, highest first; by_pivot[p] is the
+    row with highest bit p, for each bit p of mask."""
+    hit = vec & mask
+    while hit:
+        vec ^= by_pivot[hit.bit_length() - 1]
+        hit = vec & mask
     return vec
+
+
+def reduce_vector(vec: int, reduced: Sequence[int]) -> int:
+    """Reduce vec against fully reduced rows (highest-pivot convention).
+
+    ``reduced`` is the result of ``reduce_rows`` or any list of rows
+    with distinct pivots in which no row has another row's pivot bit,
+    such as a subset of one; a plain list is indexed on the fly."""
+    if isinstance(reduced, _Echelon):
+        return _eliminate(vec, reduced.mask, reduced.by_pivot)
+    by_pivot = {b.bit_length() - 1: b for b in reduced}
+    return _eliminate(vec, sum(1 << p for p in by_pivot), by_pivot)
 
 
 def reduce_rows(rows: Iterable[int]) -> list[int]:
     """Row-reduce, pivoting on highest set bits; returns nonzero rows."""
-    basis: list[int] = []  # each with a distinct highest bit
+    by_pivot: dict[int, int] = {}
+    mask = 0
     for row in rows:
-        row = reduce_vector(row, basis)
+        row = _eliminate(row, mask, by_pivot)
         if row:
-            # keep basis fully reduced against the new pivot
             pivot = row.bit_length() - 1
-            basis = [b ^ row if (b >> pivot) & 1 else b for b in basis]
-            basis.append(row)
-    basis.sort(key=int.bit_length, reverse=True)
-    return basis
+            by_pivot[pivot] = row
+            mask |= 1 << pivot
+    # back-substitute, lowest pivot first: the rows below are final
+    for pivot in sorted(by_pivot):
+        row = by_pivot[pivot]
+        by_pivot[pivot] = _eliminate(row, mask & ((1 << pivot) - 1), by_pivot)
+    return _Echelon(by_pivot, mask)
 
 
 def in_span(vec: int, reduced: Sequence[int]) -> bool:
@@ -105,10 +140,8 @@ def homology(out_cols: Sequence[int], dim: int, in_cols: Iterable[int]) -> list[
 def bits(vec: int) -> list[int]:
     """Positions of set bits, ascending."""
     out = []
-    pos = 0
     while vec:
-        if vec & 1:
-            out.append(pos)
-        vec >>= 1
-        pos += 1
+        low = vec & -vec
+        out.append(low.bit_length() - 1)
+        vec ^= low
     return out

@@ -126,11 +126,17 @@ class TensorModule:
                 ops.append(_check_operator(cols, self.degrees, self.n, f"factor {k}"))
             except ValidationError as err:
                 raise InvalidTensorModuleError(str(err)) from None
-        for a in range(len(ops)):
-            for b in range(a + 1, len(ops)):
-                ab = gf2.compose_columns(ops[a], ops[b])
-                ba = gf2.compose_columns(ops[b], ops[a])
-                if ab != ba:
+        # zero and repeated operators commute with everything; composing
+        # only the first copy of each nonzero one still finds the first
+        # failing pair by index
+        first: dict[tuple[int, ...], int] = {}
+        for k, cols in enumerate(ops):
+            if any(cols):
+                first.setdefault(cols, k)
+        distinct = list(first.items())
+        for i, (a_cols, a) in enumerate(distinct):
+            for b_cols, b in distinct[i + 1:]:
+                if gf2.compose_columns(a_cols, b_cols) != gf2.compose_columns(b_cols, a_cols):
                     raise InvalidTensorModuleError(
                         f"operators {a} and {b} do not commute")
         object.__setattr__(self, "operators", tuple(ops))

@@ -84,3 +84,85 @@ def test_kernel_image_dimensions_match(rng):
         k = len(gf2.kernel_basis(matrix, cols))
         r = len(gf2.reduce_rows(matrix))
         assert k + r == cols
+
+
+# The scan-and-back-substitute kernel that the pivot index replaced, kept
+# as the reference: every reduced row is scanned for each vector, and
+# each new row is substituted back into all older ones at once.
+
+def reference_reduce_vector(vec, reduced):
+    for b in reduced:
+        if vec and (vec >> (b.bit_length() - 1)) & 1:
+            vec ^= b
+    return vec
+
+
+def reference_reduce_rows(rows):
+    basis = []
+    for row in rows:
+        row = reference_reduce_vector(row, basis)
+        if row:
+            pivot = row.bit_length() - 1
+            basis = [b ^ row if (b >> pivot) & 1 else b for b in basis]
+            basis.append(row)
+    basis.sort(key=int.bit_length, reverse=True)
+    return basis
+
+
+def random_rows(rng, width):
+    """Rows of the given width: sparse, dense, dependent (sums of a few
+    generators) or augmented (image << dim | tag) like kernel_basis."""
+    count = rng.randint(1, min(2 * width, 120))
+    shape = rng.choice(["dense", "sparse", "dependent", "augmented"])
+    if shape == "dense":
+        return [rng.getrandbits(width) for _ in range(count)]
+    if shape == "sparse":
+        return [sum(1 << rng.randrange(width) for _ in range(rng.randint(0, 3)))
+                for _ in range(count)]
+    if shape == "dependent":
+        gens = [rng.getrandbits(width) for _ in range(rng.randint(1, max(1, count // 3)))]
+        return [_xor(g for g in gens if rng.random() < 0.5) for _ in range(count)]
+    dim = max(1, width // 2)
+    return [(rng.getrandbits(width - dim) << dim) | 1 << j for j in range(dim)]
+
+
+def _xor(values):
+    out = 0
+    for v in values:
+        out ^= v
+    return out
+
+
+def test_pivot_index_matches_reference_kernel(rng):
+    for width in (3, 64, 200, 2000):
+        for _ in range(12 if width == 2000 else 40):
+            rows = random_rows(rng, width)
+            expected = reference_reduce_rows(rows)
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            reduced = gf2.reduce_rows(shuffled)
+            assert reduced == expected
+            assert gf2.reduce_rows(reversed(rows)) == expected
+            plain = list(reduced)
+            for _ in range(8):
+                vec = rng.getrandbits(width)
+                if rng.random() < 0.5 and rows:
+                    vec = _xor(r for r in rows if rng.random() < 0.5)
+                want = reference_reduce_vector(vec, expected)
+                assert gf2.reduce_vector(vec, reduced) == want
+                assert gf2.reduce_vector(vec, plain) == want
+                assert gf2.in_span(vec, reduced) == (want == 0)
+
+
+def test_kernel_basis_list_in_span(rng):
+    for width in (3, 64, 200):
+        for _ in range(10):
+            dim = rng.randint(1, width)
+            cols = [rng.getrandbits(rng.randint(1, width)) for _ in range(dim)]
+            kernel = gf2.kernel_basis(cols, dim)
+            for _ in range(6):
+                member = _xor(k for k in kernel if rng.random() < 0.5)
+                assert gf2.apply_columns(cols, member) == 0
+                assert gf2.in_span(member, kernel)
+                vec = rng.getrandbits(dim)
+                assert gf2.in_span(vec, kernel) == (gf2.apply_columns(cols, vec) == 0)

@@ -217,3 +217,31 @@ def test_khorami_agrees_with_bar_page_exhaustively():
         assert all(entry.is_zero for entry in page[1:])
         pairs += 1
     assert pairs >= 40
+
+
+def test_non_commuting_pair_named_among_repeats(rng):
+    """Zero and repeated operators are skipped by the commutation check;
+    the error still names the first failing pair by index, as a check of
+    every pair in order does."""
+    zero, ident = (0, 0), (0b01, 0b10)
+    A, B = (0b01, 0), (0b01, 0b01)  # idempotents with AB != BA
+    ops = (zero, ident, A, zero, A, ident, B, A, B, zero)
+    with pytest.raises(InvalidTensorModuleError) as exc:
+        TensorModule(2, len(ops), (0, 0), ops)
+    assert str(exc.value) == "operators 2 and 6 do not commute"
+
+    def first_failing_pair(ops):
+        for a, b in itertools.combinations(range(len(ops)), 2):
+            if gf2.compose_columns(ops[a], ops[b]) != gf2.compose_columns(ops[b], ops[a]):
+                return f"operators {a} and {b} do not commute"
+        return None
+
+    for _ in range(60):
+        ops = tuple(rng.choice([zero, ident, A, B]) for _ in range(rng.randint(2, 9)))
+        expected = first_failing_pair(ops)
+        if expected is None:
+            assert TensorModule(2, len(ops), (0, 0), ops).operators == ops
+            continue
+        with pytest.raises(InvalidTensorModuleError) as exc:
+            TensorModule(2, len(ops), (0, 0), ops)
+        assert str(exc.value) == expected
