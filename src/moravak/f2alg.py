@@ -11,7 +11,11 @@ Quotient bases are computed one degree at a time by GF(2) linear
 algebra on the span of relation multiples.  Every algebra carries a
 hard degree cap ``D``: monomials whose total degree or whose
 laurent-free degree exceeds ``D`` are truncated away, which keeps each
-degree window finite and exact.
+degree window finite and exact.  One walk over the generator degrees
+first counts the laurent-free monomials of the window, refusing more
+than ``MAX_WINDOW`` of them before any is built, and then enumerates
+them once, bucketed by degree; every degree's basis and relation
+multiples are read from these buckets.
 
 One routine turns monomials into reduced coordinate vectors, one per
 degree; ``reduce``, ``express`` and ``express_bits`` all read from it.
@@ -169,7 +173,7 @@ class PresentedAlgebra:
         self.degree_cap = degree_cap
         self.laurent = laurent[0] if laurent else None
         self._by_name = {g.name: g for g in generators}
-        self._check_window()
+        self._plain = self._window()  # laurent-free monomials by degree
         self.relations = tuple(self._normalize_relation(r) for r in relations)
         self._degree_cache: dict[int, _DegreeData] = {}
         self._reduced_relations_ok()
@@ -320,21 +324,35 @@ class PresentedAlgebra:
                 raise ValidationError(f"relation term outside window: {r}")
         return r
 
-    def _check_window(self):
+    def _window(self) -> list[list[Monomial]]:
+        """Laurent-free monomials of each degree 0..cap.
+
+        One walk adds the generators one at a time, in name order so
+        that monomials stay sorted: an exterior one at most once
+        (degrees descending), a polynomial one any number of times
+        (ascending).  It runs on counts first, so an oversized window is
+        refused before any monomial is built, then on lists.
+        """
         cap = self.degree_cap
         if cap >= MAX_WINDOW:
             raise ComputationError(f"degree cap {cap} exceeds the limit {MAX_WINDOW - 1}")
-        counts = [1] + [0] * cap  # laurent-free monomials of each degree
-        for g in self.generators:
-            if g.kind == LAURENT:
-                continue
-            w = g.degree  # an exterior generator enters at most once
-            for d in range(cap, w - 1, -1) if g.kind == EXTERIOR else range(w, cap + 1):
+        walk = [(g.name, g.degree, range(cap, g.degree - 1, -1) if g.kind == EXTERIOR
+                 else range(g.degree, cap + 1))
+                for g in sorted(self.generators, key=lambda g: g.name) if g.kind != LAURENT]
+        counts = [1] + [0] * cap
+        for _, w, degrees in walk:
+            for d in degrees:
                 counts[d] += counts[d - w]
         total = sum(counts)
         if total > MAX_WINDOW:
             raise ComputationError(f"degree window [0, {cap}] holds {total} laurent-free "
                                    f"monomials; the limit is {MAX_WINDOW}")
+        window: list[list[Monomial]] = [[()]] + [[] for _ in range(cap)]
+        for name, w, degrees in walk:
+            for d in degrees:  # append a new last pair or bump the last one
+                window[d] += [m[:-1] + ((name, m[-1][1] + 1),) if m and m[-1][0] == name
+                              else m + ((name, 1),) for m in window[d - w]]
+        return window
 
     def _reduced_relations_ok(self):
         for r in self.relations:
@@ -346,41 +364,15 @@ class PresentedAlgebra:
             self._degree_cache[d] = self._build_degree(d)
         return self._degree_cache[d]
 
-    def _plain_monomials(self, d: int) -> list[Monomial]:
-        """Laurent-free monomials of exact degree d (within the cap)."""
-        gens = [g for g in self.generators if g.kind != LAURENT]
-        out: list[Monomial] = []
-
-        def rec(idx: int, remaining: int, acc: list):
-            if remaining == 0:
-                out.append(tuple(sorted(acc)))
-                return
-            if idx == len(gens):
-                return
-            g = gens[idx]
-            max_exp = remaining // g.degree
-            if g.kind == EXTERIOR:
-                max_exp = min(max_exp, 1)
-            for e in range(max_exp + 1):
-                if e:
-                    acc.append((g.name, e))
-                rec(idx + 1, remaining - e * g.degree, acc)
-                if e:
-                    acc.pop()
-
-        if 0 <= d <= self.degree_cap:
-            rec(0, d, [])
-        return out
-
     def _monomials_of_degree(self, d: int) -> list[Monomial]:
         """All window monomials of total degree d, laurent powers included."""
         if self.laurent is None:
-            return self._plain_monomials(d) if d >= 0 else []
+            return self._plain[d] if 0 <= d <= self.degree_cap else []
         v, w = self.laurent.name, self.laurent.degree
         out: list[Monomial] = []
         for plain_deg in range(d % w, self.degree_cap + 1, w):
             e = (d - plain_deg) // w
-            for m in self._plain_monomials(plain_deg):
+            for m in self._plain[plain_deg]:
                 out.append(monomial(*m, (v, e)) if e else m)
         return out
 

@@ -120,26 +120,25 @@ class TensorModule:
         if len(self.operators) != self.truncation:
             raise ValidationError("one operator per tensor factor is required")
         object.__setattr__(self, "degrees", tuple(self.degrees))
-        ops = []
-        for k, cols in enumerate(self.operators):
-            try:
-                ops.append(_check_operator(cols, self.degrees, self.n, f"factor {k}"))
-            except ValidationError as err:
-                raise InvalidTensorModuleError(str(err)) from None
-        # zero and repeated operators commute with everything; composing
-        # only the first copy of each nonzero one still finds the first
-        # failing pair by index
+        ops = tuple(tuple(cols) for cols in self.operators)
+        # a repeated operator passes or fails the checks as its first copy
+        # does, and it commutes with everything, as zero does; checking
+        # only first copies still names the first failing factor and pair
         first: dict[tuple[int, ...], int] = {}
         for k, cols in enumerate(ops):
-            if any(cols):
-                first.setdefault(cols, k)
-        distinct = list(first.items())
+            first.setdefault(cols, k)
+        for cols, k in first.items():
+            try:
+                _check_operator(cols, self.degrees, self.n, f"factor {k}")
+            except ValidationError as err:
+                raise InvalidTensorModuleError(str(err)) from None
+        distinct = [(cols, k) for cols, k in first.items() if any(cols)]
         for i, (a_cols, a) in enumerate(distinct):
             for b_cols, b in distinct[i + 1:]:
                 if gf2.compose_columns(a_cols, b_cols) != gf2.compose_columns(b_cols, a_cols):
                     raise InvalidTensorModuleError(
                         f"operators {a} and {b} do not commute")
-        object.__setattr__(self, "operators", tuple(ops))
+        object.__setattr__(self, "operators", ops)
 
     @property
     def rank(self) -> int:
@@ -202,19 +201,17 @@ def standard_module(which: StandardModule | str, n: int, k: int) -> RbkModule:
     return RbkModule(n, k, (0, b_degree(n, k)), (0b10, 0b10))
 
 
-def _resolution_map(operator: tuple[int, ...], rank: int, against: StandardModule,
-                    position: int) -> list[int]:
-    """Map at the given position of the 2-periodic resolution, normalized.
+def _resolution_maps(operator: Sequence[int],
+                     against: StandardModule) -> tuple[list[int], list[int]]:
+    """The two maps of the 2-periodic resolution, normalized; the map at
+    position i is the entry i % 2.
 
     Against M_k the maps alternate (b, b - v^{2^k}, b, ...) starting at
     position 1; against N_k the two alternate in the other order.
     """
-    identity = [1 << i for i in range(rank)]
     b = list(operator)
-    b_minus_v = [b[i] ^ identity[i] for i in range(rank)]
-    odd = b if against is StandardModule.M else b_minus_v
-    even = b_minus_v if against is StandardModule.M else b
-    return odd if position % 2 == 1 else even
+    b_minus_v = [col ^ 1 << i for i, col in enumerate(b)]
+    return (b_minus_v, b) if against is StandardModule.M else (b, b_minus_v)
 
 
 def _quotient_module(n: int, degrees: Sequence[int], out_cols: Sequence[int],
@@ -238,9 +235,9 @@ def tor(P: RbkModule, against: StandardModule | str, i: int) -> GradedKnModule:
         raise ValidationError("Tor is computed against the cyclic quotients M or N")
     if i < 0:
         raise InvalidIndexError(f"homological index must be nonnegative: {i}")
-    rank = P.rank
-    out = _resolution_map(P.operator, rank, against, i) if i else [0] * rank
-    image = _resolution_map(P.operator, rank, against, i + 1)
+    maps = _resolution_maps(P.operator, against)
+    out = maps[i % 2] if i else [0] * P.rank
+    image = maps[(i + 1) % 2]
     return _quotient_module(P.n, P.degrees, out, image)
 
 
@@ -274,19 +271,12 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
         raise ComputationError(
             f"bar complex to degree {max_degree + 1} has {size} generators; "
             f"the limit is {MAX_BAR_COMPLEX}")
-    kinds = [_factor_kind(hom, k) for k in range(K)]
-
-    def multi_indices(total: int):
-        def rec(pos: int, remaining: int, acc: tuple):
-            if pos == K:
-                if remaining == 0:
-                    yield acc
-                return
-            for a in range(remaining + 1):
-                yield from rec(pos + 1, remaining - a, acc + (a,))
-        yield from rec(0, total, ())
-
-    layers = [sorted(multi_indices(m)) for m in range(max_degree + 2)]
+    maps = [_resolution_maps(P.operators[k], _factor_kind(hom, k)) for k in range(K)]
+    # multi-indices alpha with |alpha| = m, each layer sorted
+    layers = [[(0,) * K]]
+    for _ in range(max_degree + 1):
+        layers.append(sorted({alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]
+                              for alpha in layers[-1] for k in range(K)}))
     offsets = [{alpha: idx * r for idx, alpha in enumerate(layer)}
                for layer in layers]
 
@@ -300,7 +290,7 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
                     continue
                 beta = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
                 dst = offsets[m - 1][beta]
-                op = _resolution_map(P.operators[k], r, kinds[k], alpha[k])
+                op = maps[k][alpha[k] % 2]
                 for j in range(r):
                     shifted = op[j] << dst
                     cols[src + j] ^= shifted

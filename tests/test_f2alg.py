@@ -174,11 +174,16 @@ def test_generator_validation():
 
 
 def _window_by_enumeration(gens, cap):
-    """Laurent-free monomials of degree <= cap, listed exponent by exponent."""
+    """Laurent-free monomials of degree <= cap, listed exponent by exponent,
+    with their degrees."""
     plain = [g for g in gens if g.kind != LAURENT]
     ranges = [range(2 if g.kind == EXTERIOR else cap // g.degree + 1) for g in plain]
-    return sum(1 for exps in product(*ranges)
-               if sum(e * g.degree for e, g in zip(exps, plain)) <= cap)
+    out = []
+    for exps in product(*ranges):
+        d = sum(e * g.degree for e, g in zip(exps, plain))
+        if d <= cap:
+            out.append((tuple(sorted((g.name, e) for e, g in zip(exps, plain) if e)), d))
+    return out
 
 
 @pytest.mark.parametrize("gens, cap", [
@@ -187,12 +192,26 @@ def _window_by_enumeration(gens, cap):
       GradedGenerator("t", 1)], 12),
     ([GradedGenerator("a", 2), GradedGenerator("e", 3, EXTERIOR),
       GradedGenerator("c", 5), GradedGenerator("f", 1, EXTERIOR)], 14),
+    # declared out of name order, the laurent unit between the others
+    ([GradedGenerator("z", 1), GradedGenerator("m", 2, EXTERIOR),
+      GradedGenerator("u", 4, LAURENT), GradedGenerator("b", 3),
+      GradedGenerator("a", 1, EXTERIOR)], 13),
 ])
 def test_window_count_is_exact(monkeypatch, gens, cap):
-    count = _window_by_enumeration(gens, cap)
+    window = _window_by_enumeration(gens, cap)
+    count = len(window)
     assert count > cap  # so that the limit on degrees does not decide
     monkeypatch.setattr(f2alg, "MAX_WINDOW", count)
-    PresentedAlgebra(gens, (), cap)
+    alg = PresentedAlgebra(gens, (), cap)
+    laurent = next((g for g in gens if g.kind == LAURENT), None)
+    for d in range(cap + 1):
+        if laurent is None:
+            expected, got = [m for m, md in window if md == d], list(alg.basis(d))
+        else:  # the laurent-free parts of every degree congruent to d mod |v|
+            w = laurent.degree
+            expected = [m for m, md in window if md % w == d % w]
+            got = [tuple(p for p in m if p[0] != laurent.name) for m in alg.basis(d)]
+        assert sorted(got) == sorted(expected)
     monkeypatch.setattr(f2alg, "MAX_WINDOW", count - 1)
     with pytest.raises(ComputationError) as exc:
         PresentedAlgebra(gens, (), cap)
@@ -204,6 +223,11 @@ def test_window_degrees_are_bounded():
     PresentedAlgebra([x], (), f2alg.MAX_WINDOW - 1)
     with pytest.raises(ComputationError):
         PresentedAlgebra([x], (), f2alg.MAX_WINDOW)
+    # the widest admitted window of a polynomial generator: every basis
+    # is one power, and building all of them stays linear in the window
+    t = PresentedAlgebra([GradedGenerator("t", 1)], (), f2alg.MAX_WINDOW - 1)
+    assert all(t.basis(d) == ((("t", d),) if d else (),)
+               for d in range(f2alg.MAX_WINDOW))
 
 
 def test_truncation_drops_high_degrees():

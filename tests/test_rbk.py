@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from moravak import gf2
+from moravak import gf2, rbk
 from moravak.errors import (
     InvalidIndexError,
     InvalidTensorModuleError,
@@ -245,3 +245,21 @@ def test_non_commuting_pair_named_among_repeats(rng):
         with pytest.raises(InvalidTensorModuleError) as exc:
             TensorModule(2, len(ops), (0, 0), ops)
         assert str(exc.value) == expected
+
+
+def test_each_distinct_operator_checked_once(monkeypatch):
+    """A repeated operator is checked once, and a failing one is named
+    by its first copy."""
+    zero, swap, A = (0, 0), (0b10, 0b01), (0b01, 0)  # the swap is not idempotent
+    with pytest.raises(InvalidTensorModuleError) as exc:
+        TensorModule(2, 3, (0, 0), (zero, swap, swap))
+    assert str(exc.value) == ("factor 1: defining relation fails, "
+                              "B^2 != v^(2^k) B in normalized form")
+
+    calls = []
+    check = rbk._check_operator
+    monkeypatch.setattr(rbk, "_check_operator",
+                        lambda cols, *args: calls.append(cols) or check(cols, *args))
+    ops = (zero, A, A, zero, A)
+    assert TensorModule(2, len(ops), (0, 0), ops).operators == ops
+    assert calls == [zero, A]
