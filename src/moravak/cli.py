@@ -4,6 +4,9 @@ Every run produces a Report carrying the command payload plus an echo
 of the inputs and the tool version; rendering is byte-deterministic for
 identical inputs (sorted keys, no timestamps).  Exit codes: 0 ok,
 2 parse, 3 validation, 4 computation, 5 hypothesis violated.
+
+The argument parser is built once per process, by the first ``main``
+call, and reused; ``build_parser`` builds a fresh one.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class Report:
     def to_json(self) -> str:
         doc = {"command": self.command, "inputs": self.inputs,
                "payload": self.payload, "version": self.version}
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return _json(doc, 0, {})
 
     def to_text(self) -> str:
         lines = [f"moravak {self.version} :: {self.command}"]
@@ -87,6 +90,54 @@ class Report:
         if json_only:
             return self.to_json()
         return self.to_text() + "\n--- json ---\n" + self.to_json()
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, depth: int, memo: dict) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, indented to ``depth``.
+
+    A container that occurs more than once in the document is rendered
+    once per depth: ``memo`` maps ``(id, depth)`` to its text for one
+    call, while the document keeps every id alive.  Types other than
+    dicts with str keys, lists, tuples, str, exact int, bool and None go
+    to ``json.dumps`` and are re-indented; JSON text has no raw newline
+    inside a string, so every newline there starts an indented line.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is not dict and kind is not list and kind is not tuple:
+        return _json_fallback(value, depth)
+    key = (id(value), depth)
+    text = memo.get(key)
+    if text is None:
+        pad = "\n" + "  " * depth
+        inner = pad + "  "
+        if not value:
+            text = "{}" if kind is dict else "[]"
+        elif kind is not dict:
+            text = "[" + inner + ("," + inner).join(
+                [_json(sub, depth + 1, memo) for sub in value]) + pad + "]"
+        elif all(type(k) is str for k in value):
+            text = "{" + inner + ("," + inner).join(
+                [_encode_str(k) + ": " + _json(value[k], depth + 1, memo)
+                 for k in sorted(value)]) + pad + "}"
+        else:
+            text = _json_fallback(value, depth)
+        memo[key] = text
+    return text
+
+
+def _json_fallback(value, depth: int) -> str:
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _render(value, indent: int = 0) -> list[str]:
@@ -197,15 +248,17 @@ def cmd_tor(args) -> Report:
             f"tor range [{lo}, {hi}] has {hi - lo + 1} indices; "
             f"the limit is {MAX_TOR_INDICES}")
     # the resolution is 2-periodic, so Tor_i for i >= 1 depends only on
-    # the parity of i: compute each distinct group once
+    # the parity of i: compute each distinct group once, and let its
+    # indices share one entry, which the JSON renderer writes once
     groups = {}
     entries = {}
     for i in range(lo, hi + 1):
         key = i if i < 1 else 2 - i % 2
         if key not in groups:
-            groups[key] = tor(mod, StandardModule(args.against), key)
-        entries[f"Tor_{i}"] = {"rank": groups[key].rank,
-                               "degrees_mod_v": list(groups[key].degree_classes)}
+            group = tor(mod, StandardModule(args.against), key)
+            groups[key] = {"rank": group.rank,
+                           "degrees_mod_v": list(group.degree_classes)}
+        entries[f"Tor_{i}"] = groups[key]
     return Report("tor",
                   {"module": Path(args.module).name, "against": args.against,
                    "range": [lo, hi], **_module_payload(mod)},
@@ -430,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="height for --hom")
     p.add_argument("--factors", type=int, default=6, help="tensor truncation for --hom")
     p.add_argument("--truncation", type=int, default=8, help="truncation order M")
-    p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("tor", parents=[common], help="Tor against the cyclic quotients")
     p.add_argument("--module", required=True)
@@ -438,12 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0,
                    help="tensor factor to restrict to, for tensor module files")
     p.add_argument("--i", nargs=2, type=int, default=(0, 4), metavar=("LO", "HI"))
-    p.set_defaults(func=cmd_tor)
 
     p = sub.add_parser("khorami", parents=[common], help="twisted homology via the quotient")
     p.add_argument("--module", required=True)
     p.add_argument("--max-degree", type=int, default=4)
-    p.set_defaults(func=cmd_khorami)
 
     p = sub.add_parser("ahss", parents=[common], help="twisted page at the first differential")
     p.add_argument("--space", required=True)
@@ -451,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twist", default="0", help="expression, 'fundamental', or 0")
     p.add_argument("--integral", action="store_true",
                    help="emit vanishing certificates for the integral lift")
-    p.set_defaults(func=cmd_ahss)
 
     p = sub.add_parser("fgl", parents=[common], help="formal group 2-series arithmetic")
     p.add_argument("--law", default="gm")
@@ -461,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solve-theta", type=int, metavar="I")
     p.add_argument("--height", action="store_true")
     p.add_argument("--check-grouplike", metavar="SERIES")
-    p.set_defaults(func=cmd_fgl)
 
     p = sub.add_parser("obstruct", parents=[common], help="orientation obstruction checks")
     p.add_argument("--manifold", required=True)
@@ -475,15 +523,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2", default="0")
     p.add_argument("--i", type=int, default=7)
     p.add_argument("--j", type=int, default=8)
-    p.set_defaults(func=cmd_obstruct)
     return parser
 
 
+_parser = None  # built by the first main call, reused by every later one
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        report = args.func(args)
+        # looked up per call: the parser outlives any later replacement of a
+        # cmd_* function (a tracer, a test patch), so it must not hold them
+        report = globals()[f"cmd_{args.command}"](args)
     except MoravakError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -10,10 +10,12 @@ outside the choices, plus unknown flags and stray words.
 
 import contextlib
 import io
+import json
 import time
 
 from hypothesis import given, strategies as st
 
+from moravak import cli
 from moravak.cli import main
 
 from test_input_files import SECONDS, SETTINGS, TYPED_EXITS, rarely
@@ -162,3 +164,58 @@ def test_space_commands(argv):
                                       "bogus", "-h", "--help", ""]), max_size=4))
 def test_stray_words(argv):
     check(argv)
+
+
+# help, argparse errors and valid commands of every subcommand
+PARSER_ARGV = [
+    ["--help"],
+    ["twist", "--encode", "(0,1)"],
+    ["tor", "-h"],
+    [],
+    ["tor", "--module", "r0free", "--i", "0", "5", "--json"],
+    ["twist", "--bogus"],
+    ["khorami", "--module", "point"],
+    ["tor", "--module", "point", "--against", "X"],
+    ["ahss", "--space", "s3", "--n", "1", "--twist", "fundamental"],
+    ["ahss", "--space", "s3"],
+    ["fgl", "--two-series", "--height", "--json"],
+    ["obstruct", "--manifold", "m10", "--check", "bogus"],
+    ["obstruct", "--manifold", "genspin", "--check", "wu"],
+    ["bogus"],
+    ["twist", "--decode", "x"],
+    ["khorami", "--help"],
+    ["tor"],
+    ["twist", "--vanishing", "5", "2", "--json"],
+    ["fgl", "--solve-theta", "3", "stray"],
+    ["twist"],
+]
+
+
+def outcome(argv):
+    """Exit code, stdout and stderr of main(argv), argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_like_a_fresh_one(monkeypatch):
+    shared = cli.build_parser()
+    codes = set()
+    for argv in PARSER_ARGV + PARSER_ARGV[::-1]:
+        monkeypatch.setattr(cli, "_parser", shared)
+        reused = outcome(argv)
+        monkeypatch.setattr(cli, "_parser", None)  # main builds a fresh parser
+        fresh = outcome(argv)
+        assert reused == fresh, argv
+        codes.add(fresh[0])
+    assert codes == {0, 2}
+
+
+def test_long_tor_report_is_json_dumps():
+    code, out, err = outcome(["tor", "--module", "r0free", "--i", "0", "1500", "--json"])
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

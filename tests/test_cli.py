@@ -1,9 +1,14 @@
+import enum
 import json
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+from moravak import cli
 from moravak.cli import build_parser, main
+
+from test_input_files import SETTINGS
 
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
@@ -258,3 +263,73 @@ def test_tor_range_matches_each_index(capsys, module, k, against):
         group = tor(mod, against, i)
         assert doc["payload"][f"Tor_{i}"] == {
             "rank": group.rank, "degrees_mod_v": list(group.degree_classes)}
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+ANY_CHARACTER = st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(max_codepoint=0x1F),  # controls
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                  exclude_categories=()),  # lone surrogates
+)
+LEAVES = st.one_of(
+    st.text(ANY_CHARACTER, max_size=6),
+    st.integers(),
+    st.integers(-2**200, 2**200),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from(Level),
+)
+VALUES = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(ANY_CHARACTER, max_size=4), inner, max_size=4),
+    st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+), max_leaves=20)
+
+
+def shared_at_two_depths(value, other):
+    """One object reached at depths 1, 2 and 3, and twice at depth 2."""
+    return {"top": value, "deeper": [value, {"again": value}], "other": other,
+            "twice": (value, value)}
+
+
+@SETTINGS
+@given(value=st.one_of(VALUES, st.builds(shared_at_two_depths, VALUES, VALUES)))
+def test_json_renderer_matches_json_dumps(value):
+    assert cli._json(value, 0, {}) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert main(["twist", "--encode", "(0)"]) == 0
+    assert main(["fgl", "--two-series"]) == 0
+    assert builds == [1]
+    capsys.readouterr()
+
+
+def test_dispatch_follows_a_patched_command(monkeypatch, capsys):
+    assert main(["twist", "--encode", "(0)"]) == 0
+    capsys.readouterr()
+    seen = []
+
+    def patched(args):
+        seen.append(args.encode)
+        return cli.Report("twist", {}, {"patched": True})
+
+    monkeypatch.setattr(cli, "cmd_twist", patched)
+    assert main(["twist", "--encode", "(1)", "--json"]) == 0
+    assert seen == ["(1)"]
+    assert json.loads(capsys.readouterr().out)["payload"] == {"patched": True}
