@@ -15,7 +15,11 @@ degree window finite and exact.  One walk over the generator degrees
 first counts the laurent-free monomials of the window, refusing more
 than ``MAX_WINDOW`` of them before any is built, and then enumerates
 them once, bucketed by degree; every degree's basis and relation
-multiples are read from these buckets.
+multiples are read from these buckets.  The walk also yields each
+monomial's degree, kept in one window-wide map: the degree and the
+coordinate bit of a window monomial are dictionary lookups, and only
+other monomials (laurent powers, exterior squares, monomials outside
+the window) go through the term-by-term checks.
 
 One routine turns monomials into reduced coordinate vectors, one per
 degree; ``reduce``, ``express`` and ``express_bits`` all read from it.
@@ -23,7 +27,8 @@ Reduction is linear and works degree by degree, so a sum of canonical
 forms, and the part of one degree of a canonical form, are canonical.
 Ring maps given on generators (``AlgebraMap``, and the total Steenrod
 square in ``steenrod``) share one substitution with cached generator
-powers and cached monomial images.
+powers and cached monomial images; a monomial's image is the cached
+image of its prefix, all factors but the last, times one cached power.
 """
 
 from __future__ import annotations
@@ -110,6 +115,14 @@ def monomial(*pairs: tuple[str, int]) -> Monomial:
     return tuple(sorted((n, e) for n, e in merged.items() if e != 0))
 
 
+def _times(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two canonical monomials: ``monomial(*a, *b)``."""
+    merged = dict(a)
+    for name, exp in b:
+        merged[name] = merged.get(name, 0) + exp
+    return tuple(sorted(p for p in merged.items() if p[1]))
+
+
 def format_monomial(m: Monomial) -> str:
     if not m:
         return "1"
@@ -174,6 +187,7 @@ class PresentedAlgebra:
         self.laurent = laurent[0] if laurent else None
         self._by_name = {g.name: g for g in generators}
         self._plain = self._window()  # laurent-free monomials by degree
+        self._degrees = {m: d for d, bucket in enumerate(self._plain) for m in bucket}
         self.relations = tuple(self._normalize_relation(r) for r in relations)
         self._degree_cache: dict[int, _DegreeData] = {}
         self._reduced_relations_ok()
@@ -197,7 +211,8 @@ class PresentedAlgebra:
         return ONE
 
     def monomial_degree(self, m: Monomial) -> int:
-        return sum(self._gen(n).degree * e for n, e in m)
+        d = self._degrees.get(m)
+        return d if d is not None else sum(self._gen(n).degree * e for n, e in m)
 
     def laurent_free_degree(self, m: Monomial) -> int:
         return sum(self._gen(n).degree * e for n, e in m
@@ -244,15 +259,18 @@ class PresentedAlgebra:
         monomials, keyed by degree; a vector may be zero.  Exterior
         squares and monomials outside the window are dropped."""
         cap = self.degree_cap
+        degrees = self._degrees
         by_degree: dict[int, int] = {}
         for m in e.terms:
-            if not self._check_monomial(m):
-                continue
-            d = self.monomial_degree(m)
-            if not 0 <= d <= cap:
-                continue
-            if self.laurent is not None and self.laurent_free_degree(m) > cap:
-                continue
+            d = degrees.get(m)
+            if d is None:  # window monomials are valid; check the rest
+                if not self._check_monomial(m):
+                    continue
+                d = self.monomial_degree(m)
+                if not 0 <= d <= cap:
+                    continue
+                if self.laurent is not None and self.laurent_free_degree(m) > cap:
+                    continue
             by_degree[d] = by_degree.get(d, 0) ^ 1 << self._deg_data(d).index[m]
         return {d: gf2.reduce_vector(vec, self._deg_data(d).rel_rows)
                 for d, vec in by_degree.items()}
@@ -270,7 +288,11 @@ class PresentedAlgebra:
         raw: set[Monomial] = set()
         for ma in a.terms:
             for mb in b.terms:
-                raw ^= {monomial(*ma, *mb)}
+                m = _times(ma, mb)
+                if m in raw:
+                    raw.remove(m)
+                else:
+                    raw.add(m)
         return self.reduce(GradedElement(frozenset(raw)))
 
     # -- degreewise linear algebra ----------------------------------------
@@ -377,7 +399,9 @@ class PresentedAlgebra:
         return out
 
     def _build_degree(self, d: int) -> "_DegreeData":
-        candidates = sorted(self._monomials_of_degree(d), key=self.monomial_key)
+        # a laurent-free monomial m has the key (m, 0)
+        candidates = sorted(self._monomials_of_degree(d),
+                            key=self.monomial_key if self.laurent else None)
         index = {m: i for i, m in enumerate(candidates)}
         rows = []
         for r in self.relations:
@@ -401,12 +425,15 @@ class PresentedAlgebra:
         """
         vec = 0
         for term in r.terms:
-            m = monomial(*mult, *term)
-            if not self._check_monomial(m):
-                continue  # exterior square: the term is genuinely zero
-            if self.laurent_free_degree(m) > self.degree_cap:
-                return None
-            vec ^= 1 << index[m]
+            m = _times(mult, term)
+            i = index.get(m)
+            if i is None:
+                if not self._check_monomial(m):
+                    continue  # exterior square: the term is genuinely zero
+                if self.laurent_free_degree(m) > self.degree_cap:
+                    return None
+                i = index[m]
+            vec ^= 1 << i
         return vec
 
 
@@ -423,10 +450,12 @@ class _DegreeData:
 class _Substitution:
     """The ring map that sends each generator to a given image.
 
-    Images of monomials are products of cached generator powers, each
-    product started from the target's reduced unit, so every cached
-    image is a canonical form.  Source monomials that vanish (exterior
-    squares) map to zero.
+    The image of a monomial is the image of its prefix (all factors
+    but the last) times the cached power of its last factor; the empty
+    monomial maps to the target's reduced unit.  Products in the
+    quotient are associative and canonical forms unique, so every cached
+    image is the canonical form of the product of all its factors'
+    images.  Source monomials that vanish (exterior squares) map to zero.
     """
 
     def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
@@ -445,12 +474,18 @@ class _Substitution:
         return powers[exp] if exp < len(powers) else ZERO
 
     def image(self, m: Monomial) -> GradedElement:
-        if m not in self._monomials:
-            out = self._unit if self.source._check_monomial(m) else ZERO
-            for name, exp in m:
-                out = self.target.mul(out, self._power(name, exp))
+        out = self._monomials.get(m)
+        if out is None:
+            if not m:
+                out = self._unit
+            elif not self.source._check_monomial(m):
+                out = ZERO
+            elif len(m) == 1:
+                out = self._power(*m[0])
+            else:
+                out = self.target.mul(self.image(m[:-1]), self._power(*m[-1]))
             self._monomials[m] = out
-        return self._monomials[m]
+        return out
 
     def apply(self, e: GradedElement) -> GradedElement:
         """The image of e: a sum of canonical forms, hence canonical."""

@@ -12,6 +12,7 @@ ring-level characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import ComputationError, Not2TypicalError, ValidationError
@@ -82,12 +83,13 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         out: dict[tuple, int] = {}
+        right = [(m2, sum(m2), c2) for m2, c2 in other.coeffs.items()]
         for m1, c1 in self.coeffs.items():
-            d1 = sum(m1)
-            for m2, c2 in other.coeffs.items():
-                if d1 + sum(m2) > self.trunc:
+            room = self.trunc - sum(m1)
+            for m2, d2, c2 in right:
+                if d2 > room:
                     continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = tuple(map(add, m1, m2))
                 out[mono] = (out.get(mono, 0) + c1 * c2) % self.modulus
         return self._like(out)
 

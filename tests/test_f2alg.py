@@ -1,8 +1,9 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
-from moravak import f2alg
+from moravak import f2alg, gf2
 from moravak.errors import (
     ComputationError,
     DegreeCapExceededError,
@@ -13,6 +14,7 @@ from moravak.errors import (
 from moravak.f2alg import (
     EXTERIOR,
     LAURENT,
+    ZERO,
     AlgebraMap,
     GradedElement,
     GradedGenerator,
@@ -30,6 +32,7 @@ from conftest import (
     random_unreduced,
     truncated_projective,
 )
+from test_input_files import SETTINGS
 
 
 def rbk_algebra(n=2, cap=12):
@@ -186,7 +189,7 @@ def _window_by_enumeration(gens, cap):
     return out
 
 
-@pytest.mark.parametrize("gens, cap", [
+WINDOW_ALGEBRAS = [
     ([GradedGenerator(f"t{i}", 1) for i in range(4)] + [GradedGenerator("h", 20)], 16),
     ([GradedGenerator("v", 6, LAURENT), GradedGenerator("b0", 2),
       GradedGenerator("t", 1)], 12),
@@ -196,7 +199,10 @@ def _window_by_enumeration(gens, cap):
     ([GradedGenerator("z", 1), GradedGenerator("m", 2, EXTERIOR),
       GradedGenerator("u", 4, LAURENT), GradedGenerator("b", 3),
       GradedGenerator("a", 1, EXTERIOR)], 13),
-])
+]
+
+
+@pytest.mark.parametrize("gens, cap", WINDOW_ALGEBRAS)
 def test_window_count_is_exact(monkeypatch, gens, cap):
     window = _window_by_enumeration(gens, cap)
     count = len(window)
@@ -321,3 +327,171 @@ def test_algebra_map_matches_product_expansion(name, rng):
     for _ in range(30):
         e = random_element(source, rng.randint(0, source.degree_cap), rng)
         assert fmap.apply(e) == expand(fmap, e)
+
+
+# -- the window index against the term-by-term kernel -------------------------
+
+def reference_degree(alg: PresentedAlgebra, m) -> int:
+    """monomial_degree without the window map: a sum over the factors."""
+    return sum(alg._gen(n).degree * e for n, e in m)
+
+
+def reference_candidates(alg: PresentedAlgebra, d: int) -> tuple:
+    return tuple(sorted(alg._monomials_of_degree(d), key=alg.monomial_key))
+
+
+def reference_coordinates(alg: PresentedAlgebra, e: GradedElement) -> dict[int, int]:
+    """_coordinates with every term checked and its degree summed; the
+    candidate order is the sort by monomial_key."""
+    cap = alg.degree_cap
+    by_degree: dict[int, int] = {}
+    for m in e.terms:
+        if not alg._check_monomial(m):
+            continue
+        d = reference_degree(alg, m)
+        if not 0 <= d <= cap:
+            continue
+        if alg.laurent is not None and alg.laurent_free_degree(m) > cap:
+            continue
+        bit = reference_candidates(alg, d).index(m)
+        by_degree[d] = by_degree.get(d, 0) ^ 1 << bit
+    return {d: gf2.reduce_vector(vec, alg._deg_data(d).rel_rows)
+            for d, vec in by_degree.items()}
+
+
+def reference_relation_rows(alg: PresentedAlgebra, d: int) -> list[int]:
+    """The reduced relation rows of degree d, each multiple checked term
+    by term and located in the reference candidate order."""
+    candidates = reference_candidates(alg, d)
+    rows = []
+    for r in alg.relations:
+        for mult in alg._monomials_of_degree(d - alg.degree_of(r)):
+            vec = 0
+            for term in r.terms:
+                m = monomial(*mult, *term)
+                if not alg._check_monomial(m):
+                    continue
+                if alg.laurent_free_degree(m) > alg.degree_cap:
+                    break
+                vec ^= 1 << candidates.index(m)
+            else:
+                if vec:
+                    rows.append(vec)
+    return gf2.reduce_rows(rows)
+
+
+def reference_routes(alg: PresentedAlgebra, e: GradedElement):
+    """reduce, express and express_bits (every degree) read from the
+    reference coordinates."""
+    coords = reference_coordinates(alg, e)
+    reduced, expressed, bits = set(), {}, {}
+    for d, vec in sorted(coords.items()):
+        candidates = reference_candidates(alg, d)
+        basis_indices = alg._deg_data(d).basis_indices
+        reduced.update(candidates[i] for i in gf2.bits(vec))
+        if vec:
+            expressed[d] = tuple((vec >> i) & 1 for i in basis_indices)
+        bits[d] = sum(1 << pos for pos, i in enumerate(basis_indices) if (vec >> i) & 1)
+    return GradedElement(frozenset(reduced)), expressed, bits
+
+
+def _error(call) -> str:
+    with pytest.raises(IllFormedElementError) as exc:
+        call()
+    return str(exc.value)
+
+
+INDEX_ALGEBRAS = [lambda gens=gens, cap=cap: PresentedAlgebra(gens, (), cap)
+                  for gens, cap in WINDOW_ALGEBRAS] + [
+    lambda: truncated_projective(9, 12)[0], cubic_relation, lambda: rbk_algebra(cap=18)]
+
+
+@pytest.mark.parametrize("make", INDEX_ALGEBRAS)
+def test_window_index_matches_reference_kernel(make, rng):
+    alg = make()
+    for d in range(alg.degree_cap + 1):
+        assert alg._deg_data(d).candidates == reference_candidates(alg, d)
+        assert alg._deg_data(d).rel_rows == reference_relation_rows(alg, d)
+    for _ in range(60):
+        e = random_unreduced(alg, rng)
+        for m in e.terms:
+            assert alg.monomial_degree(m) == reference_degree(alg, m)
+        reduced, expressed, bits = reference_routes(alg, e)
+        assert alg.reduce(e) == reduced
+        assert alg.express(e) == expressed
+        for d in range(alg.degree_cap + 1):
+            assert alg.express_bits(e, d) == bits.get(d, 0)
+    # terms the window map does not hold still take every check
+    plain = next(g for g in alg.generators if g.kind != LAURENT)
+    window_term = alg._deg_data(plain.degree).candidates[0]
+    for bad in ((("nope", 1),), ((plain.name, -1),)):
+        e = GradedElement(frozenset({window_term, bad}))
+        message = _error(lambda: reference_coordinates(alg, e))
+        assert _error(lambda: alg.reduce(e)) == message
+        assert _error(lambda: alg.express(e)) == message
+        assert _error(lambda: alg.express_bits(e, plain.degree)) == message
+    assert _error(lambda: alg.monomial_degree((("nope", 1),))) == \
+        _error(lambda: reference_degree(alg, (("nope", 1),)))
+
+
+_NAMES = st.sampled_from(["a", "b", "t1", "t2", "v"])
+_CANONICAL = st.dictionaries(_NAMES, st.integers(-4, 4).filter(bool), max_size=5).map(
+    lambda exps: tuple(sorted(exps.items())))
+
+
+@SETTINGS
+@given(_CANONICAL, _CANONICAL, st.sets(_NAMES))
+def test_times_is_monomial_of_both(a, b, cancel):
+    # b with the inverse of a's exponent on the names in cancel, so that
+    # those exponents add up to 0
+    inverse = tuple(sorted({**dict(b), **{n: -e for n, e in a if n in cancel}}.items()))
+    for x, y in ((a, b), (a, inverse), (inverse, a), (a, ()), ((), b), ((), ())):
+        assert f2alg._times(x, y) == monomial(*x, *y)
+
+
+# -- prefix-cached substitution images ----------------------------------------
+
+def fold_image(sub: f2alg._Substitution, m) -> GradedElement:
+    """The image of m folded one generator factor at a time from the
+    target's unit, each step a product with that factor's cached power."""
+    out = sub._unit if sub.source._check_monomial(m) else ZERO
+    for name, exp in m:
+        out = sub.target.mul(out, sub._power(name, exp))
+    return out
+
+
+def window_monomials(alg: PresentedAlgebra):
+    for d in range(alg.degree_cap + 1):
+        yield from alg._deg_data(d).candidates
+
+
+@pytest.mark.parametrize("make", [lambda: projective_space(10),
+                                  lambda: projective_product(3, 8),
+                                  lambda: truncated_projective(9, 12), exterior_pair])
+def test_sq_total_images_match_factor_fold(make):
+    alg, action = make()
+    sub = action._total
+    exterior_squares = [((g.name, 2),) for g in alg.generators if g.kind == EXTERIOR]
+    for m in [*window_monomials(alg), *exterior_squares]:
+        assert sub.image(m) == fold_image(sub, m)
+    assert all(not sub.image(m) for m in exterior_squares)
+
+
+def test_algebra_map_images_match_factor_fold():
+    source = PresentedAlgebra([GradedGenerator("a", 1), GradedGenerator("b", 1),
+                               GradedGenerator("c", 2), GradedGenerator("e", 1, EXTERIOR)],
+                              (), 8)
+    target = PresentedAlgebra([GradedGenerator("s", 1), GradedGenerator("u", 2)],
+                              [parse_element("s^3")], 8)
+    fmap = AlgebraMap(source, target, {"a": target.element("s"), "b": target.element("s"),
+                                       "c": target.element("u + s^2"),
+                                       "e": target.element("s")})
+    sub = fmap._substitution
+    zero_prefixes = 0
+    for m in window_monomials(source):
+        assert sub.image(m) == fold_image(sub, m)
+        zero_prefixes += len(m) > 1 and not sub.image(m[:-1])
+    assert zero_prefixes  # a^3 = s^3 = 0 is a prefix of a^3*b and others
+    # e^2 vanishes in the source though s^2 does not in the target
+    for m in ((("e", 2),), (("a", 1), ("e", 2)), (("c", 1), ("e", 2))):
+        assert sub.image(m) == fold_image(sub, m) == ZERO

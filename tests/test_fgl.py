@@ -158,3 +158,34 @@ def test_compositional_inverse():
     x = Series.variable(0, 1, 12, 2)
     assert g.compose([h]) == x
     assert h.compose([g]) == x
+
+
+def naive_product(a: Series, b: Series) -> Series:
+    """Every pair of terms, its degree summed afresh, kept below the
+    truncation and added coefficientwise."""
+    out: dict = {}
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            if sum(mono) <= a.trunc:
+                out[mono] = out.get(mono, 0) + c1 * c2
+    return Series(a.nvars, a.trunc, a.modulus, out)
+
+
+def random_series(rng, nvars, trunc, modulus):
+    coeffs = {}
+    for _ in range(rng.randint(0, 12)):
+        mono = tuple(rng.randint(0, trunc) for _ in range(nvars))
+        coeffs[mono] = rng.randrange(modulus)
+    return Series(nvars, trunc, modulus, coeffs)
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 8])
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_product_matches_naive_product(rng, modulus, nvars):
+    for trunc in (0, 1, 5, 16):
+        for _ in range(25):
+            a = random_series(rng, nvars, trunc, modulus)
+            b = random_series(rng, nvars, trunc, modulus)
+            assert a * b == naive_product(a, b)
+            assert list((a * b).coeffs) == list(naive_product(a, b).coeffs)
