@@ -162,17 +162,16 @@ def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page
     if page.algebra is not space.algebra:
         raise ValidationError("page was built from a different space")
     n, R = page.n, page.step
-    cap = space.algebra.degree_cap
-    phi = twist_term(space, twist, n)
+    alg, action = space.algebra, space.action
+    cap = alg.degree_cap
+    # columns are built in the algebra's window numbers (see f2alg)
+    phi = alg._reduced_bits(twist_term(space, twist, n))
     diff: dict[int, tuple[int, ...]] = {}
     incomplete: set[int] = set()
     for p in page.window:
         if p + R <= cap:
-            cols = []
-            for m in page.bases[p]:
-                image = milnor_q(n, m, space.action) + space.algebra.mul(m, phi)
-                cols.append(space.algebra.express_bits(image, p + R))
-            diff[p] = tuple(cols)
+            diff[p] = tuple(alg._basis_bits(action._q(n, x) ^ alg._mul_bits(x, phi), p + R)
+                            for x in map(alg._reduced_bits, page.bases[p]))
         elif space.closed_window:
             # target degree exceeds the dimension: the map is honestly zero
             diff[p] = tuple(0 for _ in page.bases[p])

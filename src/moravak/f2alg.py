@@ -15,26 +15,48 @@ degree window finite and exact.  One walk over the generator degrees
 first counts the laurent-free monomials of the window, refusing more
 than ``MAX_WINDOW`` of them before any is built, and then enumerates
 them once, bucketed by degree; every degree's basis and relation
-multiples are read from these buckets.  The walk also yields each
-monomial's degree, kept in one window-wide map: the degree and the
-coordinate bit of a window monomial are dictionary lookups, and only
-other monomials (laurent powers, exterior squares, monomials outside
-the window) go through the term-by-term checks.
+multiples are read from these buckets.
+
+The walk also yields each monomial's degree, kept in one window-wide
+map, and, run once more on keys alone when the first degree is built,
+a packed key per monomial: one bit field per laurent-free generator, in
+name order, wide enough for twice the generator's largest window
+exponent, and the degree above them all (packed exponent vectors, as
+in Monagan-Pearce, CASC 2007).  Two window keys add without carries,
+so the key of a product is the sum of its factors' keys, and a sum
+that is no window key is a product that vanishes: an exterior square,
+or a degree above the cap.  Only other monomials (laurent powers,
+exterior squares, monomials outside the window) go through the
+term-by-term checks.
+
+Without a laurent generator the window monomials are also numbered,
+degree-major: degree d holds the numbers from its offset, the count of
+all lower degrees, in candidate order.  An element is then one int
+with bit n for monomial n.  Degrees are numbered when they are first
+built, and each registers its relation rows, shifted to its offset, in
+one window-wide pivot index; different degrees have disjoint
+supports, so one elimination against that index reduces an element of
+any degrees.  A product of two such elements is a sum of keys per pair
+of terms and one elimination.  Algebras with a laurent generator are
+reduced degree by degree.
 
 One routine turns monomials into reduced coordinate vectors, one per
-degree; ``reduce``, ``express`` and ``express_bits`` all read from it.
-Reduction is linear and works degree by degree, so a sum of canonical
-forms, and the part of one degree of a canonical form, are canonical.
-Ring maps given on generators (``AlgebraMap``, and the total Steenrod
-square in ``steenrod``) share one substitution with cached generator
-powers and cached monomial images; a monomial's image is the cached
-image of its prefix, all factors but the last, times one cached power.
+degree; ``express`` and ``express_bits`` read from it, and so does
+``reduce`` when a laurent generator is present.  Reduction is linear
+and works degree by degree, so a sum of canonical forms, and the part
+of one degree of a canonical form, are canonical.  Ring maps given on
+generators (``AlgebraMap``) go through one substitution with cached
+generator powers and cached monomial images; a monomial's image is the
+cached image of its prefix, all factors but the last, times one cached
+power.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from . import gf2
@@ -188,6 +210,14 @@ class PresentedAlgebra:
         self._by_name = {g.name: g for g in generators}
         self._plain = self._window()  # laurent-free monomials by degree
         self._degrees = {m: d for d, bucket in enumerate(self._plain) for m in bucket}
+        self._bucket_keys: list[list[int]] | None = None  # see _keys
+        # window numbers, filled in by _build_degree one degree at a time
+        self._offsets = list(accumulate(map(len, self._plain), initial=0))
+        self._numbered: list[Monomial | None] = [None] * self._offsets[-1]
+        self._number_keys = [0] * self._offsets[-1]
+        self._key_numbers: dict[int, int] = {}
+        self._pivots: dict[int, int] = {}  # window-wide pivot index
+        self._pivot_mask = 0
         self.relations = tuple(self._normalize_relation(r) for r in relations)
         self._degree_cache: dict[int, _DegreeData] = {}
         self._reduced_relations_ok()
@@ -277,6 +307,8 @@ class PresentedAlgebra:
 
     def reduce(self, e: GradedElement) -> GradedElement:
         """Canonical form: truncate, then reduce modulo relations."""
+        if self.laurent is None:
+            return self._element(self._reduced_bits(e))
         out: set[Monomial] = set()
         for d, vec in self._coordinates(e).items():
             candidates = self._deg_data(d).candidates
@@ -285,6 +317,8 @@ class PresentedAlgebra:
 
     def mul(self, a: GradedElement, b: GradedElement) -> GradedElement:
         """Product in the quotient, truncated above the degree cap."""
+        if self.laurent is None and self._degrees.keys() >= a.terms | b.terms:
+            return self._element(self._mul_bits(self._reduced_bits(a), self._reduced_bits(b)))
         raw: set[Monomial] = set()
         for ma in a.terms:
             for mb in b.terms:
@@ -294,6 +328,81 @@ class PresentedAlgebra:
                 else:
                     raw.add(m)
         return self.reduce(GradedElement(frozenset(raw)))
+
+    # -- window numbers (algebras without a laurent generator) ---------------
+
+    def _keys(self, d: int) -> list[int]:
+        """The keys of the window monomials of degree d, in bucket order.
+        The first call runs the window walk again on keys alone."""
+        if self._bucket_keys is None:
+            keys: list[list[int]] = [[0]] + [[] for _ in range(self.degree_cap)]
+            for name, w, degrees in self._walk:
+                unit = (1 << self._fields[name]) + (w << self._degree_shift)
+                for deg in degrees:
+                    keys[deg] += [k + unit for k in keys[deg - w]]
+            self._bucket_keys = keys
+        return self._bucket_keys[d]
+
+    def _key(self, m: Monomial) -> int:
+        """The key of a window monomial, summed over its factors."""
+        return sum(e << self._fields[n] for n, e in m) + \
+            (self._degrees[m] << self._degree_shift)
+
+    def _number(self, m: Monomial) -> int | None:
+        """Window number of m, building its degree on first use; None
+        outside the window."""
+        d = self._degrees.get(m)
+        return None if d is None else self._offsets[d] + self._deg_data(d).index[m]
+
+    def _number_of_key(self, k: int) -> int | None:
+        """Number of a key, building its degree on first use; None for a
+        key of no window monomial."""
+        n = self._key_numbers.get(k)
+        if n is None:
+            d = k >> self._degree_shift
+            if d <= self.degree_cap and d not in self._degree_cache:
+                self._deg_data(d)
+                n = self._key_numbers.get(k)
+        return n
+
+    def _reduced_bits(self, e: GradedElement) -> int:
+        """The canonical form of e in window numbers.  A term outside the
+        window raises on an unknown generator or a negative exponent, and
+        is zero otherwise: an exterior square, or a degree above the cap."""
+        vec = 0
+        for m in e.terms:
+            n = self._number(m)
+            if n is not None:
+                vec ^= 1 << n
+            else:
+                self._check_monomial(m)
+        return gf2._eliminate(vec, self._pivot_mask, self._pivots)
+
+    def _mul_bits(self, x: int, y: int) -> int:
+        """Canonical product of two window vectors: each pair of terms
+        multiplies by adding keys, and the sum reduces in one elimination."""
+        keys, numbers = self._number_keys, self._key_numbers
+        right = [keys[n] for n in gf2.bits(y)]
+        out = 0
+        for n in gf2.bits(x):
+            left = keys[n]
+            for k in right:
+                p = numbers.get(left + k)
+                if p is None:
+                    p = self._number_of_key(left + k)
+                    if p is None:  # an exterior square or a degree above the cap
+                        continue
+                out ^= 1 << p
+        return gf2._eliminate(out, self._pivot_mask, self._pivots)
+
+    def _element(self, vec: int) -> GradedElement:
+        return GradedElement(frozenset(map(self._numbered.__getitem__, gf2.bits(vec))))
+
+    def _basis_bits(self, vec: int, d: int) -> int:
+        """Coordinates over basis(d) of the degree-d part of a reduced
+        window vector."""
+        low, high = self._offsets[d], self._offsets[d + 1]
+        return self._deg_data(d).basis_bits((vec & (1 << high) - 1) >> low)
 
     # -- degreewise linear algebra ----------------------------------------
 
@@ -318,12 +427,7 @@ class PresentedAlgebra:
 
     def express_bits(self, e: GradedElement, d: int) -> int:
         """Coordinates in degree d as a bitmask over basis(d)."""
-        vec = self._coordinates(e).get(d, 0)
-        out = 0
-        for pos, i in enumerate(self._deg_data(d).basis_indices):
-            if (vec >> i) & 1:
-                out |= 1 << pos
-        return out
+        return self._deg_data(d).basis_bits(self._coordinates(e).get(d, 0))
 
     def element_from_bits(self, d: int, coords: int) -> GradedElement:
         basis = self.basis(d)
@@ -353,16 +457,23 @@ class PresentedAlgebra:
         that monomials stay sorted: an exterior one at most once
         (degrees descending), a polynomial one any number of times
         (ascending).  It runs on counts first, so an oversized window is
-        refused before any monomial is built, then on lists.
+        refused before any monomial is built, then on lists.  It also
+        lays out the keys: each generator's field holds twice its
+        largest window exponent, and the degree sits above all fields.
         """
         cap = self.degree_cap
         if cap >= MAX_WINDOW:
             raise ComputationError(f"degree cap {cap} exceeds the limit {MAX_WINDOW - 1}")
-        walk = [(g.name, g.degree, range(cap, g.degree - 1, -1) if g.kind == EXTERIOR
-                 else range(g.degree, cap + 1))
-                for g in sorted(self.generators, key=lambda g: g.name) if g.kind != LAURENT]
+        plain = [g for g in sorted(self.generators, key=lambda g: g.name) if g.kind != LAURENT]
+        self._walk = [(g.name, g.degree, range(cap, g.degree - 1, -1) if g.kind == EXTERIOR
+                       else range(g.degree, cap + 1)) for g in plain]
+        fields = list(accumulate(
+            ((2 * min(cap // g.degree, 1 if g.kind == EXTERIOR else cap)).bit_length()
+             for g in plain), initial=0))
+        self._fields = {g.name: shift for g, shift in zip(plain, fields)}
+        self._degree_shift = fields[-1]
         counts = [1] + [0] * cap
-        for _, w, degrees in walk:
+        for _, w, degrees in self._walk:
             for d in degrees:
                 counts[d] += counts[d - w]
         total = sum(counts)
@@ -370,7 +481,7 @@ class PresentedAlgebra:
             raise ComputationError(f"degree window [0, {cap}] holds {total} laurent-free "
                                    f"monomials; the limit is {MAX_WINDOW}")
         window: list[list[Monomial]] = [[()]] + [[] for _ in range(cap)]
-        for name, w, degrees in walk:
+        for name, w, degrees in self._walk:
             for d in degrees:  # append a new last pair or bump the last one
                 window[d] += [m[:-1] + ((name, m[-1][1] + 1),) if m and m[-1][0] == name
                               else m + ((name, 1),) for m in window[d - w]]
@@ -399,21 +510,33 @@ class PresentedAlgebra:
         return out
 
     def _build_degree(self, d: int) -> "_DegreeData":
-        # a laurent-free monomial m has the key (m, 0)
-        candidates = sorted(self._monomials_of_degree(d),
-                            key=self.monomial_key if self.laurent else None)
-        index = {m: i for i, m in enumerate(candidates)}
+        if self.laurent is not None:
+            candidates = sorted(self._monomials_of_degree(d), key=self.monomial_key)
+            index = {m: i for i, m in enumerate(candidates)}
+            rows = (self._relation_multiple(mult, r, index) for r in self.relations
+                    for mult in self._monomials_of_degree(d - self.degree_of(r)))
+            return _DegreeData(candidates, index, gf2.reduce_rows(row for row in rows if row))
+        # number the degree, build its relation multiples by adding keys,
+        # and join its pivots to the window-wide index
+        bucket, bucket_keys = self._plain[d], self._keys(d)
+        order = sorted(range(len(bucket)), key=bucket.__getitem__)
+        candidates, keys = [bucket[i] for i in order], [bucket_keys[i] for i in order]
+        offset, end, numbers = self._offsets[d], self._offsets[d + 1], self._key_numbers
+        self._numbered[offset:end] = candidates
+        self._number_keys[offset:end] = keys
+        numbers.update(zip(keys, range(offset, end)))
+        index = dict(zip(candidates, range(end - offset)))
         rows = []
         for r in self.relations:
-            dr = self.degree_of(r)
-            for mult in self._monomials_of_degree(d - dr):
-                vec = self._relation_multiple(mult, r, index)
-                if vec:
-                    rows.append(vec)
-        rel_rows = gf2.reduce_rows(rows)
-        piv = gf2.pivots(rel_rows)
-        basis_indices = tuple(i for i in range(len(candidates)) if i not in piv)
-        return _DegreeData(candidates, index, rel_rows, basis_indices)
+            dr, terms = self.degree_of(r), [self._key(t) for t in r.terms]
+            for k in self._keys(d - dr) if dr <= d else ():
+                # a sum that is no key is an exterior square, which is zero
+                rows.append(sum(1 << numbers[k + t] - offset for t in terms if k + t in numbers))
+        rel_rows = gf2.reduce_rows(row for row in rows if row)
+        for p, row in rel_rows.by_pivot.items():
+            self._pivots[p + offset] = row << offset
+        self._pivot_mask |= rel_rows.mask << offset
+        return _DegreeData(candidates, index, rel_rows)
 
     def _relation_multiple(self, mult: Monomial, r: GradedElement,
                            index: Mapping[Monomial, int]) -> int | None:
@@ -438,13 +561,24 @@ class PresentedAlgebra:
 
 
 class _DegreeData:
-    __slots__ = ("candidates", "index", "rel_rows", "basis_indices")
+    __slots__ = ("candidates", "index", "rel_rows", "basis_indices", "pivots")
 
-    def __init__(self, candidates, index, rel_rows, basis_indices):
+    def __init__(self, candidates, index, rel_rows):
         self.candidates = tuple(candidates)
-        self.index = dict(index)
+        self.index = index
         self.rel_rows = rel_rows  # keeps the pivot index of gf2.reduce_rows
-        self.basis_indices = tuple(basis_indices)
+        pivots = gf2.pivots(rel_rows)
+        self.basis_indices = tuple(i for i in range(len(candidates)) if i not in pivots)
+        self.pivots = sorted(pivots)
+
+    def basis_bits(self, vec: int) -> int:
+        """A reduced vector over the candidates as a bitmask over the
+        basis: candidate i that is no pivot sits at basis position i less
+        the number of pivots below it."""
+        out = 0
+        for i in gf2.bits(vec):
+            out |= 1 << i - bisect(self.pivots, i)
+        return out
 
 
 class _Substitution:

@@ -58,8 +58,14 @@ class Series:
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, trunc, modulus, {mono: 1})
 
-    def _like(self, coeffs) -> "Series":
-        return Series(self.nvars, self.trunc, self.modulus, coeffs)
+    def _reduced(self, coeffs: dict) -> "Series":
+        """A series of this shape from residues already reduced modulo
+        the modulus, on terms within the truncation: only zero residues
+        are dropped, and the terms keep their order."""
+        out = object.__new__(Series)
+        out.nvars, out.trunc, out.modulus = self.nvars, self.trunc, self.modulus
+        out.coeffs = {mono: c for mono, c in coeffs.items() if c}
+        return out
 
     def __eq__(self, other) -> bool:
         return (self.nvars, self.trunc, self.modulus, self.coeffs) == \
@@ -73,13 +79,13 @@ class Series:
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
             out[mono] = (out.get(mono, 0) + c) % self.modulus
-        return self._like(out)
+        return self._reduced(out)
 
     def __sub__(self, other: "Series") -> "Series":
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
             out[mono] = (out.get(mono, 0) - c) % self.modulus
-        return self._like(out)
+        return self._reduced(out)
 
     def __mul__(self, other: "Series") -> "Series":
         out: dict[tuple, int] = {}
@@ -91,10 +97,11 @@ class Series:
                     continue
                 mono = tuple(map(add, m1, m2))
                 out[mono] = (out.get(mono, 0) + c1 * c2) % self.modulus
-        return self._like(out)
+        return self._reduced(out)
 
     def scale(self, c: int) -> "Series":
-        return self._like({m: v * c for m, v in self.coeffs.items()})
+        return Series(self.nvars, self.trunc, self.modulus,
+                      {m: v * c for m, v in self.coeffs.items()})
 
     def pow(self, k: int) -> "Series":
         out = Series.const(1, self.nvars, self.trunc, self.modulus)

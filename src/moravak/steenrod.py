@@ -3,9 +3,15 @@ mod-2 bookkeeping for odd integral operations beta∘Sq^{2k}.
 
 A SqAction stores Sq^i only on generators.  By the Cartan formula
 Sq^k(ab) = sum_{i+j=k} Sq^i(a) Sq^j(b), the total square
-Sq = sum_i Sq^i is a ring map, so it is applied to monomials by the
-same generator substitution as ``f2alg.AlgebraMap``, and the unstable
-axioms on generators propagate to everything.  Validation is eager and
+Sq = sum_i Sq^i is a ring map, and the unstable axioms on generators
+propagate to everything.  The action works in the algebra's window
+numbers, where an element is one int: it caches each window monomial's
+total square as one int, the total square of its prefix (all factors
+but the last) times one cached power of a generator's total square.
+Sq^i of a degree-d monomial is the degree-(d+i) part of that int, one
+AND with the mask of that degree's numbers, and Q_j runs its
+commutator recursion on these ints.  ``sq`` and ``milnor_q`` convert
+an element to an int on entry and back on exit.  Validation is eager and
 cannot be skipped: an action whose table is incompatible with the
 algebra's relations (some Sq^i(r) nonzero in the quotient) is rejected
 at load, since a silently inconsistent table would poison every
@@ -27,12 +33,11 @@ from .errors import NotIntegralError, ValidationError
 from .f2alg import (
     EXTERIOR,
     LAURENT,
+    ONE,
     AlgebraMap,
     GradedElement,
-    Monomial,
     PresentedAlgebra,
     ZERO,
-    _Substitution,
 )
 
 
@@ -86,13 +91,16 @@ class SqAction:
             self._table[g.name] = row
         if table:
             raise ValidationError(f"Sq table for unknown generators: {sorted(table)}")
-        totals = {}
+        self._generator_totals = {}
         for g in algebra.generators:
             total = ZERO
             for i in _window_indices(g.degree, algebra.degree_cap):
                 total = total + self.generator_sq(g.name, i)
-            totals[g.name] = total
-        self._total = _Substitution(algebra, algebra, totals)
+            self._generator_totals[g.name] = algebra._reduced_bits(total)
+        self._unit = algebra._reduced_bits(ONE)
+        self._powers: dict[str, list[int]] = {}
+        self._totals: dict[int, int] = {}  # window number -> total square
+        self._masks: dict[int, int] = {}  # degree -> its window numbers
         self._check_relations()
 
     def generator_sq(self, name: str, i: int) -> GradedElement:
@@ -105,6 +113,65 @@ class SqAction:
             gen = self.algebra.generator(name)
             return self.algebra.mul(gen, gen)
         return self._table[name].get(i, ZERO)
+
+    def _power(self, name: str, exp: int) -> int:
+        powers = self._powers.setdefault(name, [self._unit])
+        while len(powers) <= exp and powers[-1]:
+            powers.append(self.algebra._mul_bits(powers[-1], self._generator_totals[name]))
+        return powers[exp] if exp < len(powers) else 0
+
+    def _total(self, n: int) -> int:
+        """The total square of window monomial n, a canonical form: the
+        product of its prefix's total square and one cached power."""
+        out = self._totals.get(n)
+        if out is None:
+            alg = self.algebra
+            m = alg._numbered[n]
+            out = self._power(*m[-1]) if m else self._unit
+            if len(m) > 1:
+                out = alg._mul_bits(self._total(alg._number(m[:-1])), out)
+            self._totals[n] = out
+        return out
+
+    def _bits(self, e: GradedElement, i: int) -> int:
+        """e in window numbers for Sq^i.  A term outside the window raises
+        on an unknown generator, and on a negative exponent unless Sq^i
+        of it would leave the window; otherwise it is zero (an exterior
+        square, or a degree above the cap)."""
+        alg = self.algebra
+        x = 0
+        for m in e.terms:
+            n = alg._number(m)
+            if n is not None:
+                x ^= 1 << n
+            elif alg.monomial_degree(m) + i <= alg.degree_cap:
+                alg._check_monomial(m)
+        return x
+
+    def _sq(self, i: int, x: int) -> int:
+        """Sq^i of window vector x: each term's total square masked to
+        the term's degree plus i."""
+        alg = self.algebra
+        keys, shift, offsets = alg._number_keys, alg._degree_shift, alg._offsets
+        top = alg.degree_cap - i
+        out = 0
+        for n in gf2.bits(x):
+            d = keys[n] >> shift
+            if d <= top:
+                d += i
+                mask = self._masks.get(d) or \
+                    self._masks.setdefault(d, (1 << offsets[d + 1]) - (1 << offsets[d]))
+                out ^= self._total(n) & mask
+        return out
+
+    def _q(self, j: int, x: int) -> int:
+        """Q_j of window vector x by the commutator recursion."""
+        if not x:
+            return 0  # Q_j is linear; this also keeps Q_j(0) from costing 2^j calls
+        if j == 0:
+            return self._sq(1, x)
+        s = 1 << j
+        return self._sq(s, self._q(j - 1, x)) ^ self._q(j - 1, self._sq(s, x))
 
     def _check_relations(self):
         """Sq^i(r) = 0 for every relation r, and for the relation x^2 = 0
@@ -140,16 +207,7 @@ def sq(i: int, e: GradedElement, action: SqAction) -> GradedElement:
     """
     if i < 0:
         raise ValidationError("Sq index must be nonnegative")
-    alg = action.algebra
-    out: set[Monomial] = set()
-    for m in e.terms:
-        target = alg.monomial_degree(m) + i
-        if target > alg.degree_cap:
-            continue
-        for mono in action._total.image(m).terms:
-            if alg.monomial_degree(mono) == target:
-                out ^= {mono}
-    return GradedElement(frozenset(out))
+    return action.algebra._element(action._sq(i, action._bits(e, i)))
 
 
 def milnor_q(j: int, e: GradedElement, action: SqAction) -> GradedElement:
@@ -157,17 +215,12 @@ def milnor_q(j: int, e: GradedElement, action: SqAction) -> GradedElement:
 
     Q_0 = Sq^1 and Q_j = Sq^{2^j} Q_{j-1} + Q_{j-1} Sq^{2^j}; the
     commutator step uses the square matching Q_j's degree shift, so the
-    shift telescopes to 2^j + (2^j - 1).
+    shift telescopes to 2^j + (2^j - 1).  The recursion first applies
+    Sq^1 to e, so e's terms are checked as for Sq^1.
     """
     if j < 0:
         raise ValidationError("Milnor index must be nonnegative")
-    if not e:
-        return ZERO  # Q_j is linear; this also keeps Q_j(0) from costing 2^j calls
-    if j == 0:
-        return sq(1, e, action)
-    s = 1 << j
-    return sq(s, milnor_q(j - 1, e, action), action) + \
-        milnor_q(j - 1, sq(s, e, action), action)
+    return action.algebra._element(action._q(j, action._bits(e, 1)))
 
 
 def check_derivation(j: int, a: GradedElement, b: GradedElement,

@@ -23,6 +23,8 @@ from moravak.spacefile import parse_space
 from moravak.steenrod import IntegralityData, SqAction, TriState, milnor_q, sq
 
 from conftest import FIXTURES, projective_product, random_element
+from test_f2alg import reference_mul, reference_routes
+from test_steenrod import ReferenceSq
 
 
 def s3_model() -> SpaceModel:
@@ -159,6 +161,39 @@ def test_normalization_zero_twist_is_untwisted():
         for m, col in zip(page.bases[p], page.diff[p]):
             image = milnor_q(2, m, space.action)
             assert space.algebra.express_bits(image, p + page.step) == col
+
+
+def reference_columns(page, space, twist) -> dict:
+    """The differential as it was built: Q_n(m) + m.phi as elements, by
+    the term-by-term Sq reference and reference products, then read over
+    the target basis one basis index at a time."""
+    alg, ref = space.algebra, ReferenceSq(space.action)
+    phi = alg.reduce(twist.element)
+    for j in range(1, page.n):
+        phi = ref.milnor_q(j, phi)
+    out = {}
+    for p, cols in page.diff.items():
+        if p + page.step <= alg.degree_cap:
+            out[p] = tuple(reference_routes(alg, ref.milnor_q(page.n, m) + reference_mul(alg, m, phi))[2]
+                           .get(p + page.step, 0) for m in page.bases[p])
+    return out
+
+
+@pytest.mark.parametrize("model, n, twists", [
+    (lambda: honest_height2_model(cap=12), 2, ["0", "t1^4 + t1*t2*t3^2", "t2^2*t3^2"]),
+    (synth12, 2, ["0", "h4"]),
+    (lambda: parse_space(FIXTURES / "rp_inf.space"), 1, ["0", "t^3"]),
+    (synth12, 1, ["0"]),
+    (lambda: parse_space(FIXTURES / "fb12.space").space, 2, ["0"]),
+], ids=["product", "synth12", "rp_inf", "synth12-n1", "fb12"])
+def test_first_differential_columns_match_reference(model, n, twists):
+    space = model()
+    for text in twists:
+        twist = TwistClass(space.algebra.element(text))
+        page = first_differential(e2_page(space, n), space, twist)
+        expected = reference_columns(page, space, twist)
+        assert expected and all(page.diff[p] == cols for p, cols in expected.items())
+        assert any(any(cols) for cols in expected.values()) or text == "0"
 
 
 def test_edge_incomplete_flags_on_truncated_model():

@@ -401,9 +401,19 @@ def _error(call) -> str:
     return str(exc.value)
 
 
+def exterior_relation(cap=10):
+    """Lambda(e1) (x) F2[a1, f2]/(a^3 + e*a^2 + a*f): e sorts just before
+    f, of twice its degree, and multiples of the relation by e hold the
+    exterior square e^2*a^2."""
+    gens = [GradedGenerator("a", 1), GradedGenerator("e", 1, EXTERIOR),
+            GradedGenerator("f", 2)]
+    return PresentedAlgebra(gens, [parse_element("a^3 + e*a^2 + a*f")], cap)
+
+
 INDEX_ALGEBRAS = [lambda gens=gens, cap=cap: PresentedAlgebra(gens, (), cap)
                   for gens, cap in WINDOW_ALGEBRAS] + [
-    lambda: truncated_projective(9, 12)[0], cubic_relation, lambda: rbk_algebra(cap=18)]
+    lambda: truncated_projective(9, 12)[0], cubic_relation, lambda: rbk_algebra(cap=18),
+    exterior_relation]
 
 
 @pytest.mark.parametrize("make", INDEX_ALGEBRAS)
@@ -449,14 +459,117 @@ def test_times_is_monomial_of_both(a, b, cancel):
         assert f2alg._times(x, y) == monomial(*x, *y)
 
 
-# -- prefix-cached substitution images ----------------------------------------
+# -- window keys and numbers against the monomial kernel ----------------------
 
-def fold_image(sub: f2alg._Substitution, m) -> GradedElement:
-    """The image of m folded one generator factor at a time from the
-    target's unit, each step a product with that factor's cached power."""
-    out = sub._unit if sub.source._check_monomial(m) else ZERO
+def reference_mul(alg: PresentedAlgebra, a: GradedElement, b: GradedElement):
+    """The product as it was built term by term: monomial(*ma, *mb) for
+    every pair, reduced by the reference kernel."""
+    raw: set = set()
+    for ma in a.terms:
+        for mb in b.terms:
+            raw ^= {monomial(*ma, *mb)}
+    return reference_routes(alg, GradedElement(frozenset(raw)))[0]
+
+
+def window_keys(alg: PresentedAlgebra) -> dict:
+    return {m: k for d in range(alg.degree_cap + 1)
+            for m, k in zip(alg._plain[d], alg._keys(d))}
+
+
+@pytest.mark.parametrize("make", INDEX_ALGEBRAS)
+def test_key_sums_are_products(make, rng):
+    alg = make()
+    keys = window_keys(alg)
+    window = sorted(keys)
+    assert len(set(keys.values())) == len(window)
+    assert all(alg._key(m) == k for m, k in keys.items())
+    # every exponent field at its maximum: the top window power of each
+    # generator, times itself and times the top powers of the others
+    tops = [max((m for m in window if len(m) == 1 and m[0][0] == g.name), default=())
+            for g in alg.generators]
+    pairs = [(a, b) for a in tops for b in tops]
+    pairs += [(rng.choice(window), rng.choice(window)) for _ in range(1500)]
+    exterior = [m for m in window if any(alg._gen(n).kind == EXTERIOR for n, _ in m)]
+    pairs += [(rng.choice(exterior), rng.choice(exterior)) for _ in range(300) if exterior]
+    squares = 0
+    for a, b in pairs:
+        product = monomial(*a, *b)
+        total = keys[a] + keys[b]
+        if product in keys:
+            assert total == keys[product], (a, b)
+        else:
+            assert total not in keys.values(), (a, b)
+            squares += not alg._check_monomial(product)
+        if alg.laurent is None:
+            x, y = alg._reduced_bits(GradedElement(frozenset({a}))), \
+                alg._reduced_bits(GradedElement(frozenset({b})))
+            assert alg._element(alg._mul_bits(x, y)) == \
+                reference_mul(alg, GradedElement(frozenset({a})), GradedElement(frozenset({b})))
+    assert squares or not exterior
+    if alg.laurent is None:
+        for _ in range(40):
+            a = random_element(alg, rng.randint(0, alg.degree_cap // 2), rng)
+            b = random_element(alg, rng.randint(0, alg.degree_cap // 2), rng)
+            assert alg.mul(a, b) == reference_mul(alg, a, b)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_products_outside_the_window_as_before(name, rng):
+    """A factor outside the window sends mul back to term-by-term
+    products, whose terms are then checked: t^-1 times t^2 is t, and a
+    product keeps a bad term's error."""
+    alg = ALGEBRAS[name]()
+    for _ in range(40):
+        a, b = random_unreduced(alg, rng), random_unreduced(alg, rng)
+        try:
+            expected = reference_mul(alg, a, b)
+        except IllFormedElementError as exc:
+            assert _error(lambda: alg.mul(a, b)) == str(exc)
+        else:
+            assert alg.mul(a, b) == expected
+    plain = next(g for g in alg.generators if g.kind != LAURENT)
+    inverse = GradedElement(frozenset({((plain.name, -1),)}))
+    square = GradedElement(frozenset({((plain.name, 2),)}))
+    assert alg.mul(inverse, square) == alg.reduce(alg.generator(plain.name))
+    nope = GradedElement(frozenset({(("nope", 1),)}))
+    assert _error(lambda: alg.mul(nope, square)) == \
+        _error(lambda: reference_mul(alg, nope, square))
+
+
+def test_construction_builds_no_degree():
+    alg = PresentedAlgebra([GradedGenerator("t", 1)], (), f2alg.MAX_WINDOW - 1)
+    assert alg._degree_cache == {}  # as before window numbers
+    assert alg._bucket_keys is None and not alg._key_numbers
+
+
+def test_product_builds_its_degree_first():
+    alg = PresentedAlgebra([GradedGenerator("a", 1), GradedGenerator("b", 2)],
+                           [parse_element("a^4")], 12)
+    built = set(alg._degree_cache)
+    x, y = alg.element("a*b"), alg.element("b^2")
+    assert 7 not in alg._degree_cache
+    assert alg.mul(x, y) == alg.element("a*b^3") != ZERO
+    assert set(alg._degree_cache) == built | {3, 4, 7}
+    # a product whose degree is built but whose term is not in the window
+    ext = PresentedAlgebra([GradedGenerator("e", 1, EXTERIOR), GradedGenerator("f", 2)], (), 4)
+    e = ext.generator("e")
+    assert ext.mul(e, e) == ZERO and 2 in ext._degree_cache
+
+
+# -- total squares from cached prefixes ---------------------------------------
+
+def fold_total(action, m) -> GradedElement:
+    """The total square of m folded one generator factor at a time from
+    the unit, each step a reference product with the total square of
+    that generator."""
+    alg = action.algebra
+    out = reference_routes(alg, alg.one)[0]
     for name, exp in m:
-        out = sub.target.mul(out, sub._power(name, exp))
+        total = ZERO
+        for i in range(alg._gen(name).degree + 1):
+            total = total + action.generator_sq(name, i)
+        for _ in range(exp):
+            out = reference_mul(alg, out, total)
     return out
 
 
@@ -470,11 +583,21 @@ def window_monomials(alg: PresentedAlgebra):
                                   lambda: truncated_projective(9, 12), exterior_pair])
 def test_sq_total_images_match_factor_fold(make):
     alg, action = make()
-    sub = action._total
-    exterior_squares = [((g.name, 2),) for g in alg.generators if g.kind == EXTERIOR]
-    for m in [*window_monomials(alg), *exterior_squares]:
-        assert sub.image(m) == fold_image(sub, m)
-    assert all(not sub.image(m) for m in exterior_squares)
+    for m in window_monomials(alg):
+        n = alg._number(m)
+        assert alg._numbered[n] == m
+        assert alg._element(action._total(n)) == fold_total(action, m), m
+
+
+# -- substitution images from cached prefixes ---------------------------------
+
+def fold_image(sub: f2alg._Substitution, m) -> GradedElement:
+    """The image of m folded one generator factor at a time from the
+    target's unit, each step a product with that factor's cached power."""
+    out = sub._unit if sub.source._check_monomial(m) else ZERO
+    for name, exp in m:
+        out = sub.target.mul(out, sub._power(name, exp))
+    return out
 
 
 def test_algebra_map_images_match_factor_fold():

@@ -189,3 +189,10 @@ def test_product_matches_naive_product(rng, modulus, nvars):
             b = random_series(rng, nvars, trunc, modulus)
             assert a * b == naive_product(a, b)
             assert list((a * b).coeffs) == list(naive_product(a, b).coeffs)
+            # sums and differences through the checked constructor
+            for got, sign in ((a + b, 1), (a - b, -1)):
+                coeffs = dict(a.coeffs)
+                for mono, c in b.coeffs.items():
+                    coeffs[mono] = coeffs.get(mono, 0) + sign * c
+                want = Series(nvars, trunc, modulus, coeffs)
+                assert got == want and list(got.coeffs) == list(want.coeffs)

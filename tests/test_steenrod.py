@@ -2,12 +2,16 @@ from math import comb
 
 import pytest
 
-from moravak.errors import NotIntegralError, ValidationError
+from moravak.errors import IllFormedElementError, NotIntegralError, ValidationError
 from moravak.f2alg import (
     EXTERIOR,
+    ZERO,
     AlgebraMap,
+    GradedElement,
     GradedGenerator,
     PresentedAlgebra,
+    _Substitution,
+    monomial,
     parse_element,
 )
 from moravak.steenrod import (
@@ -31,6 +35,123 @@ from conftest import (
     truncated_projective,
 )
 from oracles import brute_milnor_multi, brute_milnor_on_power, sq_on_multipower
+
+
+class ReferenceSq:
+    """Sq^i and Q_j on elements as they were computed term by term: the
+    total square of a monomial is its image under the generator
+    substitution g -> sum_i Sq^i(g), Sq^i keeps the terms of that image
+    of one degree, and Q_j recurses on elements."""
+
+    def __init__(self, action: SqAction):
+        self.algebra = alg = action.algebra
+        totals = {}
+        for g in alg.generators:
+            total = ZERO
+            for i in range(g.degree + 1):
+                total = total + action.generator_sq(g.name, i)
+            totals[g.name] = total
+        self.total = _Substitution(alg, alg, totals)
+
+    def sq(self, i: int, e: GradedElement) -> GradedElement:
+        alg = self.algebra
+        out: set = set()
+        for m in e.terms:
+            target = alg.monomial_degree(m) + i
+            if target > alg.degree_cap:
+                continue
+            for mono in self.total.image(m).terms:
+                if alg.monomial_degree(mono) == target:
+                    out ^= {mono}
+        return GradedElement(frozenset(out))
+
+    def milnor_q(self, j: int, e: GradedElement) -> GradedElement:
+        if not e:
+            return ZERO
+        if j == 0:
+            return self.sq(1, e)
+        s = 1 << j
+        return self.sq(s, self.milnor_q(j - 1, e)) + self.milnor_q(j - 1, self.sq(s, e))
+
+
+def corrupted_action():
+    """Valid-by-axioms table that is not a genuine Steenrod action:
+    Sq^1 g = h and Sq^1 h = g^2 violates Sq^1 Sq^1 = 0."""
+    alg = PresentedAlgebra([GradedGenerator("g", 2), GradedGenerator("h", 3)], (), 12)
+    table = {"g": {1: alg.element("h")},
+             "h": {1: alg.element("g^2"), 2: alg.element("g*h")}}
+    return alg, SqAction(alg, table)
+
+
+def exterior_chain():
+    """Lambda(x3, z5) (x) F2[y2]/(y^4) with Sq^2 x = z, Sq^1 z = y^3."""
+    gens = [GradedGenerator("x", 3, EXTERIOR), GradedGenerator("y", 2),
+            GradedGenerator("z", 5, EXTERIOR)]
+    alg = PresentedAlgebra(gens, [parse_element("y^4")], 12)
+    return alg, SqAction(alg, {"x": {2: alg.element("z")}, "z": {1: alg.element("y^3")}})
+
+
+ACTIONS = {
+    "projective": lambda: projective_space(12), "product": lambda: projective_product(3, 10),
+    "truncated": lambda: truncated_projective(9, 12), "exterior": exterior_pair,
+    "corrupted": corrupted_action, "exterior-chain": exterior_chain,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_sq_and_q_match_term_by_term_reference(name, rng):
+    alg, act = ACTIONS[name]()
+    ref = ReferenceSq(act)
+    elements = [random_unreduced(alg, rng) for _ in range(25)]
+    elements += [random_element(alg, rng.randint(0, alg.degree_cap), rng) for _ in range(25)]
+    for e in elements:
+        for i in range(alg.degree_cap + 2):
+            assert sq(i, e, act) == ref.sq(i, e), (i, e)
+        for j in range(4):
+            assert milnor_q(j, e, act) == ref.milnor_q(j, e), (j, e)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except IllFormedElementError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_terms_outside_the_window_as_before(name):
+    """An unknown generator raises; a negative exponent raises unless
+    Sq^i of its term leaves the window; exterior squares and terms above
+    the cap are zero, next to a window term."""
+    alg, act = ACTIONS[name]()
+    ref = ReferenceSq(act)
+    cap = alg.degree_cap
+    g, *others = alg.generators
+    window_term = ((g.name, 1),)
+    bad = [(("nope", 1),), ((g.name, -1),), ((g.name, cap + 1),)]
+    bad += [((x.name, 2),) for x in alg.generators if x.kind == EXTERIOR]
+    # of degree above the cap, so Sq^i of it leaves the window
+    high = [monomial((g.name, -1), (x.name, cap + g.degree)) for x in others]
+    for term in bad + high:
+        e = GradedElement(frozenset({window_term, term}))
+        for i in range(cap + 2):
+            assert _outcome(lambda: sq(i, e, act)) == _outcome(lambda: ref.sq(i, e)), (i, term)
+        for j in range(3):
+            assert _outcome(lambda: milnor_q(j, e, act)) == \
+                _outcome(lambda: ref.milnor_q(j, e)), (j, term)
+    negative = GradedElement(frozenset({bad[1]}))
+    assert isinstance(_outcome(lambda: sq(0, negative, act)), str)
+    for term in high:
+        assert sq(1, GradedElement(frozenset({term})), act) == ZERO
+
+
+def test_sq_masks_are_built_per_target_degree():
+    alg, act = projective_space(40)
+    assert not act._masks
+    sq(3, alg.element("t^5"), act)
+    assert set(act._masks) == {8}
+    sq(1, alg.element("t^40"), act)  # leaves the window
+    assert set(act._masks) == {8}
 
 
 def element_from_exponents(alg, exps):
@@ -162,15 +283,6 @@ def test_derivation_property(rng):
             b = random_element(alg, rng.randint(1, 4), rng)
             for j in (0, 1, 2):
                 assert check_derivation(j, a, b, act)
-
-
-def corrupted_action():
-    """Valid-by-axioms table that is not a genuine Steenrod action:
-    Sq^1 g = h and Sq^1 h = g^2 violates Sq^1 Sq^1 = 0."""
-    alg = PresentedAlgebra([GradedGenerator("g", 2), GradedGenerator("h", 3)], (), 12)
-    table = {"g": {1: alg.element("h")},
-             "h": {1: alg.element("g^2"), 2: alg.element("g*h")}}
-    return alg, SqAction(alg, table)
 
 
 def test_derivation_fails_on_corrupted_table():
