@@ -2,53 +2,44 @@
 
 Elements are F2-sums of monomials; a monomial is a sorted tuple of
 (generator name, exponent) pairs, so presence of a monomial means
-coefficient 1 and addition is symmetric difference.  Exterior
-generators square to zero, and an algebra may carry one designated
-invertible (laurent) generator whose exponents may be negative; it
-plays the role of the periodicity class of the coefficient ring.
+coefficient 1 and addition is symmetric difference.  Exponents are
+positive, and exterior generators square to zero.
 
 Quotient bases are computed one degree at a time by GF(2) linear
 algebra on the span of relation multiples.  Every algebra carries a
-hard degree cap ``D``: monomials whose total degree or whose
-laurent-free degree exceeds ``D`` are truncated away, which keeps each
-degree window finite and exact.  One walk over the generator degrees
-first counts the laurent-free monomials of the window, refusing more
-than ``MAX_WINDOW`` of them before any is built, and then enumerates
-them once, bucketed by degree; every degree's basis and relation
-multiples are read from these buckets.
+hard degree cap ``D``: monomials of degree above ``D`` are truncated
+away, which keeps each degree window finite and exact.  One walk over
+the generator degrees first counts the monomials of the window,
+refusing more than ``MAX_WINDOW`` of them before any is built, and then
+enumerates them once, bucketed by degree; every degree's basis and
+relation multiples are read from these buckets.
 
 The walk also yields each monomial's degree, kept in one window-wide
 map, and, run once more on keys alone when the first degree is built,
-a packed key per monomial: one bit field per laurent-free generator, in
-name order, wide enough for twice the generator's largest window
-exponent, and the degree above them all (packed exponent vectors, as
-in Monagan-Pearce, CASC 2007).  Two window keys add without carries,
-so the key of a product is the sum of its factors' keys, and a sum
-that is no window key is a product that vanishes: an exterior square,
-or a degree above the cap.  Only other monomials (laurent powers,
-exterior squares, monomials outside the window) go through the
-term-by-term checks.
+a packed key per monomial: one bit field per generator, in name order,
+wide enough for twice the generator's largest window exponent, and the
+degree above them all (packed exponent vectors, as in Monagan-Pearce,
+CASC 2007).  Two window keys add without carries, so the key of a
+product is the sum of its factors' keys, and a sum that is no window
+key is a product that vanishes: an exterior square, or a degree above
+the cap.
 
-Without a laurent generator the window monomials are also numbered,
-degree-major: degree d holds the numbers from its offset, the count of
-all lower degrees, in candidate order.  An element is then one int
-with bit n for monomial n.  Degrees are numbered when they are first
-built, and each registers its relation rows, shifted to its offset, in
-one window-wide pivot index; different degrees have disjoint
-supports, so one elimination against that index reduces an element of
-any degrees.  A product of two such elements is a sum of keys per pair
-of terms and one elimination.  Algebras with a laurent generator are
-reduced degree by degree.
-
-One routine turns monomials into reduced coordinate vectors, one per
-degree; ``express`` and ``express_bits`` read from it, and so does
-``reduce`` when a laurent generator is present.  Reduction is linear
-and works degree by degree, so a sum of canonical forms, and the part
-of one degree of a canonical form, are canonical.  Ring maps given on
-generators (``AlgebraMap``) go through one substitution with cached
-generator powers and cached monomial images; a monomial's image is the
-cached image of its prefix, all factors but the last, times one cached
-power.
+The window monomials are also numbered, degree-major: degree d holds
+the numbers from its offset, the count of all lower degrees, in
+candidate order.  An element is then one int with bit n for monomial
+n.  Degrees are numbered when they are first built, and each registers
+its relation rows, shifted to its offset, in one window-wide pivot
+index; different degrees have disjoint supports, so one elimination
+against that index reduces an element of any degrees.  A product of two
+such elements is a sum of keys per pair of terms and one elimination.
+``reduce``, ``mul`` and ``express_bits`` all go through these numbers;
+a term outside the window raises on an unknown generator or a negative
+exponent and is dropped otherwise.  Reduction is
+linear and works degree by degree, so a sum of canonical forms, and the
+part of one degree of a canonical form, are canonical.  Ring maps given
+on generators (``AlgebraMap``) cache generator powers and monomial
+images; a monomial's image is the cached image of its prefix, all
+factors but the last, times one cached power.
 """
 
 from __future__ import annotations
@@ -71,12 +62,11 @@ from .errors import (
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
-LAURENT = "laurent-unit"
 
-_KINDS = (POLYNOMIAL, EXTERIOR, LAURENT)
+_KINDS = (POLYNOMIAL, EXTERIOR)
 
-# an algebra whose window [0, cap] has more degrees or more laurent-free
-# monomials than this is refused before any monomial is enumerated
+# an algebra whose window [0, cap] has more degrees or more monomials
+# than this is refused before any monomial is enumerated
 MAX_WINDOW = 12000
 
 Monomial = tuple  # tuple[(name, exponent), ...] sorted by name
@@ -137,14 +127,6 @@ def monomial(*pairs: tuple[str, int]) -> Monomial:
     return tuple(sorted((n, e) for n, e in merged.items() if e != 0))
 
 
-def _times(a: Monomial, b: Monomial) -> Monomial:
-    """The product of two canonical monomials: ``monomial(*a, *b)``."""
-    merged = dict(a)
-    for name, exp in b:
-        merged[name] = merged.get(name, 0) + exp
-    return tuple(sorted(p for p in merged.items() if p[1]))
-
-
 def format_monomial(m: Monomial) -> str:
     if not m:
         return "1"
@@ -186,11 +168,11 @@ def parse_element(text: str, line: int | None = None) -> GradedElement:
 class PresentedAlgebra:
     """Generators, homogeneous relations and a degree cap.
 
-    Monomials of a given degree are ordered by (laurent-free part,
-    laurent exponent); the per-degree quotient basis consists of the
-    monomials not eliminated by relation multiples, eliminating the
-    largest monomial of each relation row so that the surviving
-    representatives are lexicographically least.
+    Monomials of a given degree are ordered as sorted tuples; the
+    per-degree quotient basis consists of the monomials not eliminated
+    by relation multiples, eliminating the largest monomial of each
+    relation row so that the surviving representatives are
+    lexicographically least.
     """
 
     def __init__(self, generators: Sequence[GradedGenerator],
@@ -201,18 +183,14 @@ class PresentedAlgebra:
             raise ValidationError("generator names must be unique")
         if degree_cap < 0:
             raise ValidationError("degree cap must be nonnegative")
-        laurent = [g for g in generators if g.kind == LAURENT]
-        if len(laurent) > 1:
-            raise ValidationError("at most one laurent-unit generator is supported")
         self.generators = tuple(generators)
         self.degree_cap = degree_cap
-        self.laurent = laurent[0] if laurent else None
         self._by_name = {g.name: g for g in generators}
-        self._plain = self._window()  # laurent-free monomials by degree
-        self._degrees = {m: d for d, bucket in enumerate(self._plain) for m in bucket}
+        self._buckets = self._window()  # window monomials by degree
+        self._degrees = {m: d for d, bucket in enumerate(self._buckets) for m in bucket}
         self._bucket_keys: list[list[int]] | None = None  # see _keys
         # window numbers, filled in by _build_degree one degree at a time
-        self._offsets = list(accumulate(map(len, self._plain), initial=0))
+        self._offsets = list(accumulate(map(len, self._buckets), initial=0))
         self._numbered: list[Monomial | None] = [None] * self._offsets[-1]
         self._number_keys = [0] * self._offsets[-1]
         self._key_numbers: dict[int, int] = {}
@@ -244,14 +222,12 @@ class PresentedAlgebra:
         d = self._degrees.get(m)
         return d if d is not None else sum(self._gen(n).degree * e for n, e in m)
 
+    # bench/tracer.py names these two as leaf helpers
     def laurent_free_degree(self, m: Monomial) -> int:
-        return sum(self._gen(n).degree * e for n, e in m
-                   if self._gen(n).kind != LAURENT)
+        return self.monomial_degree(m)
 
     def monomial_key(self, m: Monomial):
-        plain = tuple(p for p in m if self._gen(p[0]).kind != LAURENT)
-        lexp = sum(e for n, e in m if self._gen(n).kind == LAURENT)
-        return (plain, lexp)
+        return m
 
     def degrees_of(self, e: GradedElement) -> set[int]:
         return {self.monomial_degree(m) for m in e.terms}
@@ -277,59 +253,22 @@ class PresentedAlgebra:
         """Validate exponents; returns False if the monomial is zero."""
         for name, exp in m:
             g = self._gen(name)
-            if exp < 0 and g.kind != LAURENT:
+            if exp < 0:
                 raise IllFormedElementError(
                     f"negative exponent on non-invertible generator {name}")
             if g.kind == EXTERIOR and exp >= 2:
                 return False
         return True
 
-    def _coordinates(self, e: GradedElement) -> dict[int, int]:
-        """Reduced coordinate vectors of e over each degree's candidate
-        monomials, keyed by degree; a vector may be zero.  Exterior
-        squares and monomials outside the window are dropped."""
-        cap = self.degree_cap
-        degrees = self._degrees
-        by_degree: dict[int, int] = {}
-        for m in e.terms:
-            d = degrees.get(m)
-            if d is None:  # window monomials are valid; check the rest
-                if not self._check_monomial(m):
-                    continue
-                d = self.monomial_degree(m)
-                if not 0 <= d <= cap:
-                    continue
-                if self.laurent is not None and self.laurent_free_degree(m) > cap:
-                    continue
-            by_degree[d] = by_degree.get(d, 0) ^ 1 << self._deg_data(d).index[m]
-        return {d: gf2.reduce_vector(vec, self._deg_data(d).rel_rows)
-                for d, vec in by_degree.items()}
-
     def reduce(self, e: GradedElement) -> GradedElement:
         """Canonical form: truncate, then reduce modulo relations."""
-        if self.laurent is None:
-            return self._element(self._reduced_bits(e))
-        out: set[Monomial] = set()
-        for d, vec in self._coordinates(e).items():
-            candidates = self._deg_data(d).candidates
-            out.update(candidates[i] for i in gf2.bits(vec))
-        return GradedElement(frozenset(out))
+        return self._element(self._reduced_bits(e))
 
     def mul(self, a: GradedElement, b: GradedElement) -> GradedElement:
         """Product in the quotient, truncated above the degree cap."""
-        if self.laurent is None and self._degrees.keys() >= a.terms | b.terms:
-            return self._element(self._mul_bits(self._reduced_bits(a), self._reduced_bits(b)))
-        raw: set[Monomial] = set()
-        for ma in a.terms:
-            for mb in b.terms:
-                m = _times(ma, mb)
-                if m in raw:
-                    raw.remove(m)
-                else:
-                    raw.add(m)
-        return self.reduce(GradedElement(frozenset(raw)))
+        return self._element(self._mul_bits(self._reduced_bits(a), self._reduced_bits(b)))
 
-    # -- window numbers (algebras without a laurent generator) ---------------
+    # -- window numbers ------------------------------------------------------
 
     def _keys(self, d: int) -> list[int]:
         """The keys of the window monomials of degree d, in bucket order.
@@ -408,32 +347,28 @@ class PresentedAlgebra:
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
         """Deterministic monomial basis of the degree-d quotient space."""
-        if d < 0 or d > self.degree_cap:
-            raise DegreeCapExceededError(
-                f"degree {d} outside window [0, {self.degree_cap}]")
+        self._check_degree(d)
         data = self._deg_data(d)
         return tuple(data.candidates[i] for i in data.basis_indices)
 
     def basis_elements(self, d: int) -> tuple[GradedElement, ...]:
         return tuple(GradedElement(frozenset({m})) for m in self.basis(d))
 
-    def express(self, e: GradedElement) -> dict[int, tuple[int, ...]]:
-        """Coordinates of the canonical form, one vector per nonzero degree."""
-        out: dict[int, tuple[int, ...]] = {}
-        for d, vec in sorted(self._coordinates(e).items()):
-            if vec:
-                out[d] = tuple((vec >> i) & 1 for i in self._deg_data(d).basis_indices)
-        return out
-
     def express_bits(self, e: GradedElement, d: int) -> int:
         """Coordinates in degree d as a bitmask over basis(d)."""
-        return self._deg_data(d).basis_bits(self._coordinates(e).get(d, 0))
+        self._check_degree(d)
+        return self._basis_bits(self._reduced_bits(e), d)
 
     def element_from_bits(self, d: int, coords: int) -> GradedElement:
         basis = self.basis(d)
         return GradedElement(frozenset(basis[i] for i in gf2.bits(coords)))
 
     # -- internals ----------------------------------------------------------
+
+    def _check_degree(self, d: int):
+        if d < 0 or d > self.degree_cap:
+            raise DegreeCapExceededError(
+                f"degree {d} outside window [0, {self.degree_cap}]")
 
     def _normalize_relation(self, r: GradedElement) -> GradedElement:
         degs = {self.monomial_degree(m) for m in r.terms}
@@ -446,12 +381,10 @@ class PresentedAlgebra:
         for m in r.terms:
             if not self._check_monomial(m):
                 raise ValidationError(f"relation contains an exterior square: {r}")
-            if self.laurent_free_degree(m) > self.degree_cap:
-                raise ValidationError(f"relation term outside window: {r}")
         return r
 
     def _window(self) -> list[list[Monomial]]:
-        """Laurent-free monomials of each degree 0..cap.
+        """The monomials of each degree 0..cap.
 
         One walk adds the generators one at a time, in name order so
         that monomials stay sorted: an exterior one at most once
@@ -464,13 +397,13 @@ class PresentedAlgebra:
         cap = self.degree_cap
         if cap >= MAX_WINDOW:
             raise ComputationError(f"degree cap {cap} exceeds the limit {MAX_WINDOW - 1}")
-        plain = [g for g in sorted(self.generators, key=lambda g: g.name) if g.kind != LAURENT]
+        gens = sorted(self.generators, key=lambda g: g.name)
         self._walk = [(g.name, g.degree, range(cap, g.degree - 1, -1) if g.kind == EXTERIOR
-                       else range(g.degree, cap + 1)) for g in plain]
+                       else range(g.degree, cap + 1)) for g in gens]
         fields = list(accumulate(
             ((2 * min(cap // g.degree, 1 if g.kind == EXTERIOR else cap)).bit_length()
-             for g in plain), initial=0))
-        self._fields = {g.name: shift for g, shift in zip(plain, fields)}
+             for g in gens), initial=0))
+        self._fields = {g.name: shift for g, shift in zip(gens, fields)}
         self._degree_shift = fields[-1]
         counts = [1] + [0] * cap
         for _, w, degrees in self._walk:
@@ -497,28 +430,10 @@ class PresentedAlgebra:
             self._degree_cache[d] = self._build_degree(d)
         return self._degree_cache[d]
 
-    def _monomials_of_degree(self, d: int) -> list[Monomial]:
-        """All window monomials of total degree d, laurent powers included."""
-        if self.laurent is None:
-            return self._plain[d] if 0 <= d <= self.degree_cap else []
-        v, w = self.laurent.name, self.laurent.degree
-        out: list[Monomial] = []
-        for plain_deg in range(d % w, self.degree_cap + 1, w):
-            e = (d - plain_deg) // w
-            for m in self._plain[plain_deg]:
-                out.append(monomial(*m, (v, e)) if e else m)
-        return out
-
     def _build_degree(self, d: int) -> "_DegreeData":
-        if self.laurent is not None:
-            candidates = sorted(self._monomials_of_degree(d), key=self.monomial_key)
-            index = {m: i for i, m in enumerate(candidates)}
-            rows = (self._relation_multiple(mult, r, index) for r in self.relations
-                    for mult in self._monomials_of_degree(d - self.degree_of(r)))
-            return _DegreeData(candidates, index, gf2.reduce_rows(row for row in rows if row))
         # number the degree, build its relation multiples by adding keys,
         # and join its pivots to the window-wide index
-        bucket, bucket_keys = self._plain[d], self._keys(d)
+        bucket, bucket_keys = self._buckets[d], self._keys(d)
         order = sorted(range(len(bucket)), key=bucket.__getitem__)
         candidates, keys = [bucket[i] for i in order], [bucket_keys[i] for i in order]
         offset, end, numbers = self._offsets[d], self._offsets[d + 1], self._key_numbers
@@ -537,27 +452,6 @@ class PresentedAlgebra:
             self._pivots[p + offset] = row << offset
         self._pivot_mask |= rel_rows.mask << offset
         return _DegreeData(candidates, index, rel_rows)
-
-    def _relation_multiple(self, mult: Monomial, r: GradedElement,
-                           index: Mapping[Monomial, int]) -> int | None:
-        """Bit vector of mult*r over the candidate monomials.
-
-        Returns None when a product term would leave the truncation
-        window: including a clipped multiple would impose a wrong
-        relation, so the whole row is skipped.
-        """
-        vec = 0
-        for term in r.terms:
-            m = _times(mult, term)
-            i = index.get(m)
-            if i is None:
-                if not self._check_monomial(m):
-                    continue  # exterior square: the term is genuinely zero
-                if self.laurent_free_degree(m) > self.degree_cap:
-                    return None
-                i = index[m]
-            vec ^= 1 << i
-        return vec
 
 
 class _DegreeData:
@@ -581,25 +475,38 @@ class _DegreeData:
         return out
 
 
-class _Substitution:
-    """The ring map that sends each generator to a given image.
+class AlgebraMap:
+    """Degree-preserving algebra map given on generators.
 
-    The image of a monomial is the image of its prefix (all factors
-    but the last) times the cached power of its last factor; the empty
-    monomial maps to the target's reduced unit.  Products in the
-    quotient are associative and canonical forms unique, so every cached
-    image is the canonical form of the product of all its factors'
-    images.  Source monomials that vanish (exterior squares) map to zero.
+    Validated to carry every relation of the source to zero; used for
+    naturality of pages and for boundary restriction maps.  The image of
+    a monomial is the image of its prefix (all factors but the last)
+    times the cached power of its last factor; the empty monomial maps
+    to the target's reduced unit.  Products in the quotient are
+    associative and canonical forms unique, so every cached image is the
+    canonical form of the product of all its factors' images.  Source
+    monomials that vanish (exterior squares) map to zero.
     """
 
     def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
                  images: Mapping[str, GradedElement]):
         self.source = source
         self.target = target
-        self.images = images
+        self.images = {}
+        for g in source.generators:
+            if g.name not in images:
+                raise InvalidPairError(f"no image supplied for generator {g.name}")
+            img = target.reduce(images[g.name])
+            if img and target.degree_of(img) != g.degree:
+                raise InvalidPairError(
+                    f"image of {g.name} is not homogeneous of degree {g.degree}")
+            self.images[g.name] = img
         self._unit = target.reduce(ONE)
         self._powers: dict[str, list[GradedElement]] = {}
         self._monomials: dict[Monomial, GradedElement] = {}
+        for r in source.relations:
+            if self.apply(r) != target.zero:
+                raise InvalidPairError(f"relation {r} is not carried to zero")
 
     def _power(self, name: str, exp: int) -> GradedElement:
         powers = self._powers.setdefault(name, [self._unit])
@@ -607,7 +514,7 @@ class _Substitution:
             powers.append(self.target.mul(powers[-1], self.images[name]))
         return powers[exp] if exp < len(powers) else ZERO
 
-    def image(self, m: Monomial) -> GradedElement:
+    def _image(self, m: Monomial) -> GradedElement:
         out = self._monomials.get(m)
         if out is None:
             if not m:
@@ -617,7 +524,7 @@ class _Substitution:
             elif len(m) == 1:
                 out = self._power(*m[0])
             else:
-                out = self.target.mul(self.image(m[:-1]), self._power(*m[-1]))
+                out = self.target.mul(self._image(m[:-1]), self._power(*m[-1]))
             self._monomials[m] = out
         return out
 
@@ -625,36 +532,5 @@ class _Substitution:
         """The image of e: a sum of canonical forms, hence canonical."""
         out: set[Monomial] = set()
         for m in e.terms:
-            out ^= self.image(m).terms
+            out ^= self._image(m).terms
         return GradedElement(frozenset(out))
-
-
-class AlgebraMap:
-    """Degree-preserving algebra map given on generators.
-
-    Validated to carry every relation of the source to zero; used for
-    naturality of pages and for boundary restriction maps.
-    """
-
-    def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
-                 images: Mapping[str, GradedElement]):
-        self.source = source
-        self.target = target
-        self.images = {}
-        for g in source.generators:
-            if g.kind == LAURENT:
-                raise InvalidPairError("maps of coefficient units are not modelled")
-            if g.name not in images:
-                raise InvalidPairError(f"no image supplied for generator {g.name}")
-            img = target.reduce(images[g.name])
-            if img and target.degree_of(img) != g.degree:
-                raise InvalidPairError(
-                    f"image of {g.name} is not homogeneous of degree {g.degree}")
-            self.images[g.name] = img
-        self._substitution = _Substitution(source, target, self.images)
-        for r in source.relations:
-            if self.apply(r) != target.zero:
-                raise InvalidPairError(f"relation {r} is not carried to zero")
-
-    def apply(self, e: GradedElement) -> GradedElement:
-        return self._substitution.apply(e)

@@ -2,7 +2,7 @@
 
 A space file is sectioned text; ``#`` starts a comment.  Sections:
 
-    [generators]   name degree [polynomial|exterior|laurent-unit]
+    [generators]   name degree [polynomial|exterior]
     [relations]    one sum-of-monomials expression per line
     [sq]           gen i expr        (Sq^i of a generator, 0 < i < |gen|)
     [integral]     degree expr      (spanning entries of the integral image)
@@ -29,7 +29,6 @@ from .ahss import SpaceModel
 from .errors import ComputationError, ParseError
 from .f2alg import (
     EXTERIOR,
-    LAURENT,
     POLYNOMIAL,
     AlgebraMap,
     GradedElement,
@@ -49,7 +48,6 @@ MAX_MODULE_RANK = 24
 _KIND_ALIASES = {
     "polynomial": POLYNOMIAL, "poly": POLYNOMIAL,
     "exterior": EXTERIOR, "ext": EXTERIOR,
-    "laurent-unit": LAURENT, "laurent": LAURENT, "unit": LAURENT,
 }
 
 _SECTIONS = {

@@ -32,7 +32,6 @@ from . import gf2
 from .errors import NotIntegralError, ValidationError
 from .f2alg import (
     EXTERIOR,
-    LAURENT,
     ONE,
     AlgebraMap,
     GradedElement,
@@ -63,9 +62,6 @@ class SqAction:
 
     def __init__(self, algebra: PresentedAlgebra,
                  table: Mapping[str, Mapping[int, GradedElement]] | None = None):
-        if any(g.kind == LAURENT for g in algebra.generators):
-            raise ValidationError(
-                "Sq actions are defined on coefficient-free algebras only")
         self.algebra = algebra
         table = dict(table or {})
         self._table: dict[str, dict[int, GradedElement]] = {}

@@ -9,7 +9,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from moravak.f2alg import (
     EXTERIOR,
-    LAURENT,
     GradedElement,
     GradedGenerator,
     PresentedAlgebra,
@@ -86,13 +85,11 @@ def random_unreduced(alg: PresentedAlgebra, rnd: random.Random) -> GradedElement
     for _ in range(rnd.randint(1, 4)):
         pairs = []
         for g in rnd.sample(alg.generators, min(2, len(alg.generators))):
-            low = -2 if g.kind == LAURENT else 0
-            pairs.append((g.name, rnd.randint(low, cap // g.degree + 1)))
+            pairs.append((g.name, rnd.randint(0, cap // g.degree + 1)))
         terms ^= {monomial(*pairs)}
-    plain = [g for g in alg.generators if g.kind != LAURENT]
     for r in alg.relations:
         if rnd.random() < 0.5:
-            mult = monomial(*((g.name, rnd.randint(0, 2)) for g in plain))
+            mult = monomial(*((g.name, rnd.randint(0, 2)) for g in alg.generators))
             for t in r.terms:
                 terms ^= {monomial(*mult, *t)}
     return GradedElement(frozenset(terms))

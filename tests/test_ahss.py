@@ -174,7 +174,7 @@ def reference_columns(page, space, twist) -> dict:
     out = {}
     for p, cols in page.diff.items():
         if p + page.step <= alg.degree_cap:
-            out[p] = tuple(reference_routes(alg, ref.milnor_q(page.n, m) + reference_mul(alg, m, phi))[2]
+            out[p] = tuple(reference_routes(alg, ref.milnor_q(page.n, m) + reference_mul(alg, m, phi))[1]
                            .get(p + page.step, 0) for m in page.bases[p])
     return out
 

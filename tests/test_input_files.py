@@ -25,6 +25,7 @@ SECONDS = 2.0
 
 NAMES = ["a", "b", "x", "y3"]
 BAD_TOKENS = ["", "x", "two", "1.5", "-", "[", "]", "{", "1e3", "+", "0x1", "9" * 30]
+# the last two are unknown kinds
 KINDS = ["polynomial", "exterior", "ext", "laurent-unit", "bogus"]
 STRAY_LINES = ["[nonsense]", "stray text", "[generators]", "[operator]", "[module]",
                "{", "w", "cap"]

@@ -179,6 +179,9 @@ MALFORMED = [
     ("exponent.space", "[generators]\nt 1\n[relations]\nt^" + "9" * 5000 + "\n", "ahss", 2),
     ("binary.space", b"\xff\xfe\x00binary", "ahss", 2),
     ("cap60.space", "[generators]\na 1\nb 1\nc 1\nd 1\n[metadata]\ncap 60\n", "ahss", 4),
+    # an index row is keyed by degree-4 coordinates, outside a cap-3 window
+    ("index.space", "[generators]\nt 1 polynomial\n[metadata]\ncap 3\ndimension 3\n"
+     "index 0 0\n", "obstruct", 3),
 ]
 
 
@@ -193,13 +196,21 @@ def test_malformed_files_end_in_typed_errors(tmp_path, capsys, name, content, co
         path.write_text(content)
     argv = {"tor": ["tor", "--module", str(path)],
             "khorami": ["khorami", "--module", str(path)],
-            "ahss": ["ahss", "--space", str(path), "--n", "1"]}[command]
+            "ahss": ["ahss", "--space", str(path), "--n", "1"],
+            "obstruct": ["obstruct", "--manifold", str(path), "--check", "wu"]}[command]
     start = time.perf_counter()
     assert main(argv) == code
     assert time.perf_counter() - start < 2.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_laurent_kinds_are_unknown(tmp_path, capsys):
+    for kind in ("laurent-unit", "laurent", "unit"):
+        path = write(tmp_path, f"[generators]\nt 1\n\nv 6 {kind}\n")
+        assert main(["ahss", "--space", str(path), "--n", "1"]) == 2
+        assert capsys.readouterr().err == f"error: line 4: unknown generator kind {kind!r}\n"
 
 
 def test_size_errors_name_their_limit(tmp_path, capsys):

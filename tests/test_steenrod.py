@@ -10,7 +10,6 @@ from moravak.f2alg import (
     GradedElement,
     GradedGenerator,
     PresentedAlgebra,
-    _Substitution,
     monomial,
     parse_element,
 )
@@ -39,19 +38,31 @@ from oracles import brute_milnor_multi, brute_milnor_on_power, sq_on_multipower
 
 class ReferenceSq:
     """Sq^i and Q_j on elements as they were computed term by term: the
-    total square of a monomial is its image under the generator
-    substitution g -> sum_i Sq^i(g), Sq^i keeps the terms of that image
-    of one degree, and Q_j recurses on elements."""
+    total square of a monomial is the product of the total squares
+    sum_i Sq^i(g) of its factors, one generator factor at a time, Sq^i
+    keeps the terms of that image of one degree, and Q_j recurses on
+    elements."""
 
     def __init__(self, action: SqAction):
         self.algebra = alg = action.algebra
-        totals = {}
+        self.totals = {}
         for g in alg.generators:
             total = ZERO
             for i in range(g.degree + 1):
                 total = total + action.generator_sq(g.name, i)
-            totals[g.name] = total
-        self.total = _Substitution(alg, alg, totals)
+            self.totals[g.name] = total
+        self.images = {}
+
+    def total(self, m) -> GradedElement:
+        """The total square of m; an exterior square maps to zero."""
+        alg = self.algebra
+        if m not in self.images:
+            out = alg.one if alg._check_monomial(m) else ZERO
+            for name, exp in m:
+                for _ in range(exp):
+                    out = alg.mul(out, self.totals[name])
+            self.images[m] = out
+        return self.images[m]
 
     def sq(self, i: int, e: GradedElement) -> GradedElement:
         alg = self.algebra
@@ -60,7 +71,7 @@ class ReferenceSq:
             target = alg.monomial_degree(m) + i
             if target > alg.degree_cap:
                 continue
-            for mono in self.total.image(m).terms:
+            for mono in self.total(m).terms:
                 if alg.monomial_degree(mono) == target:
                     out ^= {mono}
         return GradedElement(frozenset(out))
