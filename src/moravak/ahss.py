@@ -2,10 +2,11 @@
 
 The coefficient ring is a graded field on one invertible class v of
 degree w = 2^{n+1} - 2, so a page is determined by one fundamental
-strip: for each column p we store a basis of the cell and one
-differential matrix into column p + (2^{n+1} - 1); every other row of
-the page is the v-power translate of the strip, and the differential
-sends the v-exponent e to e - 1.
+strip: for each column p we store a basis of the cell, as coordinate
+ints over the algebra's ``basis(p)``, and one differential matrix into
+column p + (2^{n+1} - 1); every other row of the page is the v-power
+translate of the strip, and the differential sends the v-exponent e to
+e - 1.  Classes are built as elements only on request.
 
 The differential on the starting page is
     d(m * v^e) = (Q_n(m) + m * phi) * v^{e-1},
@@ -20,7 +21,8 @@ there depends on classes the model does not contain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import gf2
@@ -80,15 +82,18 @@ class TwistClass:
 
 
 class Page:
-    """One fundamental strip of a bigraded page plus its differential."""
+    """One fundamental strip of a bigraded page plus its differential.
+
+    ``coords[p]`` holds one int per class of column p, bit i for the i-th
+    monomial of ``algebra.basis(p)``; ``bases`` builds the elements."""
 
     def __init__(self, n: int, algebra: PresentedAlgebra,
-                 bases: Mapping[int, tuple[GradedElement, ...]],
+                 coords: Mapping[int, tuple[int, ...]],
                  diff: Optional[Mapping[int, tuple[int, ...]]],
                  incomplete: frozenset, label: str):
         self.n = n
         self.algebra = algebra
-        self.bases = dict(bases)
+        self.coords = dict(coords)
         self.diff = dict(diff) if diff is not None else None
         self.incomplete = frozenset(incomplete)
         self.label = label
@@ -106,8 +111,13 @@ class Page:
     def window(self) -> range:
         return range(0, self.algebra.degree_cap + 1)
 
+    @cached_property
+    def bases(self) -> dict[int, tuple[GradedElement, ...]]:
+        return {p: tuple(self.algebra.element_from_bits(p, c) for c in cols)
+                for p, cols in self.coords.items()}
+
     def rank(self, p: int) -> int:
-        return len(self.bases.get(p, ()))
+        return len(self.coords.get(p, ()))
 
     def is_incomplete(self, p: int) -> bool:
         return p in self.incomplete
@@ -128,9 +138,6 @@ class Page:
             return None
         return self.diff.get(p)
 
-    def ranks(self) -> dict[int, int]:
-        return {p: self.rank(p) for p in self.window}
-
 
 def twist_term(space: SpaceModel, twist: TwistClass, n: int) -> GradedElement:
     """The degree-(2^{n+1}-1) class Q_{n-1}...Q_1 applied to the twist;
@@ -150,9 +157,9 @@ def e2_page(space: SpaceModel, n: int) -> Page:
     if n < 1:
         raise ValidationError("height must be >= 1")
     _check_height(n)
-    bases = {p: space.algebra.basis_elements(p)
-             for p in range(space.algebra.degree_cap + 1)}
-    return Page(n, space.algebra, bases, None, frozenset(), "E2")
+    coords = {p: tuple(1 << i for i in range(len(space.algebra.basis(p))))
+              for p in range(space.algebra.degree_cap + 1)}
+    return Page(n, space.algebra, coords, None, frozenset(), "E2")
 
 
 def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page:
@@ -170,11 +177,13 @@ def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page
     incomplete: set[int] = set()
     for p in page.window:
         if p + R <= cap:
+            # basis monomials are no pivots, so their window bits are reduced
+            units = [1 << alg._offsets[p] + i for i in alg._deg_data(p).basis_indices]
             diff[p] = tuple(alg._basis_bits(action._q(n, x) ^ alg._mul_bits(x, phi), p + R)
-                            for x in map(alg._reduced_bits, page.bases[p]))
+                            for x in (gf2.apply_columns(units, c) for c in page.coords[p]))
         elif space.closed_window:
             # target degree exceeds the dimension: the map is honestly zero
-            diff[p] = tuple(0 for _ in page.bases[p])
+            diff[p] = (0,) * len(page.coords[p])
         else:
             incomplete.add(p)
     for p in page.window:
@@ -184,40 +193,29 @@ def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page
                 if gf2.apply_columns(down, col):
                     raise InconsistentActionError(
                         f"d^2 != 0 out of column {p}; the Sq table is inconsistent")
-    return Page(n, page.algebra, page.bases, diff, frozenset(incomplete), page.label)
+    return Page(n, page.algebra, page.coords, diff, frozenset(incomplete), page.label)
 
 
 def turn_page(page: Page) -> Page:
     """Homology of the differential, with deterministic representatives.
 
     Surviving classes in column p are kernel-mod-image vectors reduced to
-    their lexicographically least form; incomplete columns keep their old
-    basis and stay flagged, since their kernel is not computable inside
-    the window.
+    their lexicographically least form, mapped through the old column's
+    coordinates; incomplete columns keep their old coordinates and stay
+    flagged, since their kernel is not computable inside the window.
     """
     if page.diff is None:
         raise DifferentialNotFilledError("fill the differential before turning")
     R = page.step
-    new_bases: dict[int, tuple[GradedElement, ...]] = {}
-    for p in page.window:
-        old = page.bases.get(p, ())
-        if p in page.incomplete:
-            new_bases[p] = old
-            continue
-        image = page.diff[p - R] if p - R >= 0 else ()
-        elems = []
-        for rep in gf2.homology(page.diff[p], len(old), image):
-            e = ZERO
-            for i in gf2.bits(rep):
-                e = e + old[i]
-            elems.append(e)
-        new_bases[p] = tuple(elems)
-    zero_diff = {p: tuple(0 for _ in new_bases[p])
-                 for p in page.window if p not in page.incomplete}
+    coords = dict(page.coords)  # incomplete columns have no diff and stay
+    for p, out in page.diff.items():
+        old, image = page.coords[p], page.diff[p - R] if p - R >= 0 else ()
+        coords[p] = tuple(gf2.apply_columns(old, rep)
+                          for rep in gf2.homology(out, len(old), image))
+    zero_diff = {p: (0,) * len(coords[p]) for p in page.diff}
     label = f"E{2 ** (page.n + 1)}" if page.label == "E2" \
         else page.label + "+ (upper bound)"
-    return Page(page.n, page.algebra, new_bases, zero_diff,
-                page.incomplete, label)
+    return Page(page.n, page.algebra, coords, zero_diff, page.incomplete, label)
 
 
 @dataclass(frozen=True)
@@ -260,15 +258,13 @@ def integral_first_differential(page: Page, space: SpaceModel,
     else:
         twist_ok = False
     certificates: dict[int, tuple] = {}
-    for p in filled.window:
-        if p in filled.incomplete:
-            continue
-        cols = filled.diff[p]
+    for p, cols in filled.diff.items():  # the complete columns
         verdicts = []
-        for m, col in zip(filled.bases[p], cols):
+        for c, col in zip(filled.coords[p], cols):
             if col:
                 verdicts.append(TriState.NO)
             else:
+                m = space.algebra.element_from_bits(p, c)
                 qn_ok = integ.contains(sq(filled.v_width, m, space.action))
                 verdicts.append(TriState.YES if (qn_ok and twist_ok)
                                 else TriState.UNKNOWN)

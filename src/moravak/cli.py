@@ -3,7 +3,8 @@
 Every run produces a Report carrying the command payload plus an echo
 of the inputs and the tool version; rendering is byte-deterministic for
 identical inputs (sorted keys, no timestamps).  Exit codes: 0 ok,
-2 parse, 3 validation, 4 computation, 5 hypothesis violated.
+2 parse, 3 validation, 4 computation, 5 hypothesis violated, 141 stdout
+closed early.
 
 The argument parser is built once per process, by the first ``main``
 call, and reused; ``build_parser`` builds a fresh one.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -167,10 +169,6 @@ def _resolve_path(raw: str, prefer: str | None = None) -> Path:
     if bundled is not None:
         return bundled
     raise ParseError(f"no such file or bundled fixture: {raw}")
-
-
-def _tristate(t: TriState) -> str:
-    return t.value
 
 
 # -- twist --------------------------------------------------------------------
@@ -328,7 +326,7 @@ def cmd_ahss(args) -> Report:
         for p in sorted(result.certificates):
             row = result.certificates[p]
             if row:
-                certs[f"p={p:02d}"] = [_tristate(t) for t in row]
+                certs[f"p={p:02d}"] = [t.value for t in row]
         payload["certificates"] = certs
     else:
         filled = first_differential(page2, space, twist)
@@ -408,7 +406,7 @@ def _report_payload(report) -> dict:
             continue
         value = getattr(report, f.name)
         if isinstance(value, TriState):
-            value = _tristate(value)
+            value = value.value
         elif isinstance(value, GradedElement):
             value = str(value)
         elif isinstance(value, tuple):
@@ -456,7 +454,7 @@ def cmd_obstruct(args) -> Report:
     elif check == "integral-sw":
         rep, cert = integral_sw(model, args.i)
         inputs["i"] = args.i
-        payload = {"shadow": str(rep), "certificate": _tristate(cert)}
+        payload = {"shadow": str(rep), "certificate": cert.value}
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown check {check!r}")
     return Report("obstruct", inputs, payload)
@@ -541,7 +539,12 @@ def main(argv=None) -> int:
     except MoravakError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    print(report.render(json_only=args.json))
+    try:
+        print(report.render(json_only=args.json), flush=True)
+    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+        # point stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process killed by it
     return 0
 
 

@@ -348,8 +348,7 @@ class PresentedAlgebra:
     def basis(self, d: int) -> tuple[Monomial, ...]:
         """Deterministic monomial basis of the degree-d quotient space."""
         self._check_degree(d)
-        data = self._deg_data(d)
-        return tuple(data.candidates[i] for i in data.basis_indices)
+        return self._deg_data(d).basis
 
     def basis_elements(self, d: int) -> tuple[GradedElement, ...]:
         return tuple(GradedElement(frozenset({m})) for m in self.basis(d))
@@ -455,7 +454,7 @@ class PresentedAlgebra:
 
 
 class _DegreeData:
-    __slots__ = ("candidates", "index", "rel_rows", "basis_indices", "pivots")
+    __slots__ = ("candidates", "index", "rel_rows", "basis_indices", "basis", "pivots")
 
     def __init__(self, candidates, index, rel_rows):
         self.candidates = tuple(candidates)
@@ -463,6 +462,7 @@ class _DegreeData:
         self.rel_rows = rel_rows  # keeps the pivot index of gf2.reduce_rows
         pivots = gf2.pivots(rel_rows)
         self.basis_indices = tuple(i for i in range(len(candidates)) if i not in pivots)
+        self.basis = tuple(self.candidates[i] for i in self.basis_indices)
         self.pivots = sorted(pivots)
 
     def basis_bits(self, vec: int) -> int:

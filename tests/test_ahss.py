@@ -18,7 +18,7 @@ from moravak.errors import (
     ValidationError,
     WrongTwistDegreeError,
 )
-from moravak.f2alg import AlgebraMap, EXTERIOR, GradedGenerator, PresentedAlgebra
+from moravak.f2alg import AlgebraMap, EXTERIOR, GradedGenerator, PresentedAlgebra, parse_element
 from moravak.spacefile import parse_space
 from moravak.steenrod import IntegralityData, SqAction, TriState, milnor_q, sq
 
@@ -38,6 +38,15 @@ def synth12():
 def honest_height2_model(cap=16):
     alg, act = projective_product(3, cap)
     return SpaceModel(alg, act)
+
+
+def wedge_model(cap=12):
+    """RP^inf v RP^inf: F2[a, b]/(ab).  The relation's monomial sorts
+    first in degree 2, so basis monomials sit above a pivot and basis
+    position i is not candidate i."""
+    alg = PresentedAlgebra([GradedGenerator("a", 1), GradedGenerator("b", 1)],
+                           [parse_element("a*b")], cap)
+    return SpaceModel(alg, SqAction(alg, {}))
 
 
 def test_e2_page_point():
@@ -185,7 +194,8 @@ def reference_columns(page, space, twist) -> dict:
     (lambda: parse_space(FIXTURES / "rp_inf.space"), 1, ["0", "t^3"]),
     (synth12, 1, ["0"]),
     (lambda: parse_space(FIXTURES / "fb12.space").space, 2, ["0"]),
-], ids=["product", "synth12", "rp_inf", "synth12-n1", "fb12"])
+    (wedge_model, 1, ["0", "a^3 + b^3"]),
+], ids=["product", "synth12", "rp_inf", "synth12-n1", "fb12", "wedge"])
 def test_first_differential_columns_match_reference(model, n, twists):
     space = model()
     for text in twists:
@@ -281,6 +291,73 @@ def test_second_turn_is_upper_bound():
     assert "upper bound" in twice.label
     assert {p: twice.rank(p) for p in twice.window} == \
         {p: once.rank(p) for p in once.window}
+
+
+def reference_turn(page) -> dict:
+    """The turned bases by the element route: each homology representative
+    as the sum of the page's basis elements at its bits."""
+    out = {}
+    for p in page.window:
+        old = page.bases[p]
+        if p in page.incomplete:
+            out[p] = old
+            continue
+        image = page.diff[p - page.step] if p >= page.step else ()
+        sums = []
+        for rep in gf2.homology(page.diff[p], len(old), image):
+            e = page.algebra.zero
+            for i in gf2.bits(rep):
+                e = e + old[i]
+            sums.append(e)
+        out[p] = tuple(sums)
+    return out
+
+
+@pytest.mark.parametrize("model, n, twists", [
+    (s3_model, 1, ["0", "h"]),
+    (lambda: parse_space(FIXTURES / "rp_inf.space"), 1, ["0", "t^3"]),
+    (synth12, 2, ["h4"]),
+    (lambda: honest_height2_model(cap=12), 2, ["t1^4 + t1*t2*t3^2"]),
+    # Sq^1(t1 t2): survivors of up to three terms
+    (lambda: honest_height2_model(cap=12), 1, ["t1^2*t2 + t1*t2^2"]),
+], ids=["s3", "rp_inf", "synth12", "product", "product-n1"])
+def test_turned_representatives_are_sums_of_basis_elements(model, n, twists):
+    space = model()
+    for text in twists:
+        filled = first_differential(e2_page(space, n), space,
+                                    TwistClass(space.algebra.element(text)))
+        once = turn_page(filled)
+        assert once.bases == reference_turn(filled)
+        assert turn_page(once).bases == reference_turn(once)
+
+
+def test_rank_path_builds_no_element(monkeypatch):
+    """Ranks come from coordinates alone: with every route from basis
+    coordinates to elements refused, the page turns to the same ranks.
+    The certificates, which read classes as elements, stay as they were."""
+    def ranks():
+        alg, act = projective_product(3, 17)
+        space = SpaceModel(alg, act)
+        twist = TwistClass(alg.element("t1*t2*t3^3"))  # phi has six terms
+        page = turn_page(first_differential(e2_page(space, 3), space, twist))
+        return {p: page.rank(p) for p in page.window}, page.incomplete
+
+    def refuse(*args):
+        raise AssertionError("the rank path built an element")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PresentedAlgebra, "element_from_bits", refuse)
+        patch.setattr(PresentedAlgebra, "basis_elements", refuse)
+        refused = ranks()
+    assert refused == ranks()
+    assert refused[0][0] == refused[0][2] == 0 and refused[0][3] == 10
+    syn = synth12()
+    for text, expected in (("0", {0: "Y", 4: "N", 6: "U", 7: "N", 8: "U"}),
+                           ("h4", {0: "N", 4: "U", 6: "N", 7: "U", 8: "N"})):
+        result = integral_first_differential(e2_page(syn, 2), syn,
+                                             TwistClass(syn.algebra.element(text)))
+        assert {p: "".join(t.name[0] for t in row)
+                for p, row in result.certificates.items() if row} == expected
 
 
 def all_integral_model(cap=18):

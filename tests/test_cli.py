@@ -181,6 +181,24 @@ def test_determinism_across_hash_seeds():
     assert outputs[0] == outputs[1]
 
 
+def test_closed_stdout_is_exit_141_without_traceback():
+    """A reader that stops after one line, as ``| head -1`` does, ends the
+    run with 128 + SIGPIPE and nothing but the report's start written."""
+    import subprocess
+    import sys
+    # about 160 kB of report, far more than a pipe buffer holds
+    argv = [sys.executable, "-m", "moravak.cli", "tor", "--module", "r0free",
+            "--i", "0", "1500"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"moravak ")
+    assert b"Traceback" not in err
+
+
 def test_usage_error_is_exit_2():
     parser = build_parser()
     with pytest.raises(SystemExit) as exc:
