@@ -170,13 +170,12 @@ def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page
         raise ValidationError("page was built from a different space")
     n, R = page.n, page.step
     alg, action = space.algebra, space.action
-    cap = alg.degree_cap
     # columns are built in the algebra's window numbers (see f2alg)
     phi = alg._reduced_bits(twist_term(space, twist, n))
     diff: dict[int, tuple[int, ...]] = {}
     incomplete: set[int] = set()
     for p in page.window:
-        if p + R <= cap:
+        if p + R <= alg.degree_cap:
             # basis monomials are no pivots, so their window bits are reduced
             units = [1 << alg._offsets[p] + i for i in alg._deg_data(p).basis_indices]
             diff[p] = tuple(alg._basis_bits(action._q(n, x) ^ alg._mul_bits(x, phi), p + R)
@@ -191,6 +190,10 @@ def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page
             down = diff[p + R]
             for col in diff[p]:
                 if gf2.apply_columns(down, col):
+                    h = alg.reduce(twist.element)
+                    if beta := sq(1, h, action):  # then h is no integral reduction
+                        raise NotIntegralError(
+                            f"twist {h} reduces from no integral class: Sq^1 of it is {beta}")
                     raise InconsistentActionError(
                         f"d^2 != 0 out of column {p}; the Sq table is inconsistent")
     return Page(n, page.algebra, page.coords, diff, frozenset(incomplete), page.label)

@@ -297,12 +297,8 @@ def _twist_from_arg(space, n: int, raw: str) -> TwistClass:
 
 
 def _page_payload(page: Page) -> dict:
-    ranks = {}
-    for p in page.window:
-        if page.is_incomplete(p):
-            ranks[f"p={p:02d}"] = "edge-incomplete"
-        else:
-            ranks[f"p={p:02d}"] = page.rank(p)
+    ranks = {f"p={p:02d}": "edge-incomplete" if page.is_incomplete(p) else page.rank(p)
+             for p in page.window}
     return {"label": page.label, "ranks": ranks}
 
 

@@ -9,10 +9,10 @@ Quotient bases are computed one degree at a time by GF(2) linear
 algebra on the span of relation multiples.  Every algebra carries a
 hard degree cap ``D``: monomials of degree above ``D`` are truncated
 away, which keeps each degree window finite and exact.  One walk over
-the generator degrees first counts the monomials of the window,
-refusing more than ``MAX_WINDOW`` of them before any is built, and then
-enumerates them once, bucketed by degree; every degree's basis and
-relation multiples are read from these buckets.
+the generators, in reverse name order, counts the window's monomials,
+refusing more than ``MAX_WINDOW`` of them before any is built, then
+lists them by degree, each degree already in monomial order: no degree
+is ever sorted, and its basis and relation multiples are read from it.
 
 The walk also yields each monomial's degree, kept in one window-wide
 map, and, run once more on keys alone when the first degree is built,
@@ -25,19 +25,19 @@ key is a product that vanishes: an exterior square, or a degree above
 the cap.
 
 The window monomials are also numbered, degree-major: degree d holds
-the numbers from its offset, the count of all lower degrees, in
-candidate order.  An element is then one int with bit n for monomial
-n.  Degrees are numbered when they are first built, and each registers
-its relation rows, shifted to its offset, in one window-wide pivot
-index; different degrees have disjoint supports, so one elimination
-against that index reduces an element of any degrees.  A product of two
-such elements is a sum of keys per pair of terms and one elimination.
+the numbers from its offset, the count of all lower degrees, in bucket
+order.  An element is then one int with bit n for monomial n.  Each
+degree numbers its keys when it is first built, and registers its
+relation rows, shifted to its offset, in one window-wide pivot index;
+different degrees have disjoint supports, so one elimination against
+that index reduces an element of any degrees.  A product of two such
+elements is a sum of keys per pair of terms and one elimination.
 ``reduce``, ``mul`` and ``express_bits`` all go through these numbers;
 a term outside the window raises on an unknown generator or a negative
-exponent and is dropped otherwise.  Reduction is
-linear and works degree by degree, so a sum of canonical forms, and the
-part of one degree of a canonical form, are canonical.  Ring maps given
-on generators (``AlgebraMap``) cache generator powers and monomial
+exponent and is dropped otherwise.  Reduction is linear and works
+degree by degree, so a sum of canonical forms, and the part of one
+degree of a canonical form, are canonical.  Ring maps given on
+generators (``AlgebraMap``) cache generator powers and monomial
 images; a monomial's image is the cached image of its prefix, all
 factors but the last, times one cached power.
 """
@@ -186,12 +186,11 @@ class PresentedAlgebra:
         self.generators = tuple(generators)
         self.degree_cap = degree_cap
         self._by_name = {g.name: g for g in generators}
-        self._buckets = self._window()  # window monomials by degree
+        self._buckets = self._window()  # window monomials by degree, each sorted
         self._degrees = {m: d for d, bucket in enumerate(self._buckets) for m in bucket}
         self._bucket_keys: list[list[int]] | None = None  # see _keys
-        # window numbers, filled in by _build_degree one degree at a time
         self._offsets = list(accumulate(map(len, self._buckets), initial=0))
-        self._numbered: list[Monomial | None] = [None] * self._offsets[-1]
+        self._numbered = [m for bucket in self._buckets for m in bucket]  # window numbers
         self._number_keys = [0] * self._offsets[-1]
         self._key_numbers: dict[int, int] = {}
         self._pivots: dict[int, int] = {}  # window-wide pivot index
@@ -271,14 +270,17 @@ class PresentedAlgebra:
     # -- window numbers ------------------------------------------------------
 
     def _keys(self, d: int) -> list[int]:
-        """The keys of the window monomials of degree d, in bucket order.
+        """The keys of the window monomials of degree d, in monomial order.
         The first call runs the window walk again on keys alone."""
         if self._bucket_keys is None:
             keys: list[list[int]] = [[0]] + [[] for _ in range(self.degree_cap)]
-            for name, w, degrees in self._walk:
+            for name, w, polynomial in self._walk:  # reverse name order; times g is + unit
                 unit = (1 << self._fields[name]) + (w << self._degree_shift)
-                for deg in degrees:
-                    keys[deg] += [k + unit for k in keys[deg - w]]
+                with_g: list[list[int]] = [[]] * w
+                for deg in range(w, len(keys)):
+                    below = keys[deg - w] + with_g[deg - w] if polynomial else keys[deg - w]
+                    with_g.append([k + unit for k in below])
+                keys[w:] = [a + b if a else b for a, b in zip(with_g[w:], keys[w:])]
             self._bucket_keys = keys
         return self._bucket_keys[d]
 
@@ -383,40 +385,43 @@ class PresentedAlgebra:
         return r
 
     def _window(self) -> list[list[Monomial]]:
-        """The monomials of each degree 0..cap.
+        """The monomials of each degree 0..cap, each degree in monomial order.
 
-        One walk adds the generators one at a time, in name order so
-        that monomials stay sorted: an exterior one at most once
-        (degrees descending), a polynomial one any number of times
-        (ascending).  It runs on counts first, so an oversized window is
-        refused before any monomial is built, then on lists.  It also
-        lays out the keys: each generator's field holds twice its
-        largest window exponent, and the degree sits above all fields.
-        """
+        One walk puts the generators in front one at a time, in reverse
+        name order, so each degree d comes out sorted: g times the old
+        degree d - |g|, then g times the part of the new degree d - |g|
+        that holds g (not for an exterior g), then the old degree d.  It
+        runs on counts first, so an oversized window is refused before
+        any monomial is built.  It also lays out the keys: each
+        generator's field holds twice its largest window exponent, and
+        the degree sits above all fields."""
         cap = self.degree_cap
         if cap >= MAX_WINDOW:
             raise ComputationError(f"degree cap {cap} exceeds the limit {MAX_WINDOW - 1}")
-        gens = sorted(self.generators, key=lambda g: g.name)
-        self._walk = [(g.name, g.degree, range(cap, g.degree - 1, -1) if g.kind == EXTERIOR
-                       else range(g.degree, cap + 1)) for g in gens]
+        gens = sorted((g for g in self.generators if g.degree <= cap), key=lambda g: g.name)
+        self._walk = [(g.name, g.degree, g.kind == POLYNOMIAL) for g in reversed(gens)]
         fields = list(accumulate(
             ((2 * min(cap // g.degree, 1 if g.kind == EXTERIOR else cap)).bit_length()
              for g in gens), initial=0))
         self._fields = {g.name: shift for g, shift in zip(gens, fields)}
         self._degree_shift = fields[-1]
         counts = [1] + [0] * cap
-        for _, w, degrees in self._walk:
-            for d in degrees:
+        for _, w, polynomial in self._walk:
+            for d in range(w, cap + 1) if polynomial else range(cap, w - 1, -1):
                 counts[d] += counts[d - w]
         total = sum(counts)
         if total > MAX_WINDOW:
             raise ComputationError(f"degree window [0, {cap}] holds {total} laurent-free "
                                    f"monomials; the limit is {MAX_WINDOW}")
         window: list[list[Monomial]] = [[()]] + [[] for _ in range(cap)]
-        for name, w, degrees in self._walk:
-            for d in degrees:  # append a new last pair or bump the last one
-                window[d] += [m[:-1] + ((name, m[-1][1] + 1),) if m and m[-1][0] == name
-                              else m + ((name, 1),) for m in window[d - w]]
+        for name, w, polynomial in self._walk:
+            first, with_g = ((name, 1),), [[]] * w  # with_g[d]: the part of degree d with g
+            for d in range(w, cap + 1):
+                part = [first + m for m in window[d - w]]
+                if polynomial and with_g[d - w]:
+                    part += [((name, m[0][1] + 1),) + m[1:] for m in with_g[d - w]]
+                with_g.append(part)
+            window[w:] = [a + b if a else b for a, b in zip(with_g[w:], window[w:])]
         return window
 
     def _reduced_relations_ok(self):
@@ -430,13 +435,9 @@ class PresentedAlgebra:
         return self._degree_cache[d]
 
     def _build_degree(self, d: int) -> "_DegreeData":
-        # number the degree, build its relation multiples by adding keys,
-        # and join its pivots to the window-wide index
-        bucket, bucket_keys = self._buckets[d], self._keys(d)
-        order = sorted(range(len(bucket)), key=bucket.__getitem__)
-        candidates, keys = [bucket[i] for i in order], [bucket_keys[i] for i in order]
+        # number the bucket as it stands (the walk sorted it), then its relation rows
+        candidates, keys = self._buckets[d], self._keys(d)
         offset, end, numbers = self._offsets[d], self._offsets[d + 1], self._key_numbers
-        self._numbered[offset:end] = candidates
         self._number_keys[offset:end] = keys
         numbers.update(zip(keys, range(offset, end)))
         index = dict(zip(candidates, range(end - offset)))

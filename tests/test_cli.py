@@ -164,6 +164,24 @@ def test_exit_codes(capsys):
     assert code == 5  # c is not a declared torsion class
 
 
+@pytest.mark.parametrize("twist, beta", [
+    ("t1*t2*t3^2", "t1*t2^2*t3^2 + t1^2*t2*t3^2"),
+    ("t1^2*t2*t3", "t1^2*t2*t3^2 + t1^2*t2^2*t3"),
+])
+def test_non_integral_twist_is_exit_3(capsys, tmp_path, twist, beta):
+    """On (RP^inf)^3, whose Sq table the Cartan formula fixes, a twist with
+    Sq^1 != 0 reduces from no integral class and makes d^2 != 0: the error
+    names the twist and its Sq^1, not the table."""
+    path = tmp_path / "rp3.space"
+    path.write_text("[generators]\nt1 1\nt2 1\nt3 1\n\n[metadata]\ncap 16\n")
+    code = main(["ahss", "--space", str(path), "--n", "2", "--twist", twist])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        f"error: twist {twist} reduces from no integral class: Sq^1 of it is {beta}\n"
+    # Sq^1 t1^4 = 0, and the same table turns the page
+    assert main(["ahss", "--space", str(path), "--n", "2", "--twist", "t1^4"]) == 0
+
+
 def test_determinism_across_hash_seeds():
     """Reports must not leak set/dict iteration order: two fresh
     interpreters with different hash randomization agree bytewise."""

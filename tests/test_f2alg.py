@@ -2,6 +2,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, strategies as st
 from moravak import f2alg, gf2
 from moravak.errors import (
     ComputationError,
@@ -12,6 +13,7 @@ from moravak.errors import (
 )
 from moravak.f2alg import (
     EXTERIOR,
+    POLYNOMIAL,
     ZERO,
     AlgebraMap,
     GradedElement,
@@ -30,6 +32,7 @@ from conftest import (
     random_unreduced,
     truncated_projective,
 )
+from test_input_files import SETTINGS
 
 
 def rbk_algebra(n=2, cap=12):
@@ -232,6 +235,42 @@ def test_window_degrees_are_bounded():
     t = PresentedAlgebra([GradedGenerator("t", 1)], (), f2alg.MAX_WINDOW - 1)
     assert all(t.basis(d) == ((("t", d),) if d else (),)
                for d in range(f2alg.MAX_WINDOW))
+
+
+# names whose string order is not their numeric order ("t1" < "t10" < "t2")
+_DRAWN_GENERATORS = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "t1", "t10", "t2", "z"]),
+              st.integers(1, 3) | st.just(11), st.sampled_from([POLYNOMIAL, EXTERIOR])),
+    min_size=2, max_size=4, unique_by=lambda drawn: drawn[0])
+
+
+@SETTINGS
+@given(_DRAWN_GENERATORS, st.integers(0, 10))
+def test_window_walk_lists_each_degree_in_monomial_order(drawn, cap):
+    """Generators given out of name order, exterior and polynomial, some
+    of degree above the cap: every bucket is sorted, is the degree's
+    monomials, and the keys walk lists their keys in the same order."""
+    names = [name for name, _, _ in drawn]
+    assume(names != sorted(names))
+    gens = tuple(GradedGenerator(*g) for g in drawn)
+    alg = PresentedAlgebra(gens, (), cap)
+    expected = _enumerated_candidates(gens, cap)
+    for d in range(cap + 1):
+        bucket = alg._buckets[d]
+        assert bucket == sorted(bucket)
+        assert tuple(bucket) == expected.get(d, ())
+        assert alg._keys(d) == [alg._key(m) for m in bucket]
+
+
+def test_two_degree_one_generators_just_under_the_limit():
+    """154 degrees of up to 154 monomials, 11 935 in all: the widest
+    admitted window of two generators builds, degree by degree."""
+    gens = (GradedGenerator("b", 1), GradedGenerator("a", 1))
+    alg = PresentedAlgebra(gens, (), 153)
+    assert alg._offsets[-1] == 11935 <= f2alg.MAX_WINDOW
+    expected = _enumerated_candidates(gens, 153)
+    for d in range(154):
+        assert tuple(alg._buckets[d]) == alg.basis(d) == expected[d]
 
 
 def test_truncation_drops_high_degrees():
