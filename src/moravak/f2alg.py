@@ -455,15 +455,14 @@ class PresentedAlgebra:
 
 
 class _DegreeData:
-    __slots__ = ("candidates", "index", "rel_rows", "basis_indices", "basis", "pivots")
+    __slots__ = ("index", "rel_rows", "basis_indices", "basis", "pivots")
 
     def __init__(self, candidates, index, rel_rows):
-        self.candidates = tuple(candidates)
         self.index = index
         self.rel_rows = rel_rows  # keeps the pivot index of gf2.reduce_rows
         pivots = gf2.pivots(rel_rows)
         self.basis_indices = tuple(i for i in range(len(candidates)) if i not in pivots)
-        self.basis = tuple(self.candidates[i] for i in self.basis_indices)
+        self.basis = tuple(candidates[i] for i in self.basis_indices)
         self.pivots = sorted(pivots)
 
     def basis_bits(self, vec: int) -> int:

@@ -68,6 +68,19 @@ def test_tor_and_khorami(capsys):
     assert doc["payload"]["quotient"]["rank"] == 1
 
 
+def test_bar_complex_size_limit(capsys):
+    """r0free has rank 2 over six factors, so its bar complex to degree
+    m + 1 has 2 * C(m + 7, 6) generators: 3432 at --max-degree 6, 6006 at 7."""
+    doc = run_json(capsys, "khorami", "--module", "r0free", "--max-degree", "6")
+    page = doc["payload"]["bar_page"]
+    assert sorted(page) == [f"degree_{m}" for m in range(7)]
+    assert all(page[f"degree_{m}"] == 0 for m in range(1, 7))
+    assert main(["khorami", "--module", "r0free", "--max-degree", "7"]) == 4
+    assert capsys.readouterr() == \
+        ("", "error: bar complex to degree 8 has 6006 generators; the limit is 5000\n")
+    assert main(["khorami", "--module", "r0free", "--max-degree", "-1"]) == 3
+
+
 def test_fgl_commands(capsys):
     doc = run_json(capsys, "fgl", "--law", "gm", "--check-grouplike", "1+x")
     assert doc["payload"]["grouplike"] is True
