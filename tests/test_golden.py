@@ -73,6 +73,10 @@ def corpus_argv() -> list[list[str]]:
         argvs += [["tor", "--module", module, "--against", "M"],
                   ["tor", "--module", module, "--against", "N"],
                   ["khorami", "--module", module]]
+    # long ranges, where the indices i >= 1 share one entry per parity
+    argvs += [["tor", "--module", "r0free", "--i", "3", "40"],
+              ["tor", "--module", "r0free", "--k", "1", "--against", "N",
+               "--i", "2", "41", "--json"]]
     return argvs
 
 
