@@ -53,7 +53,6 @@ from .obstruct import (
 )
 from .rbk import (
     RbkModule,
-    StandardModule,
     TensorModule,
     bar_e2,
     khorami_quotient,
@@ -102,10 +101,12 @@ def _json(value, depth: int, memo: dict) -> str:
 
     A container that occurs more than once in the document is rendered
     once per depth: ``memo`` maps ``(id, depth)`` to its text for one
-    call, while the document keeps every id alive.  Types other than
-    dicts with str keys, lists, tuples, str, exact int, bool and None go
-    to ``json.dumps`` and are re-indented; JSON text has no raw newline
-    inside a string, so every newline there starts an indented line.
+    call, while the document keeps every id alive; within one dict, a
+    value object that several keys share costs one call.  Types other
+    than dicts with str keys, lists, tuples, str, exact int, bool and
+    None go to ``json.dumps`` and are re-indented; JSON text has no raw
+    newline inside a string, so every newline there starts an indented
+    line.
     """
     kind = type(value)
     if kind is str:
@@ -128,10 +129,16 @@ def _json(value, depth: int, memo: dict) -> str:
         elif kind is not dict:
             text = "[" + inner + ("," + inner).join(
                 [_json(sub, depth + 1, memo) for sub in value]) + pad + "]"
-        elif all(type(k) is str for k in value):
-            text = "{" + inner + ("," + inner).join(
-                [_encode_str(k) + ": " + _json(value[k], depth + 1, memo)
-                 for k in sorted(value)]) + pad + "}"
+        elif {*map(type, value)} == {str}:  # every key an exact str
+            tails: dict = {}  # id -> ": " + text, once per value object
+            items = []
+            for k in sorted(value):
+                sub = value[k]
+                tail = tails.get(id(sub))
+                if tail is None:
+                    tail = tails[id(sub)] = ": " + _json(sub, depth + 1, memo)
+                items.append(_encode_str(k) + tail)
+            text = "{" + inner + ("," + inner).join(items) + pad + "}"
         else:
             text = _json_fallback(value, depth)
         memo[key] = text
@@ -146,11 +153,14 @@ def _render(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines = []
     if isinstance(value, dict):
+        shared: dict = {}  # id -> lines of a sub-container, once per object
         for key in sorted(value, key=str):
             sub = value[key]
             if isinstance(sub, (dict, list)):
                 lines.append(f"{pad}{key}:")
-                lines.extend(_render(sub, indent + 1))
+                if id(sub) not in shared:
+                    shared[id(sub)] = _render(sub, indent + 1)
+                lines.extend(shared[id(sub)])
             else:
                 lines.append(f"{pad}{key}: {sub}")
     elif isinstance(value, list):
@@ -245,18 +255,20 @@ def cmd_tor(args) -> Report:
         raise ComputationError(
             f"tor range [{lo}, {hi}] has {hi - lo + 1} indices; "
             f"the limit is {MAX_TOR_INDICES}")
+
+    def entry(i: int) -> dict:
+        group = tor(mod, args.against, i)
+        return {"rank": group.rank, "degrees_mod_v": list(group.degree_classes)}
+
     # the resolution is 2-periodic, so Tor_i for i >= 1 depends only on
-    # the parity of i: compute each distinct group once, and let its
-    # indices share one entry, which the JSON renderer writes once
-    groups = {}
-    entries = {}
-    for i in range(lo, hi + 1):
-        key = i if i < 1 else 2 - i % 2
-        if key not in groups:
-            group = tor(mod, StandardModule(args.against), key)
-            groups[key] = {"rank": group.rank,
-                           "degrees_mod_v": list(group.degree_classes)}
-        entries[f"Tor_{i}"] = groups[key]
+    # the parity of i: an index below 1 gets its own entry (the smallest
+    # raises first if negative); each parity class gets one entry that
+    # all its Tor_i keys share, and both renderers write it once
+    entries = {f"Tor_{i}": entry(i) for i in range(lo, min(hi, 0) + 1)}
+    start = max(lo, 1)
+    for first in range(start, min(hi, start + 1) + 1):
+        entries.update(dict.fromkeys(
+            [f"Tor_{i}" for i in range(first, hi + 1, 2)], entry(first)))
     return Report("tor",
                   {"module": Path(args.module).name, "against": args.against,
                    "range": [lo, hi], **_module_payload(mod)},

@@ -104,13 +104,20 @@ class Series:
                       {m: v * c for m, v in self.coeffs.items()})
 
     def pow(self, k: int) -> "Series":
-        out = Series.const(1, self.nvars, self.trunc, self.modulus)
+        """Square and multiply, starting from the lowest power used and
+        squaring no further than the highest."""
+        if not k:
+            return Series.const(1, self.nvars, self.trunc, self.modulus)
         base = self
-        while k:
-            if k & 1:
-                out = out * base
+        while not k & 1:
             base = base * base
             k >>= 1
+        out = base
+        while k > 1:
+            base = base * base
+            k >>= 1
+            if k & 1:
+                out = out * base
         return out
 
     def compose(self, args: Sequence["Series"]) -> "Series":

@@ -7,7 +7,8 @@ representatives are supported on the lowest possible coordinates; with
 coordinates sorted in increasing monomial order this yields the
 lexicographically least representatives everywhere downstream.
 
-All elimination runs through the one loop in ``_eliminate``.  The
+All elimination runs through the one loop in ``_eliminate``.  ``rank``
+stops after the forward pass that ``reduce_rows`` starts with.  The
 fully reduced echelon form that ``reduce_rows`` returns (every pivot
 set in exactly one row, rows by descending pivot) depends only on the
 span of its input, never on the order or choice of the input rows.
@@ -66,8 +67,9 @@ def reduce_vector(vec: int, reduced: Sequence[int]) -> int:
     return _eliminate(vec, sum(1 << p for p in by_pivot), by_pivot)
 
 
-def reduce_rows(rows: Iterable[int]) -> list[int]:
-    """Row-reduce, pivoting on highest set bits; returns nonzero rows."""
+def _forward(rows: Iterable[int]) -> tuple[dict[int, int], int]:
+    """Forward elimination: rows with distinct highest bits, by pivot,
+    and the mask of those pivots."""
     by_pivot: dict[int, int] = {}
     mask = 0
     for row in rows:
@@ -76,6 +78,17 @@ def reduce_rows(rows: Iterable[int]) -> list[int]:
             pivot = row.bit_length() - 1
             by_pivot[pivot] = row
             mask |= 1 << pivot
+    return by_pivot, mask
+
+
+def rank(rows: Iterable[int]) -> int:
+    """Dimension of the span of rows, from forward elimination alone."""
+    return len(_forward(rows)[0])
+
+
+def reduce_rows(rows: Iterable[int]) -> list[int]:
+    """Row-reduce, pivoting on highest set bits; returns nonzero rows."""
+    by_pivot, mask = _forward(rows)
     # back-substitute, lowest pivot first: the rows below are final
     for pivot in sorted(by_pivot):
         row = by_pivot[pivot]

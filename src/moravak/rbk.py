@@ -306,7 +306,7 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
 
     # validated operators are idempotent and commute, so the count is exact
     d = [[0] * r] + [boundary(m) for m in range(1, max_degree + 2)]
-    ranks = [0] + [len(gf2.reduce_rows(cols)) for cols in d[1:]]
+    ranks = [0] + [gf2.rank(cols) for cols in d[1:]]
     out = [GradedKnModule(P.n, ())] * (max_degree + 1)
     for m in range(max_degree + 1):
         dim = len(layers[m]) * r

@@ -306,12 +306,18 @@ def test_tor_range_matches_each_index(capsys, module, k, against):
     mod = parse_module(fixtures.path(module, ".module"))
     if isinstance(mod, TensorModule):
         mod = mod.factor(int(k))
-    doc = run_json(capsys, "tor", "--module", module, "--k", k, "--against", against,
-                   "--i", "0", "9")
-    for i in range(10):
-        group = tor(mod, against, i)
-        assert doc["payload"][f"Tor_{i}"] == {
-            "rank": group.rank, "degrees_mod_v": list(group.degree_classes)}
+    # odd and even lo >= 1, single indices of each parity, and lo > hi
+    for lo, hi in [(0, 9), (3, 40), (2, 41), (1, 1), (7, 7), (5, 3)]:
+        doc = run_json(capsys, "tor", "--module", module, "--k", k, "--against", against,
+                       "--i", str(lo), str(hi))
+        assert doc["payload"] == {
+            f"Tor_{i}": {"rank": group.rank, "degrees_mod_v": list(group.degree_classes)}
+            for i in range(lo, hi + 1) for group in [tor(mod, against, i)]}
+
+
+def test_tor_range_with_a_negative_index_is_exit_3(capsys):
+    assert main(["tor", "--module", "r0free", "--i", "-1", "3"]) == 3
+    assert capsys.readouterr() == ("", "error: homological index must be nonnegative: -1\n")
 
 
 class Level(enum.IntEnum):
@@ -348,10 +354,33 @@ def shared_at_two_depths(value, other):
             "twice": (value, value)}
 
 
+def tor_shaped(odd_keys, even_keys, odd, even, other):
+    """Many keys sharing one of two values, below depth 0, as in the
+    payload of a long tor report."""
+    return {"inputs": other,
+            "payload": {**dict.fromkeys(odd_keys, odd), **dict.fromkeys(even_keys, even)}}
+
+
+MANY_KEYS = st.lists(st.text(ANY_CHARACTER, max_size=4), max_size=40)
+ENTRIES = st.one_of(VALUES, st.lists(VALUES, min_size=1, max_size=3),
+                    st.dictionaries(st.text(max_size=4), VALUES, min_size=1, max_size=3))
+TOR_SHAPED = st.builds(tor_shaped, MANY_KEYS, MANY_KEYS, ENTRIES, ENTRIES, VALUES)
+
+
 @SETTINGS
-@given(value=st.one_of(VALUES, st.builds(shared_at_two_depths, VALUES, VALUES)))
+@given(value=st.one_of(VALUES, st.builds(shared_at_two_depths, VALUES, VALUES), TOR_SHAPED))
 def test_json_renderer_matches_json_dumps(value):
     assert cli._json(value, 0, {}) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@SETTINGS
+@given(value=st.one_of(TOR_SHAPED.map(lambda doc: doc["payload"]),
+                       st.builds(shared_at_two_depths, VALUES, VALUES)))
+def test_text_renderer_writes_shared_containers_like_single_keys(value):
+    """A dict renders as its keys would one at a time, so sharing a
+    value between keys changes no line."""
+    assert cli._render(value, 1) == [
+        line for key in sorted(value, key=str) for line in cli._render({key: value[key]}, 1)]
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

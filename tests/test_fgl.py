@@ -196,3 +196,13 @@ def test_product_matches_naive_product(rng, modulus, nvars):
                     coeffs[mono] = coeffs.get(mono, 0) + sign * c
                 want = Series(nvars, trunc, modulus, coeffs)
                 assert got == want and list(got.coeffs) == list(want.coeffs)
+
+
+@pytest.mark.parametrize("modulus", [2, 8])
+@pytest.mark.parametrize("law", [FGL.multiplicative, FGL.additive])
+def test_pow_matches_repeated_products(law, modulus):
+    F = law(modulus=modulus).law
+    want = Series.const(1, F.nvars, F.trunc, modulus)
+    for k in range(10):
+        assert F.pow(k) == want
+        want = want * F

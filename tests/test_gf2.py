@@ -1,8 +1,12 @@
 import random
 
+from hypothesis import given, strategies as st
+
 from moravak import gf2
 
 from conftest import SEED
+from oracles import dense_rank_mod2
+from test_input_files import SETTINGS
 
 
 def to_cols(rows):
@@ -166,3 +170,15 @@ def test_kernel_basis_list_in_span(rng):
                 assert gf2.in_span(member, kernel)
                 vec = rng.getrandbits(dim)
                 assert gf2.in_span(vec, kernel) == (gf2.apply_columns(cols, vec) == 0)
+
+
+@SETTINGS
+@given(data=st.data(), width=st.integers(0, 12))
+def test_rank_is_the_size_of_the_reduced_rows(data, width):
+    rows = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << width) - 1)),
+                              max_size=14))
+    if rows:  # duplicates, anywhere
+        rows = data.draw(st.permutations(
+            rows + data.draw(st.lists(st.sampled_from(rows), max_size=4))))
+    assert gf2.rank(iter(rows)) == len(gf2.reduce_rows(rows)) == \
+        dense_rank_mod2(rows, width)
