@@ -76,7 +76,7 @@ class Report:
     def to_json(self) -> str:
         doc = {"command": self.command, "inputs": self.inputs,
                "payload": self.payload, "version": self.version}
-        return _json(doc, 0, {})
+        return _json(doc, 0)
 
     def to_text(self) -> str:
         lines = [f"moravak {self.version} :: {self.command}"]
@@ -96,17 +96,14 @@ class Report:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json(value, depth: int, memo: dict) -> str:
+def _json(value, depth: int) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, indented to ``depth``.
 
-    A container that occurs more than once in the document is rendered
-    once per depth: ``memo`` maps ``(id, depth)`` to its text for one
-    call, while the document keeps every id alive; within one dict, a
-    value object that several keys share costs one call.  Types other
-    than dicts with str keys, lists, tuples, str, exact int, bool and
-    None go to ``json.dumps`` and are re-indented; JSON text has no raw
-    newline inside a string, so every newline there starts an indented
-    line.
+    Within one dict, a value object that several keys share costs one
+    call.  Types other than dicts with str keys, lists, tuples, str,
+    exact int, bool and None go to ``json.dumps`` and are re-indented;
+    JSON text has no raw newline inside a string, so every newline there
+    starts an indented line.
     """
     kind = type(value)
     if kind is str:
@@ -119,30 +116,24 @@ def _json(value, depth: int, memo: dict) -> str:
         return "true" if value else "false"
     if kind is not dict and kind is not list and kind is not tuple:
         return _json_fallback(value, depth)
-    key = (id(value), depth)
-    text = memo.get(key)
-    if text is None:
-        pad = "\n" + "  " * depth
-        inner = pad + "  "
-        if not value:
-            text = "{}" if kind is dict else "[]"
-        elif kind is not dict:
-            text = "[" + inner + ("," + inner).join(
-                [_json(sub, depth + 1, memo) for sub in value]) + pad + "]"
-        elif {*map(type, value)} == {str}:  # every key an exact str
-            tails: dict = {}  # id -> ": " + text, once per value object
-            items = []
-            for k in sorted(value):
-                sub = value[k]
-                tail = tails.get(id(sub))
-                if tail is None:
-                    tail = tails[id(sub)] = ": " + _json(sub, depth + 1, memo)
-                items.append(_encode_str(k) + tail)
-            text = "{" + inner + ("," + inner).join(items) + pad + "}"
-        else:
-            text = _json_fallback(value, depth)
-        memo[key] = text
-    return text
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if not value:
+        return "{}" if kind is dict else "[]"
+    if kind is not dict:
+        return "[" + inner + ("," + inner).join(
+            [_json(sub, depth + 1) for sub in value]) + pad + "]"
+    if {*map(type, value)} != {str}:  # some key not an exact str
+        return _json_fallback(value, depth)
+    tails: dict = {}  # id -> ": " + text, once per value object
+    items = []
+    for k in sorted(value):
+        sub = value[k]
+        tail = tails.get(id(sub))
+        if tail is None:
+            tail = tails[id(sub)] = ": " + _json(sub, depth + 1)
+        items.append(_encode_str(k) + tail)
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
 
 
 def _json_fallback(value, depth: int) -> str:

@@ -14,15 +14,14 @@ refusing more than ``MAX_WINDOW`` of them before any is built, then
 lists them by degree, each degree already in monomial order: no degree
 is ever sorted, and its basis and relation multiples are read from it.
 
-The walk also yields each monomial's degree, kept in one window-wide
-map, and, run once more on keys alone when the first degree is built,
-a packed key per monomial: one bit field per generator, in name order,
-wide enough for twice the generator's largest window exponent, and the
-degree above them all (packed exponent vectors, as in Monagan-Pearce,
-CASC 2007).  Two window keys add without carries, so the key of a
-product is the sum of its factors' keys, and a sum that is no window
-key is a product that vanishes: an exterior square, or a degree above
-the cap.
+The same loop lists each monomial's packed key beside it: one bit
+field per generator, in name order, wide enough for twice the
+generator's largest window exponent, and the degree above them all
+(packed exponent vectors, as in Monagan-Pearce, CASC 2007).  Each
+monomial's degree is also kept in one window-wide map.  Two window keys
+add without carries, so the key of a product is the sum of its
+factors' keys, and a sum that is no window key is a product that
+vanishes: an exterior square, or a degree above the cap.
 
 The window monomials are also numbered, degree-major: degree d holds
 the numbers from its offset, the count of all lower degrees, in bucket
@@ -36,10 +35,11 @@ elements is a sum of keys per pair of terms and one elimination.
 a term outside the window raises on an unknown generator or a negative
 exponent and is dropped otherwise.  Reduction is linear and works
 degree by degree, so a sum of canonical forms, and the part of one
-degree of a canonical form, are canonical.  Ring maps given on
-generators (``AlgebraMap``) cache generator powers and monomial
-images; a monomial's image is the cached image of its prefix, all
-factors but the last, times one cached power.
+degree of a canonical form, are canonical.  A ring map given on
+generators, ``AlgebraMap`` here and the total square in ``steenrod``,
+maps window numbers through one ``_GeneratorMap``: a monomial's image
+is the cached image of its prefix, all factors but the last, times one
+cached power.
 """
 
 from __future__ import annotations
@@ -186,9 +186,9 @@ class PresentedAlgebra:
         self.generators = tuple(generators)
         self.degree_cap = degree_cap
         self._by_name = {g.name: g for g in generators}
-        self._buckets = self._window()  # window monomials by degree, each sorted
+        # window monomials by degree, each sorted, and their keys
+        self._buckets, self._bucket_keys = self._window()
         self._degrees = {m: d for d, bucket in enumerate(self._buckets) for m in bucket}
-        self._bucket_keys: list[list[int]] | None = None  # see _keys
         self._offsets = list(accumulate(map(len, self._buckets), initial=0))
         self._numbered = [m for bucket in self._buckets for m in bucket]  # window numbers
         self._number_keys = [0] * self._offsets[-1]
@@ -269,21 +269,6 @@ class PresentedAlgebra:
 
     # -- window numbers ------------------------------------------------------
 
-    def _keys(self, d: int) -> list[int]:
-        """The keys of the window monomials of degree d, in monomial order.
-        The first call runs the window walk again on keys alone."""
-        if self._bucket_keys is None:
-            keys: list[list[int]] = [[0]] + [[] for _ in range(self.degree_cap)]
-            for name, w, polynomial in self._walk:  # reverse name order; times g is + unit
-                unit = (1 << self._fields[name]) + (w << self._degree_shift)
-                with_g: list[list[int]] = [[]] * w
-                for deg in range(w, len(keys)):
-                    below = keys[deg - w] + with_g[deg - w] if polynomial else keys[deg - w]
-                    with_g.append([k + unit for k in below])
-                keys[w:] = [a + b if a else b for a, b in zip(with_g[w:], keys[w:])]
-            self._bucket_keys = keys
-        return self._bucket_keys[d]
-
     def _key(self, m: Monomial) -> int:
         """The key of a window monomial, summed over its factors."""
         return sum(e << self._fields[n] for n, e in m) + \
@@ -306,10 +291,11 @@ class PresentedAlgebra:
                 n = self._key_numbers.get(k)
         return n
 
-    def _reduced_bits(self, e: GradedElement) -> int:
-        """The canonical form of e in window numbers.  A term outside the
-        window raises on an unknown generator or a negative exponent, and
-        is zero otherwise: an exterior square, or a degree above the cap."""
+    def _bits(self, e: GradedElement) -> int:
+        """The terms of e in window numbers, not reduced.  A term outside
+        the window raises on an unknown generator or a negative exponent,
+        and is zero otherwise: an exterior square, or a degree above the
+        cap."""
         vec = 0
         for m in e.terms:
             n = self._number(m)
@@ -317,7 +303,11 @@ class PresentedAlgebra:
                 vec ^= 1 << n
             else:
                 self._check_monomial(m)
-        return gf2._eliminate(vec, self._pivot_mask, self._pivots)
+        return vec
+
+    def _reduced_bits(self, e: GradedElement) -> int:
+        """The canonical form of e in window numbers."""
+        return gf2._eliminate(self._bits(e), self._pivot_mask, self._pivots)
 
     def _mul_bits(self, x: int, y: int) -> int:
         """Canonical product of two window vectors: each pair of terms
@@ -384,29 +374,31 @@ class PresentedAlgebra:
                 raise ValidationError(f"relation contains an exterior square: {r}")
         return r
 
-    def _window(self) -> list[list[Monomial]]:
-        """The monomials of each degree 0..cap, each degree in monomial order.
+    def _window(self) -> tuple[list[list[Monomial]], list[list[int]]]:
+        """The monomials of each degree 0..cap, each degree in monomial
+        order, and their keys in the same order.
 
         One walk puts the generators in front one at a time, in reverse
         name order, so each degree d comes out sorted: g times the old
         degree d - |g|, then g times the part of the new degree d - |g|
-        that holds g (not for an exterior g), then the old degree d.  It
-        runs on counts first, so an oversized window is refused before
-        any monomial is built.  It also lays out the keys: each
-        generator's field holds twice its largest window exponent, and
-        the degree sits above all fields."""
+        that holds g (not for an exterior g), then the old degree d.
+        Times g is plus g's unit on keys, so the keys come from the same
+        loop.  The walk runs on counts first, so an oversized window is
+        refused before any monomial is built.  Each generator's key field
+        holds twice its largest window exponent, and the degree sits
+        above all fields."""
         cap = self.degree_cap
         if cap >= MAX_WINDOW:
             raise ComputationError(f"degree cap {cap} exceeds the limit {MAX_WINDOW - 1}")
         gens = sorted((g for g in self.generators if g.degree <= cap), key=lambda g: g.name)
-        self._walk = [(g.name, g.degree, g.kind == POLYNOMIAL) for g in reversed(gens)]
+        walk = [(g.name, g.degree, g.kind == POLYNOMIAL) for g in reversed(gens)]
         fields = list(accumulate(
             ((2 * min(cap // g.degree, 1 if g.kind == EXTERIOR else cap)).bit_length()
              for g in gens), initial=0))
         self._fields = {g.name: shift for g, shift in zip(gens, fields)}
         self._degree_shift = fields[-1]
         counts = [1] + [0] * cap
-        for _, w, polynomial in self._walk:
+        for _, w, polynomial in walk:
             for d in range(w, cap + 1) if polynomial else range(cap, w - 1, -1):
                 counts[d] += counts[d - w]
         total = sum(counts)
@@ -414,15 +406,20 @@ class PresentedAlgebra:
             raise ComputationError(f"degree window [0, {cap}] holds {total} laurent-free "
                                    f"monomials; the limit is {MAX_WINDOW}")
         window: list[list[Monomial]] = [[()]] + [[] for _ in range(cap)]
-        for name, w, polynomial in self._walk:
-            first, with_g = ((name, 1),), [[]] * w  # with_g[d]: the part of degree d with g
+        keys: list[list[int]] = [[0]] + [[] for _ in range(cap)]
+        for name, w, polynomial in walk:
+            first, unit = ((name, 1),), (1 << self._fields[name]) + (w << self._degree_shift)
+            with_g, with_keys = [[]] * w, [[]] * w  # the part of each degree with g
             for d in range(w, cap + 1):
-                part = [first + m for m in window[d - w]]
+                part, below = [first + m for m in window[d - w]], keys[d - w]
                 if polynomial and with_g[d - w]:
                     part += [((name, m[0][1] + 1),) + m[1:] for m in with_g[d - w]]
+                    below = below + with_keys[d - w]
                 with_g.append(part)
+                with_keys.append([k + unit for k in below])
             window[w:] = [a + b if a else b for a, b in zip(with_g[w:], window[w:])]
-        return window
+            keys[w:] = [a + b if a else b for a, b in zip(with_keys[w:], keys[w:])]
+        return window, keys
 
     def _reduced_relations_ok(self):
         for r in self.relations:
@@ -436,7 +433,7 @@ class PresentedAlgebra:
 
     def _build_degree(self, d: int) -> "_DegreeData":
         # number the bucket as it stands (the walk sorted it), then its relation rows
-        candidates, keys = self._buckets[d], self._keys(d)
+        candidates, keys = self._buckets[d], self._bucket_keys[d]
         offset, end, numbers = self._offsets[d], self._offsets[d + 1], self._key_numbers
         self._number_keys[offset:end] = keys
         numbers.update(zip(keys, range(offset, end)))
@@ -444,7 +441,7 @@ class PresentedAlgebra:
         rows = []
         for r in self.relations:
             dr, terms = self.degree_of(r), [self._key(t) for t in r.terms]
-            for k in self._keys(d - dr) if dr <= d else ():
+            for k in self._bucket_keys[d - dr] if dr <= d else ():
                 # a sum that is no key is an exterior square, which is zero
                 rows.append(sum(1 << numbers[k + t] - offset for t in terms if k + t in numbers))
         rel_rows = gf2.reduce_rows(row for row in rows if row)
@@ -475,17 +472,48 @@ class _DegreeData:
         return out
 
 
+class _GeneratorMap:
+    """A ring map given on generators, on window numbers: images maps
+    each source generator to a reduced target vector.  The image of
+    monomial n is the cached image of its prefix (all factors but the
+    last) times one cached power of its last factor's image; the empty
+    monomial maps to the target's reduced unit.  Products in the
+    quotient are associative and canonical forms unique, so every cached
+    image is the canonical form of the product of all its factors'
+    images."""
+
+    def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
+                 images: Mapping[str, int]):
+        self.source, self.target, self.images = source, target, images
+        self._unit = target._reduced_bits(ONE)
+        self._powers: dict[str, list[int]] = {}
+        self._images: dict[int, int] = {}  # window number -> image
+
+    def _power(self, name: str, exp: int) -> int:
+        powers = self._powers.setdefault(name, [self._unit])
+        while len(powers) <= exp and powers[-1]:
+            powers.append(self.target._mul_bits(powers[-1], self.images[name]))
+        return powers[exp] if exp < len(powers) else 0
+
+    def image(self, n: int) -> int:
+        out = self._images.get(n)
+        if out is None:
+            source = self.source
+            m = source._numbered[n]
+            out = self._power(*m[-1]) if m else self._unit
+            if len(m) > 1:
+                out = self.target._mul_bits(self.image(source._number(m[:-1])), out)
+            self._images[n] = out
+        return out
+
+
 class AlgebraMap:
     """Degree-preserving algebra map given on generators.
 
     Validated to carry every relation of the source to zero; used for
-    naturality of pages and for boundary restriction maps.  The image of
-    a monomial is the image of its prefix (all factors but the last)
-    times the cached power of its last factor; the empty monomial maps
-    to the target's reduced unit.  Products in the quotient are
-    associative and canonical forms unique, so every cached image is the
-    canonical form of the product of all its factors' images.  Source
-    monomials that vanish (exterior squares) map to zero.
+    naturality of pages and for boundary restriction maps.  Monomials
+    map through one ``_GeneratorMap``; source monomials outside the
+    source window (exterior squares, degrees above the cap) map to zero.
     """
 
     def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
@@ -501,36 +529,17 @@ class AlgebraMap:
                 raise InvalidPairError(
                     f"image of {g.name} is not homogeneous of degree {g.degree}")
             self.images[g.name] = img
-        self._unit = target.reduce(ONE)
-        self._powers: dict[str, list[GradedElement]] = {}
-        self._monomials: dict[Monomial, GradedElement] = {}
+        self._map = _GeneratorMap(source, target, {
+            name: target._reduced_bits(img) for name, img in self.images.items()})
         for r in source.relations:
             if self.apply(r) != target.zero:
                 raise InvalidPairError(f"relation {r} is not carried to zero")
 
-    def _power(self, name: str, exp: int) -> GradedElement:
-        powers = self._powers.setdefault(name, [self._unit])
-        while len(powers) <= exp and powers[-1]:
-            powers.append(self.target.mul(powers[-1], self.images[name]))
-        return powers[exp] if exp < len(powers) else ZERO
-
-    def _image(self, m: Monomial) -> GradedElement:
-        out = self._monomials.get(m)
-        if out is None:
-            if not m:
-                out = self._unit
-            elif not self.source._check_monomial(m):
-                out = ZERO
-            elif len(m) == 1:
-                out = self._power(*m[0])
-            else:
-                out = self.target.mul(self._image(m[:-1]), self._power(*m[-1]))
-            self._monomials[m] = out
-        return out
-
     def apply(self, e: GradedElement) -> GradedElement:
-        """The image of e: a sum of canonical forms, hence canonical."""
-        out: set[Monomial] = set()
-        for m in e.terms:
-            out ^= self._image(m).terms
-        return GradedElement(frozenset(out))
+        """The image of e, term by term: a sum of canonical forms, hence
+        canonical.  The terms are not reduced first, so a relation is
+        carried to zero only if the map respects it."""
+        out = 0
+        for n in gf2.bits(self.source._bits(e)):
+            out ^= self._map.image(n)
+        return self.target._element(out)

@@ -5,9 +5,9 @@ A SqAction stores Sq^i only on generators.  By the Cartan formula
 Sq^k(ab) = sum_{i+j=k} Sq^i(a) Sq^j(b), the total square
 Sq = sum_i Sq^i is a ring map, and the unstable axioms on generators
 propagate to everything.  The action works in the algebra's window
-numbers, where an element is one int: it caches each window monomial's
-total square as one int, the total square of its prefix (all factors
-but the last) times one cached power of a generator's total square.
+numbers, where an element is one int: the total square is the
+algebra's ``_GeneratorMap`` from each generator to its total square,
+so each window monomial's total square is one cached int.
 Sq^i of a degree-d monomial is the degree-(d+i) part of that int, one
 AND with the mask of that degree's numbers, and Q_j runs its
 commutator recursion on these ints.  ``sq`` and ``milnor_q`` convert
@@ -19,8 +19,9 @@ differential computed from it.
 
 Integral statements are never decided on integral cohomology itself;
 they are decided through mod-2 representatives plus a declared
-"integral image" subspace (the span of reductions of integral classes),
-with a three-valued verdict when the data cannot decide.
+"integral image" subspace (the span of reductions of integral classes,
+held as one echelon over window numbers), with a three-valued verdict
+when the data cannot decide.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from . import gf2
 from .errors import NotIntegralError, ValidationError
 from .f2alg import (
     EXTERIOR,
-    ONE,
     AlgebraMap,
     GradedElement,
     PresentedAlgebra,
     ZERO,
+    _GeneratorMap,
 )
 
 
@@ -93,9 +94,8 @@ class SqAction:
             for i in _window_indices(g.degree, algebra.degree_cap):
                 total = total + self.generator_sq(g.name, i)
             self._generator_totals[g.name] = algebra._reduced_bits(total)
-        self._unit = algebra._reduced_bits(ONE)
-        self._powers: dict[str, list[int]] = {}
-        self._totals: dict[int, int] = {}  # window number -> total square
+        # the total square of window monomial n, a canonical form
+        self._total = _GeneratorMap(algebra, algebra, self._generator_totals).image
         self._masks: dict[int, int] = {}  # degree -> its window numbers
         self._check_relations()
 
@@ -109,25 +109,6 @@ class SqAction:
             gen = self.algebra.generator(name)
             return self.algebra.mul(gen, gen)
         return self._table[name].get(i, ZERO)
-
-    def _power(self, name: str, exp: int) -> int:
-        powers = self._powers.setdefault(name, [self._unit])
-        while len(powers) <= exp and powers[-1]:
-            powers.append(self.algebra._mul_bits(powers[-1], self._generator_totals[name]))
-        return powers[exp] if exp < len(powers) else 0
-
-    def _total(self, n: int) -> int:
-        """The total square of window monomial n, a canonical form: the
-        product of its prefix's total square and one cached power."""
-        out = self._totals.get(n)
-        if out is None:
-            alg = self.algebra
-            m = alg._numbered[n]
-            out = self._power(*m[-1]) if m else self._unit
-            if len(m) > 1:
-                out = alg._mul_bits(self._total(alg._number(m[:-1])), out)
-            self._totals[n] = out
-        return out
 
     def _bits(self, e: GradedElement, i: int) -> int:
         """e in window numbers for Sq^i.  A term outside the window raises
@@ -253,7 +234,6 @@ class IntegralityData:
                  spans: Mapping[int, Sequence[GradedElement]] | None = None):
         self.action = action
         self.algebra = action.algebra
-        self._rows: dict[int, list[int]] = {}
         spans = spans or {}
         elements: dict[int, list[GradedElement]] = {0: [self.algebra.one]}
         for d, elems in spans.items():
@@ -266,18 +246,14 @@ class IntegralityData:
                         f"integral-image entry of wrong degree: {e} declared in {d}")
                 elements.setdefault(d, []).append(e)
         self._elements = elements
-        for d, elems in elements.items():
-            rows = [self.algebra.express_bits(e, d) for e in elems]
-            self._rows[d] = gf2.reduce_rows(rows)
+        # one echelon over window numbers: the degrees' numbers are
+        # disjoint, so it is the direct sum of the per-degree spans
+        self._span = gf2.reduce_rows(self.algebra._reduced_bits(e)
+                                     for elems in elements.values() for e in elems)
         self._validate()
 
     def contains(self, e: GradedElement) -> bool:
-        e = self.algebra.reduce(e)
-        for d in self.algebra.degrees_of(e):
-            vec = self.algebra.express_bits(e, d)
-            if not gf2.in_span(vec, self._rows.get(d, [])):
-                return False
-        return True
+        return gf2.in_span(self.algebra._reduced_bits(e), self._span)
 
     def _validate(self):
         cap = self.algebra.degree_cap

@@ -370,7 +370,7 @@ TOR_SHAPED = st.builds(tor_shaped, MANY_KEYS, MANY_KEYS, ENTRIES, ENTRIES, VALUE
 @SETTINGS
 @given(value=st.one_of(VALUES, st.builds(shared_at_two_depths, VALUES, VALUES), TOR_SHAPED))
 def test_json_renderer_matches_json_dumps(value):
-    assert cli._json(value, 0, {}) == json.dumps(value, sort_keys=True, indent=2)
+    assert cli._json(value, 0) == json.dumps(value, sort_keys=True, indent=2)
 
 
 @SETTINGS

@@ -259,7 +259,7 @@ def test_window_walk_lists_each_degree_in_monomial_order(drawn, cap):
         bucket = alg._buckets[d]
         assert bucket == sorted(bucket)
         assert tuple(bucket) == expected.get(d, ())
-        assert alg._keys(d) == [alg._key(m) for m in bucket]
+        assert alg._bucket_keys[d] == [alg._key(m) for m in bucket]
 
 
 def test_two_degree_one_generators_just_under_the_limit():
@@ -494,7 +494,7 @@ def reference_mul(alg: PresentedAlgebra, a: GradedElement, b: GradedElement):
 
 def window_keys(alg: PresentedAlgebra) -> dict:
     return {m: k for d in range(alg.degree_cap + 1)
-            for m, k in zip(alg._buckets[d], alg._keys(d))}
+            for m, k in zip(alg._buckets[d], alg._bucket_keys[d])}
 
 
 @pytest.mark.parametrize("make", INDEX_ALGEBRAS)
@@ -561,7 +561,7 @@ def test_products_outside_the_window_as_before(name, rng):
 def test_construction_builds_no_degree():
     alg = PresentedAlgebra([GradedGenerator("t", 1)], (), f2alg.MAX_WINDOW - 1)
     assert alg._degree_cache == {}  # as before window numbers
-    assert alg._bucket_keys is None and not alg._key_numbers
+    assert not alg._key_numbers
 
 
 def test_product_builds_its_degree_first():
@@ -616,10 +616,20 @@ def test_sq_total_images_match_factor_fold(make):
 def fold_image(fmap: AlgebraMap, m) -> GradedElement:
     """The image of m folded one generator factor at a time from the
     target's unit, each step a product with that factor's cached power."""
-    out = fmap._unit if fmap.source._check_monomial(m) else ZERO
+    gmap, target = fmap._map, fmap.target
+    out = target._element(gmap._unit) if fmap.source._check_monomial(m) else ZERO
     for name, exp in m:
-        out = fmap.target.mul(out, fmap._power(name, exp))
+        out = target.mul(out, target._element(gmap._power(name, exp)))
     return out
+
+
+def map_image(fmap: AlgebraMap, m) -> GradedElement:
+    """The shared evaluator's image of a window monomial; an exterior
+    square is no window monomial and maps to zero through apply."""
+    n = fmap.source._number(m)
+    if n is None:
+        return fmap.apply(GradedElement(frozenset({m})))
+    return fmap.target._element(fmap._map.image(n))
 
 
 def test_algebra_map_images_match_factor_fold():
@@ -633,9 +643,43 @@ def test_algebra_map_images_match_factor_fold():
                                        "e": target.element("s")})
     zero_prefixes = 0
     for m in window_monomials(source):
-        assert fmap._image(m) == fold_image(fmap, m)
-        zero_prefixes += len(m) > 1 and not fmap._image(m[:-1])
+        assert map_image(fmap, m) == fold_image(fmap, m)
+        zero_prefixes += len(m) > 1 and not map_image(fmap, m[:-1])
     assert zero_prefixes  # a^3 = s^3 = 0 is a prefix of a^3*b and others
     # e^2 vanishes in the source though s^2 does not in the target
     for m in ((("e", 2),), (("a", 1), ("e", 2)), (("c", 1), ("e", 2))):
-        assert fmap._image(m) == fold_image(fmap, m) == ZERO
+        assert map_image(fmap, m) == fold_image(fmap, m) == ZERO
+
+
+def test_algebra_map_drops_terms_above_the_source_cap():
+    source = PresentedAlgebra([GradedGenerator("a", 1)], (), 4)
+    target = PresentedAlgebra([GradedGenerator("s", 1)], (), 8)
+    fmap = AlgebraMap(source, target, {"a": target.generator("s")})
+    # a^5 is zero in the source, though s^5 is not in the target
+    assert fmap.apply(parse_element("a^5 + a^2")) == target.element("s^2")
+
+
+@lru_cache(maxsize=None)
+def capped_map() -> AlgebraMap:
+    """F2[a1, b2, e1 exterior]/(b^2 + a^4) at cap 4 into F2[s1, u2]/(u^2)
+    at cap 8: b^2 + a^4 maps to (u + s^2)^2 + s^4 = u^2 = 0."""
+    source = PresentedAlgebra([GradedGenerator("a", 1), GradedGenerator("b", 2),
+                               GradedGenerator("e", 1, EXTERIOR)],
+                              [parse_element("b^2 + a^4")], 4)
+    target = PresentedAlgebra([GradedGenerator("s", 1), GradedGenerator("u", 2)],
+                              [parse_element("u^2")], 8)
+    return AlgebraMap(source, target, {"a": target.element("s"),
+                                       "b": target.element("u + s^2"),
+                                       "e": target.element("s")})
+
+
+@SETTINGS
+@given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 3), st.integers(0, 2)),
+               max_size=8))
+def test_algebra_map_apply_factors_through_the_source_reduction(exponents):
+    """Terms above the source cap, exterior squares and relation terms,
+    unreduced: each maps as its canonical form in the source does."""
+    fmap = capped_map()
+    e = GradedElement(frozenset(monomial(("a", a), ("b", b), ("e", x))
+                                for a, b, x in exponents))
+    assert fmap.apply(e) == fmap.apply(fmap.source.reduce(e))

@@ -1,6 +1,8 @@
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from moravak.errors import IllFormedElementError, NotIntegralError, ValidationError
 from moravak.f2alg import (
@@ -33,7 +35,13 @@ from conftest import (
     random_unreduced,
     truncated_projective,
 )
-from oracles import brute_milnor_multi, brute_milnor_on_power, sq_on_multipower
+from oracles import (
+    brute_milnor_multi,
+    brute_milnor_on_power,
+    dense_rank_mod2,
+    sq_on_multipower,
+)
+from test_input_files import SETTINGS
 
 
 class ReferenceSq:
@@ -416,3 +424,51 @@ def test_integrality_validation():
                               6: [alg.element("t^6")]})  # t^2 * t^6 escapes
     with pytest.raises(ValidationError):
         IntegralityData(act, {3: [alg.element("t^2")]})  # wrong degree slot
+
+
+@lru_cache(maxsize=None)
+def square_integrality(space: str):
+    """The squares declared integral, on a space with relations: each even
+    degree 2d spans the squares of a basis of degree d.  Squares are killed
+    by Sq^1, and their span is closed under products, since squaring is
+    additive."""
+    if space == "truncated":
+        alg, act = truncated_projective(9, 12)
+    else:  # a Frobenius relation beside a monomial one
+        alg = PresentedAlgebra([GradedGenerator("t1", 1), GradedGenerator("t2", 1)],
+                               [parse_element("t1^2 + t2^2"), parse_element("t1^5")], 10)
+        act = SqAction(alg, {})
+    spans = {2 * d: [alg.mul(b, b) for b in alg.basis_elements(d)]
+             for d in range(1, alg.degree_cap // 2 + 1)}
+    return alg, IntegralityData(act, spans), spans
+
+
+def reference_contains(alg, spans, e) -> bool:
+    """Per degree of the canonical form: the degree part lies in the span
+    of that degree's declared elements, by dense ranks."""
+    for d in alg.degrees_of(alg.reduce(e)):
+        rows = [alg.express_bits(x, d) for x in spans.get(d, [])]
+        if d == 0:
+            rows.append(alg.express_bits(alg.one, 0))
+        dim = len(alg.basis(d))
+        vec = alg.express_bits(e, d)
+        if dense_rank_mod2(rows + [vec], dim) != dense_rank_mod2(rows, dim):
+            return False
+    return True
+
+
+@SETTINGS
+@given(st.sampled_from(["truncated", "frobenius"]), st.data())
+def test_integral_image_contains_matches_per_degree_spans(space, data):
+    """Inhomogeneous sums of declared elements, with and without unreduced
+    extra terms (some above the cap), against a per-degree reference."""
+    alg, integ, spans = square_integrality(space)
+    declared = [x for d in sorted(spans) for x in spans[d]] + [alg.one]
+    e = ZERO
+    for x in data.draw(st.lists(st.sampled_from(declared), max_size=6)):
+        e = e + x
+    names = [g.name for g in alg.generators]
+    for exps in data.draw(st.sets(st.tuples(*[st.integers(0, 7)] * len(names)),
+                                  max_size=3)):
+        e = e + GradedElement(frozenset({monomial(*zip(names, exps))}))
+    assert integ.contains(e) == reference_contains(alg, spans, e)
