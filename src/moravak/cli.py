@@ -34,9 +34,9 @@ from .errors import ComputationError, MoravakError, ParseError, ValidationError
 from .f2alg import GradedElement
 from .fgl import (
     FGL,
+    Series,
     grouplike_check,
     height,
-    series_from_coefficients,
     solve_theta,
     two_series,
 )
@@ -355,10 +355,12 @@ def _parse_series(raw: str, trunc: int, modulus: int):
             raise ParseError(f"bad series term {chunk!r} in {raw!r} "
                              "(terms are integers, x or x^k with k >= 0)")
         const, exp = match.groups()
-        deg, c = (0, int(const)) if const else (int(exp or 1), 1)
+        try:
+            deg, c = (0, int(const)) if const else (int(exp or 1), 1)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("series term has too many digits") from None
         coeffs[deg] = coeffs.get(deg, 0) + (-c if sign == "-" else c)
-    return series_from_coefficients(
-        [coeffs.get(i, 0) for i in range(trunc + 1)], trunc, modulus)
+    return Series(1, trunc, modulus, {(d,): coeffs[d] for d in sorted(coeffs)})
 
 
 def _law(name: str, trunc: int, modulus: int) -> FGL:
@@ -398,11 +400,9 @@ def cmd_fgl(args) -> Report:
 # -- obstruct ---------------------------------------------------------------------
 
 def _report_payload(report) -> dict:
-    """Every field of a check's report except its notes, as JSON values."""
+    """Every field of a check's report, as JSON values."""
     payload = {}
     for f in fields(report):
-        if f.name == "notes":
-            continue
         value = getattr(report, f.name)
         if isinstance(value, TriState):
             value = value.value

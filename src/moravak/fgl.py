@@ -7,12 +7,21 @@ solving [2](x) = formal-sum of theta_i x^{2^i} degree by degree, height
 detection from the leading 2-series exponent, and the grouplike test
 alpha(F(y,z)) = alpha(y) alpha(z) that characterizes series inducing
 ring-level characters.
+
+All of them substitute through ``Series.compose``, which adds each
+term c * (product of argument powers) into one accumulator.  Each
+argument's powers come from one memo per call: a^h for h a power of 2
+is the square of a^(h/2), and any other a^e is a^(e-h) a^h for the top
+bit h of e, so each new exponent costs one product by a square power,
+which mod 2 stays as sparse as the argument.  Each product counts its
+term pairs first and refuses more than MAX_PRODUCT_PAIRS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from functools import reduce
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .errors import ComputationError, Not2TypicalError, ValidationError
@@ -20,6 +29,8 @@ from .errors import ComputationError, Not2TypicalError, ValidationError
 DEFAULT_TRUNCATION = 16
 # solve_theta reports one value per theta; longer lists are refused
 MAX_THETA_COUNT = 1024
+# term pairs one series product may visit; larger products are refused
+MAX_PRODUCT_PAIRS = 2_000_000
 
 
 class Series:
@@ -50,21 +61,18 @@ class Series:
         return cls(nvars, trunc, modulus)
 
     @classmethod
-    def const(cls, value: int, nvars: int, trunc: int, modulus: int) -> "Series":
-        return cls(nvars, trunc, modulus, {(0,) * nvars: value})
-
-    @classmethod
     def variable(cls, i: int, nvars: int, trunc: int, modulus: int) -> "Series":
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, trunc, modulus, {mono: 1})
 
     def _reduced(self, coeffs: dict) -> "Series":
-        """A series of this shape from residues already reduced modulo
-        the modulus, on terms within the truncation: only zero residues
-        are dropped, and the terms keep their order."""
+        """A series of this shape from integer coefficients on terms
+        within the truncation: each is taken modulo the modulus, zero
+        residues are dropped, and the terms keep their order."""
         out = object.__new__(Series)
         out.nvars, out.trunc, out.modulus = self.nvars, self.trunc, self.modulus
-        out.coeffs = {mono: c for mono, c in coeffs.items() if c}
+        mod = self.modulus
+        out.coeffs = {mono: r for mono, c in coeffs.items() if (r := c % mod)}
         return out
 
     def __eq__(self, other) -> bool:
@@ -78,70 +86,65 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
-            out[mono] = (out.get(mono, 0) + c) % self.modulus
+            out[mono] = out.get(mono, 0) + c
         return self._reduced(out)
 
     def __sub__(self, other: "Series") -> "Series":
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
-            out[mono] = (out.get(mono, 0) - c) % self.modulus
+            out[mono] = out.get(mono, 0) - c
         return self._reduced(out)
 
     def __mul__(self, other: "Series") -> "Series":
+        if len(self.coeffs) * len(other.coeffs) > MAX_PRODUCT_PAIRS:
+            raise ComputationError(
+                f"series product of {len(self.coeffs)} by {len(other.coeffs)} terms "
+                f"exceeds the limit of {MAX_PRODUCT_PAIRS} term pairs")
         out: dict[tuple, int] = {}
+        get = out.get
         right = [(m2, sum(m2), c2) for m2, c2 in other.coeffs.items()]
         for m1, c1 in self.coeffs.items():
             room = self.trunc - sum(m1)
             for m2, d2, c2 in right:
-                if d2 > room:
-                    continue
-                mono = tuple(map(add, m1, m2))
-                out[mono] = (out.get(mono, 0) + c1 * c2) % self.modulus
+                if d2 <= room:
+                    mono = tuple(map(add, m1, m2))
+                    out[mono] = get(mono, 0) + c1 * c2
         return self._reduced(out)
 
     def scale(self, c: int) -> "Series":
         return Series(self.nvars, self.trunc, self.modulus,
                       {m: v * c for m, v in self.coeffs.items()})
 
-    def pow(self, k: int) -> "Series":
-        """Square and multiply, starting from the lowest power used and
-        squaring no further than the highest."""
-        if not k:
-            return Series.const(1, self.nvars, self.trunc, self.modulus)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        out = base
-        while k > 1:
-            base = base * base
-            k >>= 1
-            if k & 1:
-                out = out * base
-        return out
-
     def compose(self, args: Sequence["Series"]) -> "Series":
-        """Substitute args[i] for variable i; args share a variable space."""
+        """Substitute args[i] for variable i; args share a variable space.
+        Powers and products as in the module docstring."""
         if len(args) != self.nvars:
             raise ValidationError("wrong number of substitution arguments")
-        proto = args[0] if args else None
-        nvars = proto.nvars if proto else 0
-        out = Series.zero(nvars, self.trunc, self.modulus)
-        pow_cache: dict[tuple[int, int], Series] = {}
+        nvars = args[0].nvars if args else 0
+        powers = [{1: a} for a in args]
 
-        def arg_pow(i: int, k: int) -> Series:
-            key = (i, k)
-            if key not in pow_cache:
-                pow_cache[key] = args[i].pow(k)
-            return pow_cache[key]
+        def power(i: int, e: int) -> Series:
+            memo = powers[i]
+            if e not in memo:
+                low, h = 0, 1  # low: the bits of e below h
+                while h <= e:
+                    if h not in memo:
+                        memo[h] = memo[h >> 1] * memo[h >> 1]
+                    if e & h:
+                        if low + h not in memo:
+                            memo[low + h] = memo[low] * memo[h]
+                        low += h
+                    h <<= 1
+            return memo[e]
 
+        out: dict[tuple, int] = {}
+        unit = {(0,) * nvars: 1}
         for mono, c in self.coeffs.items():
-            term = Series.const(c, nvars, self.trunc, self.modulus)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * arg_pow(i, e)
-            out = out + term
-        return out
+            factors = [power(i, e) for i, e in enumerate(mono) if e]
+            term = reduce(mul, factors).coeffs if factors else unit
+            for m, v in term.items():
+                out[m] = out.get(m, 0) + c * v
+        return Series(nvars, self.trunc, self.modulus, out)
 
     def coefficient(self, mono: tuple) -> int:
         return self.coeffs.get(tuple(mono), 0)

@@ -161,7 +161,6 @@ class ObstructionReport:
     obstruction: GradedElement
     certificate: TriState
     warnings: tuple = ()
-    notes: tuple = ()
 
 
 def _beta_verdict(m: ManifoldData, inner: GradedElement) -> tuple[GradedElement, TriState]:
@@ -238,8 +237,7 @@ def twisted_string_check(m: ManifoldData, h4: TwistClass) -> ObstructionReport:
     h = _require_integral_degree(m, h4.element, 4, "twist class")
     inner = m.space.algebra.reduce(m.sw_class(6) + sq(2, h, m.space.action))
     rep, cert = _beta_verdict(m, inner)
-    return ObstructionReport(_status(rep, cert), rep, cert, tuple(warnings),
-                             ("obstruction = W_7 + beta Sq^2 of the twist",))
+    return ObstructionReport(_status(rep, cert), rep, cert, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,6 @@ class HeteroticReport:
     certificate: TriState
     hypothesis_ok: bool
     failed_hypotheses: tuple = ()
-    notes: tuple = ()
 
 
 def heterotic_check(m: ManifoldData, a: GradedElement,
@@ -274,8 +271,7 @@ def heterotic_check(m: ManifoldData, a: GradedElement,
     inner = alg.reduce(m.sw_class(6) + sq(2, b, m.space.action))
     rep, cert = _beta_verdict(m, inner)
     status = _status(rep, cert)
-    return HeteroticReport(status, rep, cert, not failed, tuple(failed),
-                           ("obstruction = W_7 + beta Sq^2(b)",))
+    return HeteroticReport(status, rep, cert, not failed, tuple(failed))
 
 
 @dataclass(frozen=True)
@@ -286,7 +282,6 @@ class FivebraneReport:
     alpha8: GradedElement
     cross_check_agrees: bool
     warnings: tuple = ()
-    notes: tuple = ()
 
 
 def fivebrane_check(m: ManifoldData, h5: GradedElement) -> FivebraneReport:
@@ -310,8 +305,7 @@ def fivebrane_check(m: ManifoldData, h5: GradedElement) -> FivebraneReport:
     sq_route = sq(7, sq(3, h5, act), act)
     agrees = m.space.algebra.reduce(q_route + sq_route) == ZERO
     return FivebraneReport(_status(rep, cert), rep, cert, alpha8, agrees,
-                           tuple(warnings),
-                           ("obstruction = W_15 + beta Sq^6(alpha_8)",))
+                           tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -358,7 +352,6 @@ class PhaseReport:
     sq3_condition_holds: bool
     orientation_status: str
     orientation_certificate: TriState
-    notes: tuple = ()
 
 
 def phase_invariance_check(m: ManifoldData, f: IndexTable, a: GradedElement,
@@ -387,9 +380,7 @@ def phase_invariance_check(m: ManifoldData, f: IndexTable, a: GradedElement,
     inner = alg.reduce(m.sw_class(6) + sq(2, a, act))
     rep, cert = _beta_verdict(m, inner)
     return PhaseReport(correction == 0, correction, sq3 == ZERO,
-                       _status(rep, cert), cert,
-                       ("sufficient condition: Sq^3(lambda) + Sq^3(a) = 0, "
-                        "i.e. W_7 + beta Sq^2(a) = 0",))
+                       _status(rep, cert), cert)
 
 
 def relative_obstruction(m: ManifoldData, h4: TwistClass) -> ObstructionReport:
@@ -408,7 +399,4 @@ def relative_obstruction(m: ManifoldData, h4: TwistClass) -> ObstructionReport:
         if res.apply(cls) != ZERO:
             raise ValidationError(
                 f"{name} does not restrict to zero; not a relative class")
-    report = twisted_string_check(m, h4)
-    return ObstructionReport(report.status, report.obstruction, report.certificate,
-                             report.warnings,
-                             report.notes + ("computed on relative classes",))
+    return twisted_string_check(m, h4)

@@ -245,6 +245,12 @@ def test_text_report_contains_json_block(capsys):
     assert json.loads(blob)["payload"]["encoded"] == 2
 
 
+# 1 and x^k for Fibonacci k up to 89, at modulus 2^20 and truncation 400:
+# its largest series product, 351 by 2145 terms, is within the limit, while
+# x^144 would need a 2145 by 2145 one
+GROUPLIKE_FIBONACCI = "1+x+x^2+x^3+x^5+x^8+x^13+x^21+x^34+x^55+x^89"
+
+
 @pytest.mark.parametrize("argv, code", [
     (("twist", "--decode", "3", "--truncation", "-1"), 3),
     (("twist", "--decode", "3", "--truncation", "100000"), 4),
@@ -268,12 +274,21 @@ def test_text_report_contains_json_block(capsys):
     (("twist", "--hom", "(0,1)", "--factors", "3000000"), 4),
     (("fgl", "--solve-theta", "1025"), 4),
     (("fgl", "--solve-theta", "20000"), 4),
+    (("fgl", "--check-grouplike", "1+" + "7" * 5000), 2),
+    (("fgl", "--check-grouplike", "1+x^" + "7" * 5000), 2),
+    (("fgl", "--law", "gm", "--modulus", "1048576", "--truncation", "400",
+      "--check-grouplike", GROUPLIKE_FIBONACCI + "+x^144+x^233+x^377"), 4),
 ])
 def test_out_of_range_arguments_are_typed_errors(capsys, argv, code):
     assert main(list(argv)) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_series_argument_is_built_from_its_terms_in_degree_order():
+    series = cli._parse_series("x^5 + 3 - x + x^20 + x - x", 16, 8)
+    assert list(series.coeffs.items()) == [((0,), 3), ((1,), 7), ((5,), 1)]
 
 
 def test_truncation_error_names_the_order(capsys):
@@ -289,6 +304,9 @@ def test_truncation_error_names_the_order(capsys):
     ("twist", "--hom", "(0,1)", "--factors", "64"),
     ("fgl", "--solve-theta", "1024"),
     ("fgl", "--law", "additive", "--truncation", "64", "--solve-theta", "1024"),
+    ("fgl", "--law", "gm", "--modulus", "1048576", "--truncation", "400",
+     "--check-grouplike", GROUPLIKE_FIBONACCI),
+    ("fgl", "--law", "gm", "--truncation", "1000000000", "--check-grouplike", "1+x"),
 ])
 def test_work_at_the_limits_is_bounded(capsys, argv):
     start = time.perf_counter()

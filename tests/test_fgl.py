@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from moravak import fgl
 from moravak.errors import ComputationError, Not2TypicalError, ValidationError
 from moravak.fgl import (
     FGL,
@@ -14,6 +16,7 @@ from moravak.fgl import (
 )
 
 from oracles import honda_height2_coefficients
+from test_input_files import SETTINGS
 
 
 def x_power(e, trunc=16, modulus=2, coeff=1):
@@ -198,11 +201,50 @@ def test_product_matches_naive_product(rng, modulus, nvars):
                 assert got == want and list(got.coeffs) == list(want.coeffs)
 
 
+def test_products_above_the_pair_limit_are_refused(monkeypatch):
+    monkeypatch.setattr(fgl, "MAX_PRODUCT_PAIRS", 8)
+    two, three, four = (Series(1, 16, 2, {(e,): 1 for e in range(n)}) for n in (2, 3, 4))
+    assert two * four == naive_product(two, four)
+    with pytest.raises(ComputationError,
+                       match="series product of 3 by 3 terms exceeds the limit of 8 term pairs"):
+        three * three
+
+
 @pytest.mark.parametrize("modulus", [2, 8])
 @pytest.mark.parametrize("law", [FGL.multiplicative, FGL.additive])
 def test_pow_matches_repeated_products(law, modulus):
     F = law(modulus=modulus).law
-    want = Series.const(1, F.nvars, F.trunc, modulus)
+    want = Series(2, F.trunc, modulus, {(0, 0): 1})
     for k in range(10):
-        assert F.pow(k) == want
+        assert Series(1, F.trunc, modulus, {(k,): 1}).compose([F]) == want
         want = want * F
+
+
+def naive_compose(f: Series, args) -> Series:
+    """Each term of f as its constant times one argument factor at a
+    time, the terms summed with +."""
+    nvars = args[0].nvars
+    out = Series.zero(nvars, f.trunc, f.modulus)
+    for mono, c in f.coeffs.items():
+        term = Series(nvars, f.trunc, f.modulus, {(0,) * nvars: c})
+        for arg, e in zip(args, mono):
+            for _ in range(e):
+                term = term * arg
+        out = out + term
+    return out
+
+
+def drawn_series(data, nvars, trunc, modulus, max_exp):
+    coeffs = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * nvars), st.integers(0, modulus - 1),
+        max_size=6))
+    return Series(nvars, trunc, modulus, coeffs)
+
+
+@SETTINGS
+@given(data=st.data(), outer=st.integers(1, 3), inner=st.integers(1, 3),
+       modulus=st.sampled_from([2, 4, 8]), trunc=st.integers(0, 12))
+def test_compose_matches_repeated_products(data, outer, inner, modulus, trunc):
+    f = drawn_series(data, outer, trunc, modulus, trunc)
+    args = [drawn_series(data, inner, trunc, modulus, 4) for _ in range(outer)]
+    assert f.compose(args) == naive_compose(f, args)
