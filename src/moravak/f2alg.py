@@ -291,17 +291,18 @@ class PresentedAlgebra:
                 n = self._key_numbers.get(k)
         return n
 
-    def _bits(self, e: GradedElement) -> int:
+    def _bits(self, e: GradedElement, reach: int | None = None) -> int:
         """The terms of e in window numbers, not reduced.  A term outside
         the window raises on an unknown generator or a negative exponent,
         and is zero otherwise: an exterior square, or a degree above the
-        cap."""
+        cap.  With a reach, only a term that an operator raising degree
+        by reach could carry into the window is checked."""
         vec = 0
         for m in e.terms:
             n = self._number(m)
             if n is not None:
                 vec ^= 1 << n
-            else:
+            elif reach is None or self.monomial_degree(m) + reach <= self.degree_cap:
                 self._check_monomial(m)
         return vec
 

@@ -14,7 +14,8 @@ argument's powers come from one memo per call: a^h for h a power of 2
 is the square of a^(h/2), and any other a^e is a^(e-h) a^h for the top
 bit h of e, so each new exponent costs one product by a square power,
 which mod 2 stays as sparse as the argument.  Each product counts its
-term pairs first and refuses more than MAX_PRODUCT_PAIRS.
+term pairs first and refuses more than MAX_PRODUCT_PAIRS, and one
+``compose`` refuses to hold more than MAX_POWER_TERMS terms of powers.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ DEFAULT_TRUNCATION = 16
 MAX_THETA_COUNT = 1024
 # term pairs one series product may visit; larger products are refused
 MAX_PRODUCT_PAIRS = 2_000_000
+# terms of argument powers one compose may hold; more are refused
+MAX_POWER_TERMS = 200_000
 
 
 class Series:
@@ -122,6 +125,16 @@ class Series:
             raise ValidationError("wrong number of substitution arguments")
         nvars = args[0].nvars if args else 0
         powers = [{1: a} for a in args]
+        held = 0  # terms of the powers made so far
+
+        def keep(memo: dict, e: int, p: Series):
+            nonlocal held
+            held += len(p.coeffs)
+            if held > MAX_POWER_TERMS:
+                raise ComputationError(
+                    f"series substitution holds {held} terms of argument powers, "
+                    f"exceeding the limit of {MAX_POWER_TERMS}")
+            memo[e] = p
 
         def power(i: int, e: int) -> Series:
             memo = powers[i]
@@ -129,10 +142,10 @@ class Series:
                 low, h = 0, 1  # low: the bits of e below h
                 while h <= e:
                     if h not in memo:
-                        memo[h] = memo[h >> 1] * memo[h >> 1]
+                        keep(memo, h, memo[h >> 1] * memo[h >> 1])
                     if e & h:
                         if low + h not in memo:
-                            memo[low + h] = memo[low] * memo[h]
+                            keep(memo, low + h, memo[low] * memo[h])
                         low += h
                     h <<= 1
             return memo[e]

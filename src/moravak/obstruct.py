@@ -6,7 +6,9 @@ by 2), so a class beta(x) vanishes exactly when x is the reduction of an
 integral class.  Verdicts are therefore computed from a mod-2
 representative Sq^1(x) plus membership of x in the declared integral
 image, and stay three-valued when neither resolves; a nonzero
-representative is always conclusive, a zero one is not.
+representative is always conclusive, a zero one is not.  Every verdict
+comes from the one certificate ``steenrod._beta_certificate``, and a
+report's status is looked up from its verdict.
 
 The checks in scope: integral Stiefel-Whitney classes via Sq^1 of the
 even classes, the universal Wu formula for Sq^i(w_j), the twisted string
@@ -35,11 +37,13 @@ from .errors import (
     ValidationError,
 )
 from .f2alg import AlgebraMap, GradedElement, ZERO
-from .steenrod import TriState, commutes_with_sq, milnor_q, sq
+from .steenrod import TriState, _beta_certificate, commutes_with_sq, milnor_q, sq
 
 ORIENTED = "oriented"
 OBSTRUCTED = "obstructed"
 UNDECIDED = "undecided"
+
+_STATUS = {TriState.YES: ORIENTED, TriState.NO: OBSTRUCTED, TriState.UNKNOWN: UNDECIDED}
 
 _FLAGS = {"oriented", "spin", "string"}
 
@@ -110,7 +114,7 @@ class ManifoldData:
         if self.lam != ZERO:
             if 4 not in self.sw:
                 raise MissingClassError("lambda declared but w_4 is missing")
-            if alg.reduce(self.lam + self.sw[4]) != ZERO:
+            if self.lam != self.sw[4]:
                 raise ValidationError("lambda must reduce to w_4 mod 2")
         self.pairing = alg.reduce(self.pairing)
         if self.pairing and alg.degree_of(self.pairing) != self.dimension:
@@ -132,8 +136,9 @@ class ManifoldData:
         return "string" in self.flags
 
     def sw_class(self, i: int) -> GradedElement:
+        """w_i as a canonical form."""
         if i == 0:
-            return self.space.algebra.one
+            return self.space.algebra.reduce(self.space.algebra.one)
         if i in self.sw:
             return self.sw[i]
         if i > self.dimension:
@@ -163,25 +168,11 @@ class ObstructionReport:
     warnings: tuple = ()
 
 
-def _beta_verdict(m: ManifoldData, inner: GradedElement) -> tuple[GradedElement, TriState]:
-    """Shadow and certificate for vanishing of beta(inner)."""
-    inner = m.space.algebra.reduce(inner)
-    if inner == ZERO:
-        return ZERO, TriState.YES
-    rep = sq(1, inner, m.space.action)
-    if m.space.integ is not None and m.space.integ.contains(inner):
-        return rep, TriState.YES
-    if rep != ZERO:
-        return rep, TriState.NO
-    return rep, TriState.UNKNOWN
-
-
-def _status(rep: GradedElement, cert: TriState) -> str:
-    if cert is TriState.YES:
-        return ORIENTED
-    if rep != ZERO:
-        return OBSTRUCTED
-    return UNDECIDED
+def _w7_certificate(m: ManifoldData, h: GradedElement) -> tuple[GradedElement, TriState]:
+    """Shadow and certificate of W_7 + beta Sq^2(h), the beta-image of
+    w_6 + Sq^2(h)."""
+    act = m.space.action
+    return _beta_certificate(m.sw_class(6) + sq(2, h, act), act, m.space.integ)
 
 
 def integral_sw(m: ManifoldData, odd: int) -> tuple[GradedElement, TriState]:
@@ -189,7 +180,7 @@ def integral_sw(m: ManifoldData, odd: int) -> tuple[GradedElement, TriState]:
     the beta-image of w_{2k}."""
     if odd < 1 or odd % 2 == 0:
         raise ValidationError("integral Stiefel-Whitney classes have odd index")
-    return _beta_verdict(m, m.sw_class(odd - 1))
+    return _beta_certificate(m.sw_class(odd - 1), m.space.action, m.space.integ)
 
 
 def wu_sq(m: ManifoldData, i: int, j: int) -> GradedElement:
@@ -208,7 +199,7 @@ def wu_sq(m: ManifoldData, i: int, j: int) -> GradedElement:
         if not coeff:
             continue
         out = out + alg.mul(m.sw_class(i - t), m.sw_class(j + t))
-    return alg.reduce(out)
+    return out
 
 
 def _require_integral_degree(m: ManifoldData, e: GradedElement, degree: int,
@@ -235,9 +226,8 @@ def twisted_string_check(m: ManifoldData, h4: TwistClass) -> ObstructionReport:
     if not h4.integral:
         raise NotIntegralError("the degree-4 twist must be integral")
     h = _require_integral_degree(m, h4.element, 4, "twist class")
-    inner = m.space.algebra.reduce(m.sw_class(6) + sq(2, h, m.space.action))
-    rep, cert = _beta_verdict(m, inner)
-    return ObstructionReport(_status(rep, cert), rep, cert, tuple(warnings))
+    rep, cert = _w7_certificate(m, h)
+    return ObstructionReport(_STATUS[cert], rep, cert, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -263,15 +253,13 @@ def heterotic_check(m: ManifoldData, a: GradedElement,
     for name, cls in (("a", a), ("b", b)):
         if cls and alg.degree_of(cls) != 4:
             raise ValidationError(f"class {name} must have degree 4")
-    if alg.reduce(a + b + m.lam) != ZERO:
+    if a + b != m.lam:
         raise AnomalyRelationViolatedError("a + b = lambda fails on this data")
     failed = []
     if sq(1, sq(2, a, m.space.action), m.space.action) != ZERO:
         failed.append("Sq3(a) = 0")
-    inner = alg.reduce(m.sw_class(6) + sq(2, b, m.space.action))
-    rep, cert = _beta_verdict(m, inner)
-    status = _status(rep, cert)
-    return HeteroticReport(status, rep, cert, not failed, tuple(failed))
+    rep, cert = _w7_certificate(m, b)
+    return HeteroticReport(_STATUS[cert], rep, cert, not failed, tuple(failed))
 
 
 @dataclass(frozen=True)
@@ -299,13 +287,9 @@ def fivebrane_check(m: ManifoldData, h5: GradedElement) -> FivebraneReport:
     h5 = _require_integral_degree(m, h5, 5, "degree-5 twist")
     act = m.space.action
     alpha8 = sq(1, sq(2, h5, act), act)
-    inner = m.space.algebra.reduce(m.sw_class(14) + sq(6, alpha8, act))
-    rep, cert = _beta_verdict(m, inner)
-    q_route = milnor_q(2, milnor_q(1, h5, act), act)
-    sq_route = sq(7, sq(3, h5, act), act)
-    agrees = m.space.algebra.reduce(q_route + sq_route) == ZERO
-    return FivebraneReport(_status(rep, cert), rep, cert, alpha8, agrees,
-                           tuple(warnings))
+    rep, cert = _beta_certificate(m.sw_class(14) + sq(6, alpha8, act), act, m.space.integ)
+    agrees = milnor_q(2, milnor_q(1, h5, act), act) == sq(7, sq(3, h5, act), act)
+    return FivebraneReport(_STATUS[cert], rep, cert, alpha8, agrees, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -339,7 +323,7 @@ def quadratic_refinement_check(m: ManifoldData, f: IndexTable, a: GradedElement,
         cls = alg.reduce(cls)
         if cls and alg.degree_of(cls) != 4:
             raise ValidationError(f"class {name} must have degree 4")
-    lhs = f.evaluate(m, alg.reduce(a + a2))
+    lhs = f.evaluate(m, a + a2)
     cross = m.pair(alg.mul(a, sq(2, a2, m.space.action)))
     rhs = (f.evaluate(m, a) + f.evaluate(m, a2) + cross) % 2
     return lhs == rhs
@@ -376,11 +360,9 @@ def phase_invariance_check(m: ManifoldData, f: IndexTable, a: GradedElement,
     act = m.space.action
     correction = (m.pair(alg.mul(b, sq(2, m.lam, act))) +
                   m.pair(alg.mul(b, sq(2, a, act)))) % 2
-    sq3 = alg.reduce(sq(1, sq(2, alg.reduce(m.lam + a), act), act))
-    inner = alg.reduce(m.sw_class(6) + sq(2, a, act))
-    rep, cert = _beta_verdict(m, inner)
-    return PhaseReport(correction == 0, correction, sq3 == ZERO,
-                       _status(rep, cert), cert)
+    sq3 = sq(1, sq(2, m.lam + a, act), act)
+    _, cert = _w7_certificate(m, a)
+    return PhaseReport(correction == 0, correction, sq3 == ZERO, _STATUS[cert], cert)
 
 
 def relative_obstruction(m: ManifoldData, h4: TwistClass) -> ObstructionReport:

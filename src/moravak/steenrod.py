@@ -10,18 +10,22 @@ algebra's ``_GeneratorMap`` from each generator to its total square,
 so each window monomial's total square is one cached int.
 Sq^i of a degree-d monomial is the degree-(d+i) part of that int, one
 AND with the mask of that degree's numbers, and Q_j runs its
-commutator recursion on these ints.  ``sq`` and ``milnor_q`` convert
-an element to an int on entry and back on exit.  Validation is eager and
+commutator recursion on these ints.  ``sq`` and ``milnor_q`` take an
+element in through the algebra's one intake, ``_bits`` with the
+operator's reach, and convert back on exit.  Validation is eager and
 cannot be skipped: an action whose table is incompatible with the
-algebra's relations (some Sq^i(r) nonzero in the quotient) is rejected
-at load, since a silently inconsistent table would poison every
-differential computed from it.
+algebra's relations (some Sq^i(r) nonzero in the quotient, read off the
+total square of r) is rejected at load, since a silently inconsistent
+table would poison every differential computed from it.
 
 Integral statements are never decided on integral cohomology itself;
 they are decided through mod-2 representatives plus a declared
 "integral image" subspace (the span of reductions of integral classes,
-held as one echelon over window numbers), with a three-valued verdict
-when the data cannot decide.
+held as one echelon over window numbers).  One certificate,
+``_beta_certificate``, decides whether beta(x) vanishes: yes when x is
+zero or in the integral image, no when the shadow Sq^1(x) is nonzero,
+unknown otherwise.  ``sq_z`` and the checks in ``obstruct`` take their
+verdicts from it.
 """
 
 from __future__ import annotations
@@ -72,8 +76,7 @@ class SqAction:
                 e = row[i]
                 if i == 0 or i == g.degree:
                     # endpoints are forced; tolerate redundant declarations
-                    gen = algebra.generator(g.name)
-                    forced = gen if i == 0 else algebra.mul(gen, gen)
+                    forced = self.generator_sq(g.name, i)
                     if e != forced:
                         raise ValidationError(
                             f"Sq^{i}({g.name}) is forced to {forced}, got {e}")
@@ -110,21 +113,6 @@ class SqAction:
             return self.algebra.mul(gen, gen)
         return self._table[name].get(i, ZERO)
 
-    def _bits(self, e: GradedElement, i: int) -> int:
-        """e in window numbers for Sq^i.  A term outside the window raises
-        on an unknown generator, and on a negative exponent unless Sq^i
-        of it would leave the window; otherwise it is zero (an exterior
-        square, or a degree above the cap)."""
-        alg = self.algebra
-        x = 0
-        for m in e.terms:
-            n = alg._number(m)
-            if n is not None:
-                x ^= 1 << n
-            elif alg.monomial_degree(m) + i <= alg.degree_cap:
-                alg._check_monomial(m)
-        return x
-
     def _sq(self, i: int, x: int) -> int:
         """Sq^i of window vector x: each term's total square masked to
         the term's degree plus i."""
@@ -151,8 +139,10 @@ class SqAction:
         return self._sq(s, self._q(j - 1, x)) ^ self._q(j - 1, self._sq(s, x))
 
     def _check_relations(self):
-        """Sq^i(r) = 0 for every relation r, and for the relation x^2 = 0
-        of each exterior x: in characteristic 2, Sq^{2i}(x^2) = (Sq^i x)^2."""
+        """Sq^i(r) = 0 for every relation r, tested on r's total square,
+        whose lowest nonzero degree part names the failing i; and for the
+        relation x^2 = 0 of each exterior x: in characteristic 2,
+        Sq^{2i}(x^2) = (Sq^i x)^2."""
         alg = self.algebra
         for g in alg.generators:
             if g.kind != EXTERIOR:
@@ -165,12 +155,14 @@ class SqAction:
                         f"action does not respect {g.name}^2 = 0: Sq^{2 * i}"
                         f"({g.name}^2) = (Sq^{i} {g.name})^2 = {square} is nonzero")
         for r in alg.relations:
-            d = alg.degree_of(r)
-            for i in range(d + 1):
-                if sq(i, r, self) != ZERO:
-                    raise ValidationError(
-                        f"action does not descend to the quotient: "
-                        f"Sq^{i}({r}) is nonzero")
+            total = 0
+            for n in gf2.bits(alg._bits(r)):
+                total ^= self._total(n)
+            if total:
+                low = alg._numbered[(total & -total).bit_length() - 1]
+                i = alg.monomial_degree(low) - alg.degree_of(r)
+                raise ValidationError(
+                    f"action does not descend to the quotient: Sq^{i}({r}) is nonzero")
 
 
 def sq(i: int, e: GradedElement, action: SqAction) -> GradedElement:
@@ -184,7 +176,7 @@ def sq(i: int, e: GradedElement, action: SqAction) -> GradedElement:
     """
     if i < 0:
         raise ValidationError("Sq index must be nonnegative")
-    return action.algebra._element(action._sq(i, action._bits(e, i)))
+    return action.algebra._element(action._sq(i, action.algebra._bits(e, i)))
 
 
 def milnor_q(j: int, e: GradedElement, action: SqAction) -> GradedElement:
@@ -197,7 +189,7 @@ def milnor_q(j: int, e: GradedElement, action: SqAction) -> GradedElement:
     """
     if j < 0:
         raise ValidationError("Milnor index must be nonnegative")
-    return action.algebra._element(action._q(j, action._bits(e, 1)))
+    return action.algebra._element(action._q(j, action.algebra._bits(e, 1)))
 
 
 def check_derivation(j: int, a: GradedElement, b: GradedElement,
@@ -206,7 +198,7 @@ def check_derivation(j: int, a: GradedElement, b: GradedElement,
     alg = action.algebra
     lhs = milnor_q(j, alg.mul(a, b), action)
     rhs = alg.mul(milnor_q(j, a, action), b) + alg.mul(a, milnor_q(j, b, action))
-    return alg.reduce(lhs + rhs) == ZERO
+    return lhs == rhs
 
 
 def adem_spot_check(action: SqAction, max_degree: int | None = None) -> bool:
@@ -276,30 +268,29 @@ class IntegralityData:
                                 f"({a})*({b}) escapes")
 
 
+def _beta_certificate(x: GradedElement, action: SqAction,
+                      integ: IntegralityData | None) -> tuple[GradedElement, TriState]:
+    """Mod-2 shadow Sq^1(x) and vanishing certificate of beta(x), for a
+    canonical x.  beta(x) vanishes when x lifts integrally: x is zero or
+    lies in the declared integral image (when there is one).  A nonzero
+    shadow certifies nonvanishing; a zero shadow alone decides nothing."""
+    shadow = sq(1, x, action)
+    if not x or integ is not None and integ.contains(x):
+        return shadow, TriState.YES
+    return shadow, TriState.NO if shadow else TriState.UNKNOWN
+
+
 def sq_z(k: int, e: GradedElement, action: SqAction,
          integ: IntegralityData) -> tuple[GradedElement, TriState]:
     """Mod-2 shadow and vanishing certificate of the odd operation
-    beta∘Sq^{2k} on (the integral lift of) e.
-
-    The representative is Sq^1(Sq^{2k}(e)).  The integral class is zero
-    exactly when Sq^{2k}(e) lifts integrally, i.e. lies in the declared
-    integral image; a nonzero shadow certifies nonvanishing; anything
-    else is undecided by mod-2 data.
-    """
+    beta∘Sq^{2k} on (the integral lift of) e: the beta-certificate of
+    Sq^{2k}(e)."""
     if k < 0:
         raise ValidationError("index must be nonnegative")
     e = action.algebra.reduce(e)
     if not integ.contains(e):
         raise NotIntegralError(f"class is not in the declared integral image: {e}")
-    inner = sq(2 * k, e, action)
-    rep = sq(1, inner, action)
-    if integ.contains(inner):
-        verdict = TriState.YES
-    elif rep != ZERO:
-        verdict = TriState.NO
-    else:
-        verdict = TriState.UNKNOWN
-    return rep, verdict
+    return _beta_certificate(sq(2 * k, e, action), action, integ)
 
 
 def commutes_with_sq(fmap: AlgebraMap, source_action: SqAction,
@@ -309,7 +300,6 @@ def commutes_with_sq(fmap: AlgebraMap, source_action: SqAction,
     for g in fmap.source.generators:
         for i in _window_indices(g.degree, cap):
             lhs = fmap.apply(source_action.generator_sq(g.name, i))
-            rhs = sq(i, fmap.images[g.name], target_action)
-            if fmap.target.reduce(lhs + rhs) != ZERO:
+            if lhs != sq(i, fmap.images[g.name], target_action):
                 return False
     return True

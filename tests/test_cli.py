@@ -278,6 +278,8 @@ GROUPLIKE_FIBONACCI = "1+x+x^2+x^3+x^5+x^8+x^13+x^21+x^34+x^55+x^89"
     (("fgl", "--check-grouplike", "1+x^" + "7" * 5000), 2),
     (("fgl", "--law", "gm", "--modulus", "1048576", "--truncation", "400",
       "--check-grouplike", GROUPLIKE_FIBONACCI + "+x^144+x^233+x^377"), 4),
+    (("fgl", "--law", "gm", "--truncation", "1000000000",
+      "--check-grouplike", "1+x^5592405"), 4),
 ])
 def test_out_of_range_arguments_are_typed_errors(capsys, argv, code):
     assert main(list(argv)) == code

@@ -210,6 +210,17 @@ def test_products_above_the_pair_limit_are_refused(monkeypatch):
         three * three
 
 
+def test_compose_power_terms_above_the_limit_are_refused(monkeypatch):
+    # x + x^2 squared is x^2 + x^4 (2 terms), times x + x^2 is x^3..x^6 (4 terms)
+    arg, cube = Series(1, 16, 2, {(1,): 1, (2,): 1}), Series(1, 16, 2, {(3,): 1})
+    monkeypatch.setattr(fgl, "MAX_POWER_TERMS", 6)
+    assert cube.compose([arg]) == naive_compose(cube, [arg])
+    monkeypatch.setattr(fgl, "MAX_POWER_TERMS", 5)
+    with pytest.raises(ComputationError, match="series substitution holds 6 terms "
+                       "of argument powers, exceeding the limit of 5"):
+        cube.compose([arg])
+
+
 @pytest.mark.parametrize("modulus", [2, 8])
 @pytest.mark.parametrize("law", [FGL.multiplicative, FGL.additive])
 def test_pow_matches_repeated_products(law, modulus):

@@ -8,9 +8,10 @@ from moravak.errors import (
     DegreeCapExceededError,
     HypothesisViolatedError,
     MissingClassError,
+    NotIntegralError,
     ValidationError,
 )
-from moravak.f2alg import AlgebraMap, GradedGenerator, PresentedAlgebra
+from moravak.f2alg import ONE, AlgebraMap, GradedGenerator, PresentedAlgebra
 from moravak.obstruct import (
     IndexTable,
     ManifoldData,
@@ -28,7 +29,7 @@ from moravak.obstruct import (
     wu_sq,
 )
 from moravak.spacefile import parse_file
-from moravak.steenrod import SqAction, TriState, milnor_q, sq
+from moravak.steenrod import IntegralityData, SqAction, TriState, milnor_q, sq, sq_z
 
 from conftest import FIXTURES
 
@@ -355,3 +356,52 @@ def test_manifold_validation():
     with pytest.raises(MissingClassError):
         m = ManifoldData(space=space, dimension=6)
         m.sw_class(4)
+
+
+BETA_CASES = {
+    # case: (Sq^1 d, integral classes or None for no section, x, shadow, verdict)
+    "zero class": ("e", "c", "0", "0", TriState.YES),
+    "in the integral image": ("0", "c d", "d", "0", TriState.YES),
+    "nonzero shadow": ("e", "c", "d", "e", TriState.NO),
+    "zero shadow outside the image": ("0", "c", "d", "0", TriState.UNKNOWN),
+    "no integral section": ("0", None, "d", "0", TriState.UNKNOWN),
+    "no integral section, nonzero shadow": ("e", None, "d", "e", TriState.NO),
+}
+
+
+@pytest.mark.parametrize("sq1d, integral, x, shadow, verdict",
+                         BETA_CASES.values(), ids=BETA_CASES)
+def test_beta_certificate_rule_at_every_entry_point(sq1d, integral, x, shadow, verdict):
+    """beta(x) vanishes when x is zero or in the integral image, a nonzero
+    shadow Sq^1 x proves that it does not, and a zero shadow alone decides
+    nothing.  On F2[c4, d6, e7] with Sq^2 c = d, x is Sq^2 of c or 0 for
+    sq_z, w_6 for integral_sw, and w_6 + Sq^2 c for twisted_string_check."""
+    alg = PresentedAlgebra([GradedGenerator("c", 4), GradedGenerator("d", 6),
+                            GradedGenerator("e", 7)], (), 9)
+    act = SqAction(alg, {"c": {2: alg.element("d")}, "d": {1: alg.element(sq1d)}})
+    c, d, x = alg.element("c"), alg.element("d"), alg.element(x)
+    integ = None
+    if integral is not None:
+        spans = {alg.degree_of(alg.element(g)): [alg.element(g)] for g in integral.split()}
+        integ = IntegralityData(act, {**spans, 8: [alg.mul(c, c)]})
+    want = (alg.element(shadow), verdict)
+    if integ is None:  # only the unit is known to be integral
+        with pytest.raises(NotIntegralError):
+            sq_z(1, c, act, IntegralityData(act))
+    else:
+        assert sq_z(1, c if x else alg.zero, act, integ) == want
+    space = SpaceModel(alg, act, integ)
+    assert integral_sw(ManifoldData(space=space, dimension=9, sw={6: x}), 7) == want
+    m = ManifoldData(space=space, dimension=9, sw={6: x + d})
+    report = twisted_string_check(m, TwistClass(c))
+    assert (report.obstruction, report.certificate) == want
+    status = {TriState.YES: ORIENTED, TriState.NO: OBSTRUCTED, TriState.UNKNOWN: UNDECIDED}
+    assert report.status == status[verdict]
+
+
+def test_w0_is_canonical_when_the_unit_vanishes():
+    """Under the relation 1 = 0 every class is zero, w_0 included, so
+    beta(w_0) vanishes even with no integral section."""
+    alg = PresentedAlgebra([GradedGenerator("t", 1)], [ONE], 4)
+    m = ManifoldData(space=SpaceModel(alg, SqAction(alg, {})), dimension=4)
+    assert integral_sw(m, 1) == (alg.zero, TriState.YES)

@@ -343,6 +343,20 @@ def test_relation_compatibility_checked():
     truncated_projective(9, 12)
 
 
+@pytest.mark.parametrize("table, i", [
+    ({}, 2),  # Sq^2(r) = x*y^2 and Sq^4(r) = x^2*y^2 are nonzero, Sq^1(r) is zero
+    ({"x": {1: "y"}}, 1),  # Sq^1, Sq^3 and Sq^5 of r are nonzero
+])
+def test_relation_check_names_the_lowest_failing_square(table, i):
+    gens = [GradedGenerator("x", 2), GradedGenerator("y", 3)]
+    alg = PresentedAlgebra(gens, [parse_element("y^2 + x^3")], 12)
+    table = {g: {k: alg.element(v) for k, v in row.items()} for g, row in table.items()}
+    with pytest.raises(ValidationError) as exc:
+        SqAction(alg, table)
+    assert str(exc.value) == \
+        f"action does not descend to the quotient: Sq^{i}(x^3 + y^2) is nonzero"
+
+
 def test_exterior_squares_checked():
     """Sq^{2i}(x^2) = (Sq^i x)^2 in characteristic 2, so an exterior x
     needs (Sq^i x)^2 = 0 inside the window."""
