@@ -36,7 +36,7 @@ from .errors import (
 )
 from .f2alg import GradedElement, PresentedAlgebra, ZERO
 from .rbk import _check_height, v_degree
-from .steenrod import IntegralityData, SqAction, TriState, milnor_q, sq
+from .steenrod import IntegralityData, SqAction, TriState, sq
 
 
 @dataclass
@@ -63,7 +63,7 @@ class SpaceModel:
             raise ValidationError("top degree exceeds the degree cap")
         if self.top_degree < self.algebra.degree_cap:
             for d in range(self.top_degree + 1, self.algebra.degree_cap + 1):
-                if self.algebra.basis(d):
+                if self.algebra._deg_data(d).basis_indices:
                     raise ValidationError(
                         f"model of dimension {self.top_degree} has classes in degree {d}")
 
@@ -141,15 +141,17 @@ class Page:
 
 def twist_term(space: SpaceModel, twist: TwistClass, n: int) -> GradedElement:
     """The degree-(2^{n+1}-1) class Q_{n-1}...Q_1 applied to the twist;
-    at n = 1 the twist itself."""
-    h = space.algebra.reduce(twist.element)
-    if h and space.algebra.degree_of(h) != n + 2:
+    at n = 1 the twist itself.  The steps run on window numbers, so only
+    the twist and the result are built as monomials."""
+    alg = space.algebra
+    h = alg.reduce(twist.element)
+    if h and alg.degree_of(h) != n + 2:
         raise WrongTwistDegreeError(
             f"twist must be homogeneous of degree {n + 2}")
-    phi = h
+    phi = alg._bits(h)
     for j in range(1, n):
-        phi = milnor_q(j, phi, space.action)
-    return phi
+        phi = space.action._q(j, phi)
+    return alg._element(phi)
 
 
 def e2_page(space: SpaceModel, n: int) -> Page:
@@ -157,7 +159,7 @@ def e2_page(space: SpaceModel, n: int) -> Page:
     if n < 1:
         raise ValidationError("height must be >= 1")
     _check_height(n)
-    coords = {p: tuple(1 << i for i in range(len(space.algebra.basis(p))))
+    coords = {p: tuple(1 << i for i in range(len(space.algebra._deg_data(p).basis_indices)))
               for p in range(space.algebra.degree_cap + 1)}
     return Page(n, space.algebra, coords, None, frozenset(), "E2")
 

@@ -8,38 +8,43 @@ positive, and exterior generators square to zero.
 Quotient bases are computed one degree at a time by GF(2) linear
 algebra on the span of relation multiples.  Every algebra carries a
 hard degree cap ``D``: monomials of degree above ``D`` are truncated
-away, which keeps each degree window finite and exact.  One walk over
-the generators, in reverse name order, counts the window's monomials,
-refusing more than ``MAX_WINDOW`` of them before any is built, then
-lists them by degree, each degree already in monomial order: no degree
-is ever sorted, and its basis and relation multiples are read from it.
+away, which keeps each degree window finite and exact.
 
-The same loop lists each monomial's packed key beside it: one bit
-field per generator, in name order, wide enough for twice the
-generator's largest window exponent, and the degree above them all
-(packed exponent vectors, as in Monagan-Pearce, CASC 2007).  Each
-monomial's degree is also kept in one window-wide map.  Two window keys
-add without carries, so the key of a product is the sum of its
-factors' keys, and a sum that is no window key is a product that
-vanishes: an exterior square, or a degree above the cap.
+The window is held as packed keys, not as monomials: one bit field per
+generator, in name order, wide enough for twice the generator's largest
+window exponent, and the degree above them all (packed exponent
+vectors, as in Monagan-Pearce, CASC 2007).  One walk over the
+generators, in reverse name order, counts the window's monomials,
+refusing more than ``MAX_WINDOW`` of them before any key is listed,
+then lists the keys by degree, each degree already in monomial order:
+no degree is ever sorted, and its basis and relation multiples are read
+from it.  Two window keys add without carries, so the key of a product
+is the sum of its factors' keys, and a sum that is no window key is a
+product that vanishes: an exterior square, or a degree above the cap.
 
 The window monomials are also numbered, degree-major: degree d holds
-the numbers from its offset, the count of all lower degrees, in bucket
+the numbers from its offset, the count of all lower degrees, in walk
 order.  An element is then one int with bit n for monomial n.  Each
 degree numbers its keys when it is first built, and registers its
 relation rows, shifted to its offset, in one window-wide pivot index;
 different degrees have disjoint supports, so one elimination against
 that index reduces an element of any degrees.  A product of two such
 elements is a sum of keys per pair of terms and one elimination.
-``reduce``, ``mul`` and ``express_bits`` all go through these numbers;
-a term outside the window raises on an unknown generator or a negative
-exponent and is dropped otherwise.  Reduction is linear and works
+``reduce``, ``mul`` and ``express_bits`` all go through these numbers.
+
+Monomial tuples exist only at the edges.  A term comes in through
+``_bits``, which encodes its key factor by factor; a term outside the
+window raises on an unknown generator or a negative exponent and is
+dropped otherwise.  A number is decoded back to its tuple, once per
+algebra, only where an element leaves: ``_element``, ``basis`` and the
+message naming a failing relation.  Reduction is linear and works
 degree by degree, so a sum of canonical forms, and the part of one
 degree of a canonical form, are canonical.  A ring map given on
 generators, ``AlgebraMap`` here and the total square in ``steenrod``,
 maps window numbers through one ``_GeneratorMap``: a monomial's image
 is the cached image of its prefix, all factors but the last, times one
-cached power.
+cached power.  The last factor is the highest nonzero field of the key,
+and the prefix key is the key less that factor's key.
 """
 
 from __future__ import annotations
@@ -186,16 +191,15 @@ class PresentedAlgebra:
         self.generators = tuple(generators)
         self.degree_cap = degree_cap
         self._by_name = {g.name: g for g in generators}
-        # window monomials by degree, each sorted, and their keys
-        self._buckets, self._bucket_keys = self._window()
-        self._degrees = {m: d for d, bucket in enumerate(self._buckets) for m in bucket}
-        self._offsets = list(accumulate(map(len, self._buckets), initial=0))
-        self._numbered = [m for bucket in self._buckets for m in bucket]  # window numbers
-        self._number_keys = [0] * self._offsets[-1]
-        self._key_numbers: dict[int, int] = {}
+        # window keys in number order, degree by degree; see _window
+        self._number_keys, self._offsets = self._window()
+        self._key_numbers: dict[int, int] = {}  # filled as each degree is built
+        self._monomials: dict[int, Monomial] = {}  # window number -> decoded monomial
         self._pivots: dict[int, int] = {}  # window-wide pivot index
         self._pivot_mask = 0
         self.relations = tuple(self._normalize_relation(r) for r in relations)
+        self._relation_keys = [(self.degree_of(r), [self._key(t) for t in r.terms])
+                               for r in self.relations]
         self._degree_cache: dict[int, _DegreeData] = {}
         self._reduced_relations_ok()
 
@@ -218,8 +222,7 @@ class PresentedAlgebra:
         return ONE
 
     def monomial_degree(self, m: Monomial) -> int:
-        d = self._degrees.get(m)
-        return d if d is not None else sum(self._gen(n).degree * e for n, e in m)
+        return sum(self._gen(n).degree * e for n, e in m)
 
     # bench/tracer.py names these two as leaf helpers
     def laurent_free_degree(self, m: Monomial) -> int:
@@ -269,16 +272,37 @@ class PresentedAlgebra:
 
     # -- window numbers ------------------------------------------------------
 
-    def _key(self, m: Monomial) -> int:
-        """The key of a window monomial, summed over its factors."""
-        return sum(e << self._fields[n] for n, e in m) + \
-            (self._degrees[m] << self._degree_shift)
+    def _key(self, m: Monomial) -> int | None:
+        """The key of m, encoded factor by factor; None if m is no window
+        monomial: an unknown generator or one above the cap, an exponent
+        below 1, an exterior square, or a degree above the cap.  Each
+        exponent is held to its window top before it is added, so no field
+        carries into the next."""
+        fields, key = self._fields, 0
+        for name, e in m:
+            field = fields.get(name)
+            if field is None:
+                return None
+            unit, top = field
+            if not 0 < e <= top:
+                return None
+            key += e * unit
+        return key if key >> self._degree_shift <= self.degree_cap else None
 
     def _number(self, m: Monomial) -> int | None:
         """Window number of m, building its degree on first use; None
         outside the window."""
-        d = self._degrees.get(m)
-        return None if d is None else self._offsets[d] + self._deg_data(d).index[m]
+        k = self._key(m)
+        return None if k is None else self._number_of_key(k)
+
+    def _monomial(self, n: int) -> Monomial:
+        """The monomial of window number n, decoded from its key once."""
+        m = self._monomials.get(n)
+        if m is None:
+            k = self._number_keys[n]
+            m = self._monomials[n] = tuple((name, e) for name, shift, mask, _ in self._factors
+                                           if (e := k >> shift & mask))
+        return m
 
     def _number_of_key(self, k: int) -> int | None:
         """Number of a key, building its degree on first use; None for a
@@ -328,7 +352,7 @@ class PresentedAlgebra:
         return gf2._eliminate(out, self._pivot_mask, self._pivots)
 
     def _element(self, vec: int) -> GradedElement:
-        return GradedElement(frozenset(map(self._numbered.__getitem__, gf2.bits(vec))))
+        return GradedElement(frozenset(map(self._monomial, gf2.bits(vec))))
 
     def _basis_bits(self, vec: int, d: int) -> int:
         """Coordinates over basis(d) of the degree-d part of a reduced
@@ -341,7 +365,11 @@ class PresentedAlgebra:
     def basis(self, d: int) -> tuple[Monomial, ...]:
         """Deterministic monomial basis of the degree-d quotient space."""
         self._check_degree(d)
-        return self._deg_data(d).basis
+        data = self._deg_data(d)
+        if data.basis is None:
+            offset = self._offsets[d]
+            data.basis = tuple(self._monomial(offset + i) for i in data.basis_indices)
+        return data.basis
 
     def basis_elements(self, d: int) -> tuple[GradedElement, ...]:
         return tuple(GradedElement(frozenset({m})) for m in self.basis(d))
@@ -375,56 +403,57 @@ class PresentedAlgebra:
                 raise ValidationError(f"relation contains an exterior square: {r}")
         return r
 
-    def _window(self) -> tuple[list[list[Monomial]], list[list[int]]]:
-        """The monomials of each degree 0..cap, each degree in monomial
-        order, and their keys in the same order.
+    def _window(self) -> tuple[list[int], list[int]]:
+        """The keys of the monomials of degrees 0..cap, each degree in
+        monomial order, and the offset of each degree in that list.
 
         One walk puts the generators in front one at a time, in reverse
         name order, so each degree d comes out sorted: g times the old
         degree d - |g|, then g times the part of the new degree d - |g|
         that holds g (not for an exterior g), then the old degree d.
-        Times g is plus g's unit on keys, so the keys come from the same
-        loop.  The walk runs on counts first, so an oversized window is
-        refused before any monomial is built.  Each generator's key field
-        holds twice its largest window exponent, and the degree sits
-        above all fields."""
+        Times g is plus g's unit on keys, so the walk lists keys alone.
+        It runs on counts first, so an oversized window is refused before
+        any key is listed.  Each generator's key field holds twice its
+        largest window exponent, and the degree sits above all fields."""
         cap = self.degree_cap
         if cap >= MAX_WINDOW:
             raise ComputationError(f"degree cap {cap} exceeds the limit {MAX_WINDOW - 1}")
         gens = sorted((g for g in self.generators if g.degree <= cap), key=lambda g: g.name)
-        walk = [(g.name, g.degree, g.kind == POLYNOMIAL) for g in reversed(gens)]
-        fields = list(accumulate(
-            ((2 * min(cap // g.degree, 1 if g.kind == EXTERIOR else cap)).bit_length()
-             for g in gens), initial=0))
-        self._fields = {g.name: shift for g, shift in zip(gens, fields)}
-        self._degree_shift = fields[-1]
+        tops = [1 if g.kind == EXTERIOR else cap // g.degree for g in gens]
+        widths = [(2 * top).bit_length() for top in tops]
+        shifts = list(accumulate(widths, initial=0))
+        self._degree_shift = shifts.pop()
+        self._shifts = shifts
+        units = [(1 << s) + (g.degree << self._degree_shift) for g, s in zip(gens, shifts)]
+        # name -> (unit key, largest window exponent), for encoding
+        self._fields = {g.name: (unit, top) for g, unit, top in zip(gens, units, tops)}
+        # in name order, (name, field shift, field mask, unit key), for decoding
+        self._factors = [(g.name, s, (1 << width) - 1, unit)
+                         for g, s, width, unit in zip(gens, shifts, widths, units)]
+        walk = [(g.degree, g.kind == POLYNOMIAL, unit)
+                for g, unit in zip(reversed(gens), reversed(units))]
         counts = [1] + [0] * cap
-        for _, w, polynomial in walk:
+        for w, polynomial, _ in walk:
             for d in range(w, cap + 1) if polynomial else range(cap, w - 1, -1):
                 counts[d] += counts[d - w]
         total = sum(counts)
         if total > MAX_WINDOW:
             raise ComputationError(f"degree window [0, {cap}] holds {total} laurent-free "
                                    f"monomials; the limit is {MAX_WINDOW}")
-        window: list[list[Monomial]] = [[()]] + [[] for _ in range(cap)]
         keys: list[list[int]] = [[0]] + [[] for _ in range(cap)]
-        for name, w, polynomial in walk:
-            first, unit = ((name, 1),), (1 << self._fields[name]) + (w << self._degree_shift)
-            with_g, with_keys = [[]] * w, [[]] * w  # the part of each degree with g
+        for w, polynomial, unit in walk:
+            with_g = [[]] * w  # the keys of the part of each degree with g
             for d in range(w, cap + 1):
-                part, below = [first + m for m in window[d - w]], keys[d - w]
+                below = keys[d - w]
                 if polynomial and with_g[d - w]:
-                    part += [((name, m[0][1] + 1),) + m[1:] for m in with_g[d - w]]
-                    below = below + with_keys[d - w]
-                with_g.append(part)
-                with_keys.append([k + unit for k in below])
-            window[w:] = [a + b if a else b for a, b in zip(with_g[w:], window[w:])]
-            keys[w:] = [a + b if a else b for a, b in zip(with_keys[w:], keys[w:])]
-        return window, keys
+                    below = below + with_g[d - w]
+                with_g.append([k + unit for k in below])
+            keys[w:] = [a + b if a else b for a, b in zip(with_g[w:], keys[w:])]
+        return [k for degree in keys for k in degree], list(accumulate(counts, initial=0))
 
     def _reduced_relations_ok(self):
         for r in self.relations:
-            if self.reduce(r) != ZERO:
+            if self._reduced_bits(r):
                 raise ValidationError(f"relation does not reduce to zero: {r}")
 
     def _deg_data(self, d: int) -> "_DegreeData":
@@ -433,34 +462,30 @@ class PresentedAlgebra:
         return self._degree_cache[d]
 
     def _build_degree(self, d: int) -> "_DegreeData":
-        # number the bucket as it stands (the walk sorted it), then its relation rows
-        candidates, keys = self._buckets[d], self._bucket_keys[d]
-        offset, end, numbers = self._offsets[d], self._offsets[d + 1], self._key_numbers
-        self._number_keys[offset:end] = keys
-        numbers.update(zip(keys, range(offset, end)))
-        index = dict(zip(candidates, range(end - offset)))
+        # number the degree's keys as the walk listed them, then its relation rows
+        keys, offsets, numbers = self._number_keys, self._offsets, self._key_numbers
+        offset, end = offsets[d], offsets[d + 1]
+        numbers.update(zip(keys[offset:end], range(offset, end)))
         rows = []
-        for r in self.relations:
-            dr, terms = self.degree_of(r), [self._key(t) for t in r.terms]
-            for k in self._bucket_keys[d - dr] if dr <= d else ():
+        for dr, terms in self._relation_keys:
+            for k in keys[offsets[d - dr]:offsets[d - dr + 1]] if dr <= d else ():
                 # a sum that is no key is an exterior square, which is zero
                 rows.append(sum(1 << numbers[k + t] - offset for t in terms if k + t in numbers))
         rel_rows = gf2.reduce_rows(row for row in rows if row)
         for p, row in rel_rows.by_pivot.items():
             self._pivots[p + offset] = row << offset
         self._pivot_mask |= rel_rows.mask << offset
-        return _DegreeData(candidates, index, rel_rows)
+        return _DegreeData(end - offset, rel_rows)
 
 
 class _DegreeData:
-    __slots__ = ("index", "rel_rows", "basis_indices", "basis", "pivots")
+    __slots__ = ("rel_rows", "basis_indices", "basis", "pivots")
 
-    def __init__(self, candidates, index, rel_rows):
-        self.index = index
+    def __init__(self, size, rel_rows):
         self.rel_rows = rel_rows  # keeps the pivot index of gf2.reduce_rows
         pivots = gf2.pivots(rel_rows)
-        self.basis_indices = tuple(i for i in range(len(candidates)) if i not in pivots)
-        self.basis = tuple(candidates[i] for i in self.basis_indices)
+        self.basis_indices = tuple(i for i in range(size) if i not in pivots)
+        self.basis = None  # the basis monomials, decoded by basis() on first call
         self.pivots = sorted(pivots)
 
     def basis_bits(self, vec: int) -> int:
@@ -500,10 +525,19 @@ class _GeneratorMap:
         out = self._images.get(n)
         if out is None:
             source = self.source
-            m = source._numbered[n]
-            out = self._power(*m[-1]) if m else self._unit
-            if len(m) > 1:
-                out = self.target._mul_bits(self.image(source._number(m[:-1])), out)
+            k = source._number_keys[n]
+            exps = k & (1 << source._degree_shift) - 1
+            if not exps:  # the empty monomial
+                out = self._unit
+            else:
+                # the last factor holds the highest nonzero exponent field
+                name, shift, _, unit = source._factors[
+                    bisect(source._shifts, exps.bit_length() - 1) - 1]
+                e = exps >> shift
+                out = self._power(name, e)
+                if exps & (1 << shift) - 1:
+                    prefix = source._number_of_key(k - e * unit)
+                    out = self.target._mul_bits(self.image(prefix), out)
             self._images[n] = out
         return out
 

@@ -159,7 +159,7 @@ class SqAction:
             for n in gf2.bits(alg._bits(r)):
                 total ^= self._total(n)
             if total:
-                low = alg._numbered[(total & -total).bit_length() - 1]
+                low = alg._monomial((total & -total).bit_length() - 1)
                 i = alg.monomial_degree(low) - alg.degree_of(r)
                 raise ValidationError(
                     f"action does not descend to the quotient: Sq^{i}({r}) is nonzero")

@@ -2,7 +2,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from moravak import f2alg, gf2
 from moravak.errors import (
     ComputationError,
@@ -244,6 +244,16 @@ _DRAWN_GENERATORS = st.lists(
     min_size=2, max_size=4, unique_by=lambda drawn: drawn[0])
 
 
+def degree_monomials(alg: PresentedAlgebra, d: int) -> list:
+    """The window monomials of degree d, decoded in window-number order."""
+    return [alg._monomial(n) for n in range(alg._offsets[d], alg._offsets[d + 1])]
+
+
+def degree_keys(alg: PresentedAlgebra, d: int) -> list[int]:
+    """The keys of degree d as the walk listed them."""
+    return alg._number_keys[alg._offsets[d]:alg._offsets[d + 1]]
+
+
 @SETTINGS
 @given(_DRAWN_GENERATORS, st.integers(0, 10))
 def test_window_walk_lists_each_degree_in_monomial_order(drawn, cap):
@@ -256,10 +266,56 @@ def test_window_walk_lists_each_degree_in_monomial_order(drawn, cap):
     alg = PresentedAlgebra(gens, (), cap)
     expected = _enumerated_candidates(gens, cap)
     for d in range(cap + 1):
-        bucket = alg._buckets[d]
+        bucket = degree_monomials(alg, d)
         assert bucket == sorted(bucket)
         assert tuple(bucket) == expected.get(d, ())
-        assert alg._bucket_keys[d] == [alg._key(m) for m in bucket]
+        assert degree_keys(alg, d) == [alg._key(m) for m in bucket]
+
+
+def _intake_raises(kinds: dict, m) -> bool:
+    """Whether a term outside the window raises: the factors are checked
+    in name order, and an exterior square zeroes the term before any
+    factor after it is checked."""
+    for name, e in m:
+        if name not in kinds or e < 0:
+            return True
+        if kinds[name] == EXTERIOR and e >= 2:
+            return False
+    return False
+
+
+@settings(SETTINGS, max_examples=300)
+@given(_DRAWN_GENERATORS, st.integers(0, 10), st.data())
+def test_key_intake_agrees_with_the_reference_window(drawn, cap, data):
+    """Single terms over the generators and one unknown name, with zero
+    and negative exponents, exterior squares, generators above the cap
+    and degrees above the cap: a term is nonzero exactly when it is a
+    monomial of the enumerated window, and raises only for an unknown
+    generator or a negative exponent."""
+    gens = tuple(GradedGenerator(*g) for g in drawn)
+    alg = PresentedAlgebra(gens, (), cap)
+    window = {m for ms in _enumerated_candidates(gens, cap).values() for m in ms}
+    kinds = {g.name: g.kind for g in gens}
+    names = st.lists(st.sampled_from(sorted(kinds) + ["nope"]), unique=True, max_size=4)
+    exponents = st.sampled_from([-1, 0, 1, 2]) | st.integers(-2, cap + 2)
+    drawn_term = names.flatmap(lambda ns: st.tuples(
+        *(st.tuples(st.just(n), exponents) for n in sorted(ns))))
+    m = data.draw(st.sampled_from(sorted(window)) | drawn_term)
+    e = GradedElement(frozenset({m}))
+    if m not in window and _intake_raises(kinds, m):
+        with pytest.raises(IllFormedElementError):
+            alg._bits(e)
+    else:
+        assert bool(alg._bits(e)) == (m in window)
+
+
+def test_exterior_power_does_not_spill_into_the_next_field():
+    """e^5 overflows the two-bit field of the exterior e: encoded as it
+    stands, its high bit would land in f's field and read as e*f, of the
+    same degree 5."""
+    alg = PresentedAlgebra([GradedGenerator("e", 1, EXTERIOR), GradedGenerator("f", 4)], (), 5)
+    assert alg._bits(parse_element("e^5")) == 0
+    assert alg._bits(parse_element("e*f")) != 0
 
 
 def test_two_degree_one_generators_just_under_the_limit():
@@ -270,7 +326,7 @@ def test_two_degree_one_generators_just_under_the_limit():
     assert alg._offsets[-1] == 11935 <= f2alg.MAX_WINDOW
     expected = _enumerated_candidates(gens, 153)
     for d in range(154):
-        assert tuple(alg._buckets[d]) == alg.basis(d) == expected[d]
+        assert tuple(degree_monomials(alg, d)) == alg.basis(d) == expected[d]
 
 
 def test_truncation_drops_high_degrees():
@@ -458,7 +514,7 @@ INDEX_ALGEBRAS = [lambda gens=gens, cap=cap: PresentedAlgebra(gens, (), cap)
 def test_window_index_matches_reference_kernel(make, rng):
     alg = make()
     for d in range(alg.degree_cap + 1):
-        assert tuple(alg._buckets[d]) == reference_candidates(alg, d)
+        assert tuple(degree_monomials(alg, d)) == reference_candidates(alg, d)
         assert alg._deg_data(d).rel_rows == reference_relation_rows(alg, d)
     for _ in range(60):
         e = random_unreduced(alg, rng)
@@ -470,7 +526,7 @@ def test_window_index_matches_reference_kernel(make, rng):
             assert alg.express_bits(e, d) == bits.get(d, 0)
     # terms the window map does not hold still take every check
     gen = alg.generators[0]
-    window_term = tuple(alg._buckets[gen.degree])[0]
+    window_term = degree_monomials(alg, gen.degree)[0]
     for bad in ((("nope", 1),), ((gen.name, -1),)):
         e = GradedElement(frozenset({window_term, bad}))
         message = _error(lambda: reference_coordinates(alg, e))
@@ -494,7 +550,7 @@ def reference_mul(alg: PresentedAlgebra, a: GradedElement, b: GradedElement):
 
 def window_keys(alg: PresentedAlgebra) -> dict:
     return {m: k for d in range(alg.degree_cap + 1)
-            for m, k in zip(alg._buckets[d], alg._bucket_keys[d])}
+            for m, k in zip(degree_monomials(alg, d), degree_keys(alg, d))}
 
 
 @pytest.mark.parametrize("make", INDEX_ALGEBRAS)
@@ -597,7 +653,7 @@ def fold_total(action, m) -> GradedElement:
 
 def window_monomials(alg: PresentedAlgebra):
     for d in range(alg.degree_cap + 1):
-        yield from tuple(alg._buckets[d])
+        yield from degree_monomials(alg, d)
 
 
 @pytest.mark.parametrize("make", [lambda: projective_space(10),
@@ -607,7 +663,7 @@ def test_sq_total_images_match_factor_fold(make):
     alg, action = make()
     for m in window_monomials(alg):
         n = alg._number(m)
-        assert alg._numbered[n] == m
+        assert alg._monomial(n) == m
         assert alg._element(action._total(n)) == fold_total(action, m), m
 
 
