@@ -34,7 +34,8 @@ README = [
     ("obstruct", "--manifold", "m10", "--check", "phase", "--a", "c", "--b", "b"),
     ("obstruct", "--manifold", "pair12", "--check", "relative", "--h4", "u4"),
 ]
-SPACES = ["fb12", "genspin", "m10", "pair12", "point", "rp_inf", "s3", "synth12"]
+SPACES = ["fb12", "genspin", "m10", "pair12", "point", "rp6", "rp_inf", "s3", "synth12",
+          "trunc_mix"]
 MANIFOLDS = ["genspin", "m10", "pair12", "fb12", "synth12"]
 CHECKS = ["string", "heterotic", "fivebrane", "quadratic",
           "phase", "relative", "wu", "integral-sw"]
