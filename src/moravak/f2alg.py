@@ -8,7 +8,11 @@ positive, and exterior generators square to zero.
 Quotient bases are computed one degree at a time by GF(2) linear
 algebra on the span of relation multiples.  Every algebra carries a
 hard degree cap ``D``: monomials of degree above ``D`` are truncated
-away, which keeps each degree window finite and exact.
+away, which keeps each degree window finite and exact.  A relation
+g^e = 0 on one polynomial generator is folded into the window instead:
+it gives g the height e, as an exterior generator has height 2, and the
+window holds only the exponents below each generator's height, so no
+multiple of g^e is listed or needs a relation row.
 
 The window is held as packed keys, not as monomials: one bit field per
 generator, in name order, wide enough for twice the generator's largest
@@ -20,7 +24,8 @@ then lists the keys by degree, each degree already in monomial order:
 no degree is ever sorted, and its basis and relation multiples are read
 from it.  Two window keys add without carries, so the key of a product
 is the sum of its factors' keys, and a sum that is no window key is a
-product that vanishes: an exterior square, or a degree above the cap.
+product that vanishes: an exterior square, a multiple of a folded
+power, or a degree above the cap.
 
 The window monomials are also numbered, degree-major: degree d holds
 the numbers from its offset, the count of all lower degrees, in walk
@@ -52,7 +57,8 @@ from __future__ import annotations
 import re
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import ne
 from typing import Mapping, Sequence
 
 from . import gf2
@@ -192,14 +198,15 @@ class PresentedAlgebra:
         self.degree_cap = degree_cap
         self._by_name = {g.name: g for g in generators}
         # window keys in number order, degree by degree; see _window
-        self._number_keys, self._offsets = self._window()
+        self._number_keys, self._offsets = self._window(self._heights(relations))
         self._key_numbers: dict[int, int] = {}  # filled as each degree is built
         self._monomials: dict[int, Monomial] = {}  # window number -> decoded monomial
         self._pivots: dict[int, int] = {}  # window-wide pivot index
         self._pivot_mask = 0
         self.relations = tuple(self._normalize_relation(r) for r in relations)
-        self._relation_keys = [(self.degree_of(r), [self._key(t) for t in r.terms])
-                               for r in self.relations]
+        # a term that is a multiple of a folded power has no key: it is zero
+        self._relation_keys = [(self.degree_of(r), keys) for r in self.relations
+                               if (keys := [k for k in map(self._key, r.terms) if k is not None])]
         self._degree_cache: dict[int, _DegreeData] = {}
         self._reduced_relations_ok()
 
@@ -252,15 +259,16 @@ class PresentedAlgebra:
             raise IllFormedElementError(f"unknown generator {name!r}") from None
 
     def _check_monomial(self, m: Monomial) -> bool:
-        """Validate exponents; returns False if the monomial is zero."""
+        """Validate every factor's generator and exponent; returns False
+        if the monomial holds an exterior square."""
+        square = False
         for name, exp in m:
             g = self._gen(name)
             if exp < 0:
                 raise IllFormedElementError(
                     f"negative exponent on non-invertible generator {name}")
-            if g.kind == EXTERIOR and exp >= 2:
-                return False
-        return True
+            square = square or g.kind == EXTERIOR and exp >= 2
+        return not square
 
     def reduce(self, e: GradedElement) -> GradedElement:
         """Canonical form: truncate, then reduce modulo relations."""
@@ -274,10 +282,11 @@ class PresentedAlgebra:
 
     def _key(self, m: Monomial) -> int | None:
         """The key of m, encoded factor by factor; None if m is no window
-        monomial: an unknown generator or one above the cap, an exponent
-        below 1, an exterior square, or a degree above the cap.  Each
-        exponent is held to its window top before it is added, so no field
-        carries into the next."""
+        monomial: an unknown generator or one outside the window, an
+        exponent below 1 or at or above its generator's height (an
+        exterior square, a multiple of a folded power), or a degree above
+        the cap.  Each exponent is held to its window top before it is
+        added, so no field carries into the next."""
         fields, key = self._fields, 0
         for name, e in m:
             field = fields.get(name)
@@ -318,9 +327,10 @@ class PresentedAlgebra:
     def _bits(self, e: GradedElement, reach: int | None = None) -> int:
         """The terms of e in window numbers, not reduced.  A term outside
         the window raises on an unknown generator or a negative exponent,
-        and is zero otherwise: an exterior square, or a degree above the
-        cap.  With a reach, only a term that an operator raising degree
-        by reach could carry into the window is checked."""
+        and is zero otherwise: an exterior square, a multiple of a folded
+        power, or a degree above the cap.  With a reach, only a term that
+        an operator raising degree by reach could carry into the window is
+        checked."""
         vec = 0
         for m in e.terms:
             n = self._number(m)
@@ -346,7 +356,7 @@ class PresentedAlgebra:
                 p = numbers.get(left + k)
                 if p is None:
                     p = self._number_of_key(left + k)
-                    if p is None:  # an exterior square or a degree above the cap
+                    if p is None:  # an exterior square, a folded power or above the cap
                         continue
                 out ^= 1 << p
         return gf2._eliminate(out, self._pivot_mask, self._pivots)
@@ -403,52 +413,79 @@ class PresentedAlgebra:
                 raise ValidationError(f"relation contains an exterior square: {r}")
         return r
 
-    def _window(self) -> tuple[list[int], list[int]]:
+    def _heights(self, relations: Sequence[GradedElement]) -> dict[str, int]:
+        """The height of each generator that has one, the least e with
+        g^e = 0: 2 for an exterior g, and for a polynomial g the least e
+        of its relations g^e with e * |g| <= cap, which the window folds
+        in.  Such a relation always passes _normalize_relation."""
+        heights = {g.name: 2 for g in self.generators if g.kind == EXTERIOR}
+        for r in relations:
+            if len(r.terms) == 1 and len(m := next(iter(r.terms))) == 1:
+                (name, e), = m
+                g = self._by_name.get(name)
+                if g and g.kind == POLYNOMIAL and 1 <= e and e * g.degree <= self.degree_cap:
+                    heights[name] = min(e, heights.get(name, e))
+        return heights
+
+    def _window(self, heights: Mapping[str, int]) -> tuple[list[int], list[int]]:
         """The keys of the monomials of degrees 0..cap, each degree in
         monomial order, and the offset of each degree in that list.
 
-        One walk puts the generators in front one at a time, in reverse
-        name order, so each degree d comes out sorted: g times the old
-        degree d - |g|, then g times the part of the new degree d - |g|
-        that holds g (not for an exterior g), then the old degree d.
-        Times g is plus g's unit on keys, so the walk lists keys alone.
-        It runs on counts first, so an oversized window is refused before
-        any key is listed.  Each generator's key field holds twice its
-        largest window exponent, and the degree sits above all fields."""
+        A generator's window top is its largest exponent below its height
+        whose degree is within the cap; a generator whose top is 0 (of
+        height 1, or of degree above the cap) is left out.  One walk puts
+        the generators in front one at a time, in reverse name order, so
+        each degree d comes out sorted: g times the old degree d - |g|,
+        then g times the part of the new degree d - |g| that holds g, less
+        that part's tail that holds g^top, then the old degree d.  Times g
+        is plus g's unit on keys, so the walk lists keys alone.  It runs on
+        counts first, so an oversized window is refused before any key is
+        listed: degree d gains the old degree d - |g| and the part of the
+        new degree d - |g| that holds g, less that tail, which is the old
+        degree d - (top + 1)|g| times g^top.  The key walk then visits
+        only the degrees that gain.  Each generator's key field holds
+        twice its window top, and the degree sits above all fields."""
         cap = self.degree_cap
         if cap >= MAX_WINDOW:
             raise ComputationError(f"degree cap {cap} exceeds the limit {MAX_WINDOW - 1}")
-        gens = sorted((g for g in self.generators if g.degree <= cap), key=lambda g: g.name)
-        tops = [1 if g.kind == EXTERIOR else cap // g.degree for g in gens]
-        widths = [(2 * top).bit_length() for top in tops]
+        tops = {g.name: min(cap // g.degree, heights.get(g.name, cap + 1) - 1)
+                for g in self.generators}
+        gens = sorted((g for g in self.generators if tops[g.name]), key=lambda g: g.name)
+        widths = [(2 * tops[g.name]).bit_length() for g in gens]
         shifts = list(accumulate(widths, initial=0))
         self._degree_shift = shifts.pop()
         self._shifts = shifts
         units = [(1 << s) + (g.degree << self._degree_shift) for g, s in zip(gens, shifts)]
-        # name -> (unit key, largest window exponent), for encoding
-        self._fields = {g.name: (unit, top) for g, unit, top in zip(gens, units, tops)}
+        # name -> (unit key, window top), for encoding
+        self._fields = {g.name: (unit, tops[g.name]) for g, unit in zip(gens, units)}
         # in name order, (name, field shift, field mask, unit key), for decoding
         self._factors = [(g.name, s, (1 << width) - 1, unit)
                          for g, s, width, unit in zip(gens, shifts, widths, units)]
-        walk = [(g.degree, g.kind == POLYNOMIAL, unit)
-                for g, unit in zip(reversed(gens), reversed(units))]
         counts = [1] + [0] * cap
-        for w, polynomial, _ in walk:
-            for d in range(w, cap + 1) if polynomial else range(cap, w - 1, -1):
+        walk = []  # (|g|, (top + 1)|g|, unit key, the degrees that gain monomials with g)
+        for g, unit in zip(reversed(gens), reversed(units)):
+            w, cut = g.degree, (tops[g.name] + 1) * g.degree
+            old = counts[:]
+            # counts[d] = old[d] - old[d - cut] + counts[d - w], in two passes
+            for d in range(cap, cut - 1, -1):
+                counts[d] -= counts[d - cut]
+            for d in range(w, cap + 1):
                 counts[d] += counts[d - w]
+            walk.append((w, cut, unit, list(compress(range(cap + 1), map(ne, counts, old)))))
         total = sum(counts)
         if total > MAX_WINDOW:
             raise ComputationError(f"degree window [0, {cap}] holds {total} laurent-free "
                                    f"monomials; the limit is {MAX_WINDOW}")
         keys: list[list[int]] = [[0]] + [[] for _ in range(cap)]
-        for w, polynomial, unit in walk:
-            with_g = [[]] * w  # the keys of the part of each degree with g
-            for d in range(w, cap + 1):
-                below = keys[d - w]
-                if polynomial and with_g[d - w]:
-                    below = below + with_g[d - w]
-                with_g.append([k + unit for k in below])
-            keys[w:] = [a + b if a else b for a, b in zip(with_g[w:], keys[w:])]
+        for w, cut, unit, gains in walk:
+            with_g = [[]] * (cap + 1)  # the keys of each degree's part with g
+            for d in gains:
+                below, part = keys[d - w], with_g[d - w]
+                if part:  # less its tail with g^top, as long as the old degree d - cut
+                    below = below + (part[:len(part) - len(keys[d - cut])] if d >= cut else part)
+                with_g[d] = [k + unit for k in below]
+            for d in gains:
+                keys[d] = with_g[d] + keys[d]
         return [k for degree in keys for k in degree], list(accumulate(counts, initial=0))
 
     def _reduced_relations_ok(self):
@@ -469,7 +506,7 @@ class PresentedAlgebra:
         rows = []
         for dr, terms in self._relation_keys:
             for k in keys[offsets[d - dr]:offsets[d - dr + 1]] if dr <= d else ():
-                # a sum that is no key is an exterior square, which is zero
+                # a sum that is no key is zero: an exterior square or a folded power
                 rows.append(sum(1 << numbers[k + t] - offset for t in terms if k + t in numbers))
         rel_rows = gf2.reduce_rows(row for row in rows if row)
         for p, row in rel_rows.by_pivot.items():
@@ -521,6 +558,19 @@ class _GeneratorMap:
             powers.append(self.target._mul_bits(powers[-1], self.images[name]))
         return powers[exp] if exp < len(powers) else 0
 
+    def relation_image(self, r: GradedElement) -> int:
+        """The image of a relation of the source, each term's factors'
+        powers multiplied out.  A relation folded into the source window,
+        g^e = 0, has no window number, so it is read as _power(g, e): a
+        map that does not carry it to zero is still caught."""
+        out = 0
+        for m in r.terms:
+            x = self._unit
+            for name, e in m:
+                x = self.target._mul_bits(x, self._power(name, e))
+            out ^= x
+        return out
+
     def image(self, n: int) -> int:
         out = self._images.get(n)
         if out is None:
@@ -567,7 +617,7 @@ class AlgebraMap:
         self._map = _GeneratorMap(source, target, {
             name: target._reduced_bits(img) for name, img in self.images.items()})
         for r in source.relations:
-            if self.apply(r) != target.zero:
+            if self._map.relation_image(r):
                 raise InvalidPairError(f"relation {r} is not carried to zero")
 
     def apply(self, e: GradedElement) -> GradedElement:

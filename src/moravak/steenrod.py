@@ -97,8 +97,9 @@ class SqAction:
             for i in _window_indices(g.degree, algebra.degree_cap):
                 total = total + self.generator_sq(g.name, i)
             self._generator_totals[g.name] = algebra._reduced_bits(total)
+        self._squares = _GeneratorMap(algebra, algebra, self._generator_totals)
         # the total square of window monomial n, a canonical form
-        self._total = _GeneratorMap(algebra, algebra, self._generator_totals).image
+        self._total = self._squares.image
         self._masks: dict[int, int] = {}  # degree -> its window numbers
         self._check_relations()
 
@@ -155,9 +156,7 @@ class SqAction:
                         f"action does not respect {g.name}^2 = 0: Sq^{2 * i}"
                         f"({g.name}^2) = (Sq^{i} {g.name})^2 = {square} is nonzero")
         for r in alg.relations:
-            total = 0
-            for n in gf2.bits(alg._bits(r)):
-                total ^= self._total(n)
+            total = self._squares.relation_image(r)
             if total:
                 low = alg._monomial((total & -total).bit_length() - 1)
                 i = alg.monomial_degree(low) - alg.degree_of(r)

@@ -309,8 +309,14 @@ def test_truncation_error_names_the_order(capsys):
     ("fgl", "--law", "gm", "--modulus", "1048576", "--truncation", "400",
      "--check-grouplike", GROUPLIKE_FIBONACCI),
     ("fgl", "--law", "gm", "--truncation", "1000000000", "--check-grouplike", "1+x"),
+    # F2[a1, b1] at cap 200 would hold 20 301 monomials; a^3 = b^3 = 0 folds it to 9
+    ("ahss", "--space", "{folded}", "--n", "1", "--twist", "0"),
 ])
-def test_work_at_the_limits_is_bounded(capsys, argv):
+def test_work_at_the_limits_is_bounded(capsys, tmp_path, argv):
+    folded = tmp_path / "folded.space"
+    folded.write_text("[generators]\na 1\nb 1\n\n[relations]\na^3\nb^3\n\n"
+                      "[metadata]\ncap 200\n")
+    argv = [arg.format(folded=folded) for arg in argv]
     start = time.perf_counter()
     assert main(list(argv)) == 0
     assert time.perf_counter() - start < 2.0

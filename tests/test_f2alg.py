@@ -103,6 +103,15 @@ def test_unknown_generator_rejected():
         alg.reduce(parse_element("t + nope"))
     with pytest.raises(IllFormedElementError):
         alg.generator("nope")
+    # every factor is checked, also in a term that an exterior square or
+    # a folded power zeroes, whatever the name order
+    gens = [GradedGenerator("e", 1, EXTERIOR), GradedGenerator("t", 1),
+            GradedGenerator("z", 1, EXTERIOR)]
+    alg = PresentedAlgebra(gens, [parse_element("t^5")], 12)
+    for text in ("e^2*nope", "nope*z^2", "t^9*nope"):
+        with pytest.raises(IllFormedElementError) as exc:
+            alg.reduce(parse_element(text))
+        assert str(exc.value) == "unknown generator 'nope'"
 
 
 def test_negative_exponents_refused():
@@ -186,10 +195,12 @@ def test_generator_validation():
         assert str(exc.value) == f"unknown generator kind {kind!r}"
 
 
-def _window_by_enumeration(gens, cap):
+def _window_by_enumeration(gens, cap, heights=()):
     """Monomials of degree <= cap, listed exponent by exponent, with their
-    degrees."""
-    ranges = [range(2 if g.kind == EXTERIOR else cap // g.degree + 1) for g in gens]
+    degrees; heights holds (name, e) for relations g^e = 0 folded in."""
+    heights = dict(heights)
+    ranges = [range(2 if g.kind == EXTERIOR else
+                    min(cap // g.degree + 1, heights.get(g.name, cap + 1))) for g in gens]
     out = []
     for exps in product(*ranges):
         d = sum(e * g.degree for e, g in zip(exps, gens))
@@ -273,15 +284,10 @@ def test_window_walk_lists_each_degree_in_monomial_order(drawn, cap):
 
 
 def _intake_raises(kinds: dict, m) -> bool:
-    """Whether a term outside the window raises: the factors are checked
-    in name order, and an exterior square zeroes the term before any
-    factor after it is checked."""
-    for name, e in m:
-        if name not in kinds or e < 0:
-            return True
-        if kinds[name] == EXTERIOR and e >= 2:
-            return False
-    return False
+    """Whether a term outside the window raises: every factor is checked,
+    also those of a term that an exterior square or a folded power
+    zeroes."""
+    return any(name not in kinds or e < 0 for name, e in m)
 
 
 @settings(SETTINGS, max_examples=300)
@@ -307,6 +313,91 @@ def test_key_intake_agrees_with_the_reference_window(drawn, cap, data):
             alg._bits(e)
     else:
         assert bool(alg._bits(e)) == (m in window)
+
+
+class DenseQuotient:
+    """The quotient over the unfolded window: every monomial of degree at
+    most the cap below the exterior squares, with every multiple of every
+    relation, pure powers included, as a relation row of its degree."""
+
+    def __init__(self, gens, relations, cap):
+        self.window = _enumerated_candidates(tuple(gens), cap)
+        self.degree = {g.name: g.degree for g in gens}
+        self.rows = {}
+        for d, candidates in self.window.items():
+            rows = []
+            for r in relations:
+                for mult in self.window.get(d - self.degree_of(next(iter(r.terms))), ()):
+                    products = (monomial(*mult, *t) for t in r.terms)
+                    rows.append(sum(1 << candidates.index(m) for m in products
+                                    if m in candidates))  # else an exterior square
+            self.rows[d] = gf2.reduce_rows(row for row in rows if row)
+
+    def degree_of(self, m) -> int:
+        return sum(self.degree[n] * e for n, e in m)
+
+    def basis(self, d: int) -> tuple:
+        pivots = gf2.pivots(self.rows.get(d, ()))
+        return tuple(m for i, m in enumerate(self.window.get(d, ())) if i not in pivots)
+
+    def reduce(self, e: GradedElement) -> GradedElement:
+        by_degree: dict[int, int] = {}
+        for m in e.terms:
+            d = self.degree_of(m)
+            if m in self.window.get(d, ()):  # else above the cap or an exterior square
+                by_degree[d] = by_degree.get(d, 0) ^ 1 << self.window[d].index(m)
+        return GradedElement(frozenset(
+            self.window[d][i] for d, vec in by_degree.items()
+            for i in gf2.bits(gf2.reduce_vector(vec, self.rows[d]))))
+
+    def mul(self, a: GradedElement, b: GradedElement) -> GradedElement:
+        raw: set = set()
+        for ma in a.terms:
+            for mb in b.terms:
+                raw ^= {monomial(*ma, *mb)}
+        return self.reduce(GradedElement(frozenset(raw)))
+
+
+@st.composite
+def algebras_with_pure_powers(draw):
+    """Up to three generators, polynomial or exterior, at a cap up to 9;
+    up to two relations g^e = 0 per polynomial g, one of them sometimes
+    above the other, and sometimes one relation of two terms, which may
+    hold a multiple of a pure power."""
+    gens = [GradedGenerator(*g) for g in draw(st.lists(
+        st.tuples(st.sampled_from(["a", "b", "e", "t"]), st.integers(1, 3),
+                  st.sampled_from([POLYNOMIAL, EXTERIOR])),
+        min_size=1, max_size=3, unique_by=lambda g: g[0]))]
+    cap = draw(st.integers(0, 9))
+    relations = [GradedElement(frozenset({((g.name, e),)}))
+                 for g in gens if g.kind == POLYNOMIAL and g.degree <= cap
+                 for e in draw(st.lists(st.integers(1, cap // g.degree), max_size=2))]
+    window = _enumerated_candidates(tuple(gens), cap)
+    sums = [ms for d, ms in sorted(window.items()) if d and len(ms) > 1]
+    if sums and draw(st.booleans()):
+        relations.append(GradedElement(frozenset(draw(st.lists(
+            st.sampled_from(draw(st.sampled_from(sums))), min_size=2, max_size=2,
+            unique=True)))))
+    return gens, draw(st.permutations(relations)), cap
+
+
+@settings(SETTINGS, max_examples=120)
+@given(algebras_with_pure_powers(), st.data())
+def test_folded_window_matches_the_dense_quotient(drawn, data):
+    """basis, reduce and mul with pure powers folded into the window
+    equal the dense quotient over the unfolded window."""
+    gens, relations, cap = drawn
+    alg = PresentedAlgebra(gens, relations, cap)
+    dense = DenseQuotient(gens, relations, cap)
+    for d in range(cap + 1):
+        assert tuple(degree_monomials(alg, d)) == reference_candidates(alg, d)
+        assert alg.basis(d) == dense.basis(d)
+    monomials = sorted(m for ms in dense.window.values() for m in ms)
+    elements = st.frozensets(st.sampled_from(monomials), max_size=6).map(GradedElement)
+    for _ in range(3):
+        a, b = data.draw(elements), data.draw(elements)
+        assert alg.reduce(a) == dense.reduce(a)
+        assert alg.mul(a, b) == dense.mul(a, b)
 
 
 def test_exterior_power_does_not_spill_into_the_next_field():
@@ -343,11 +434,16 @@ def test_algebra_map_validation():
     # degree-preserving zero map is always fine
     fmap = AlgebraMap(src, dst, {"x3": dst.zero, "x5": dst.zero})
     assert fmap.apply(src.element("x3*x5")) == dst.zero
-    # maps must carry relations to zero
+    # maps must carry relations to zero, also t^3 = 0, which the source
+    # window folds in and which so has no window number
     trunc = PresentedAlgebra([GradedGenerator("t", 1)], [parse_element("t^3")], 8)
     free = projective_space(8)[0]
-    with pytest.raises(InvalidPairError):
+    with pytest.raises(InvalidPairError) as exc:
         AlgebraMap(trunc, free, {"t": free.generator("t")})
+    assert str(exc.value) == "relation t^3 is not carried to zero"
+    short = PresentedAlgebra([GradedGenerator("s", 1)], [parse_element("s^3")], 8)
+    fmap = AlgebraMap(trunc, short, {"t": short.generator("s")})
+    assert fmap.apply(parse_element("t^2 + t^4")) == short.element("s^2")
 
 
 def cubic_relation(cap=12):
@@ -429,17 +525,30 @@ def reference_degree(alg: PresentedAlgebra, m) -> int:
 
 
 @lru_cache(maxsize=None)
-def _enumerated_candidates(gens: tuple, cap: int) -> dict[int, tuple]:
+def _enumerated_candidates(gens: tuple, cap: int, heights: tuple = ()) -> dict[int, tuple]:
     by_degree: dict[int, list] = {}
-    for m, d in _window_by_enumeration(gens, cap):
+    for m, d in _window_by_enumeration(gens, cap, heights):
         by_degree.setdefault(d, []).append(m)
     return {d: tuple(sorted(ms)) for d, ms in by_degree.items()}
 
 
+def reference_heights(alg: PresentedAlgebra) -> tuple:
+    """(name, e) for the least e of the relations g^e = 0 of each
+    polynomial g: the relations that are one power of one generator."""
+    heights: dict = {}
+    for r in alg.relations:
+        (m, *rest) = r.terms
+        if not rest and len(m) == 1 and alg._gen(m[0][0]).kind == POLYNOMIAL:
+            name, e = m[0]
+            heights[name] = min(e, heights.get(name, e))
+    return tuple(sorted(heights.items()))
+
+
 def reference_candidates(alg: PresentedAlgebra, d: int) -> tuple:
-    """The degree-d monomials of the window, listed exponent by exponent
-    and sorted as tuples."""
-    return _enumerated_candidates(alg.generators, alg.degree_cap).get(d, ())
+    """The degree-d monomials of the folded window, listed exponent by
+    exponent below each generator's height and sorted as tuples."""
+    return _enumerated_candidates(alg.generators, alg.degree_cap,
+                                  reference_heights(alg)).get(d, ())
 
 
 def reference_coordinates(alg: PresentedAlgebra, e: GradedElement) -> dict[int, int]:
@@ -451,8 +560,8 @@ def reference_coordinates(alg: PresentedAlgebra, e: GradedElement) -> dict[int, 
         if not alg._check_monomial(m):
             continue
         d = reference_degree(alg, m)
-        if not 0 <= d <= cap:
-            continue
+        if not 0 <= d <= cap or m not in reference_candidates(alg, d):
+            continue  # a multiple of a folded power is zero
         bit = reference_candidates(alg, d).index(m)
         by_degree[d] = by_degree.get(d, 0) ^ 1 << bit
     return {d: gf2.reduce_vector(vec, alg._deg_data(d).rel_rows)
@@ -469,7 +578,8 @@ def reference_relation_rows(alg: PresentedAlgebra, d: int) -> list[int]:
             vec = 0
             for term in r.terms:
                 m = monomial(*mult, *term)
-                if alg._check_monomial(m):  # an exterior square is zero
+                # an exterior square or a multiple of a folded power is zero
+                if alg._check_monomial(m) and m in candidates:
                     vec ^= 1 << candidates.index(m)
             if vec:
                 rows.append(vec)

@@ -357,6 +357,16 @@ def test_relation_check_names_the_lowest_failing_square(table, i):
         f"action does not descend to the quotient: Sq^{i}(x^3 + y^2) is nonzero"
 
 
+def test_folded_power_relation_is_checked():
+    """a^2 = 0 is folded into the window, so it has no window number; the
+    check still reads Sq(a^2) = Sq(a)^2 = (a + b + a^2)^2 = b^2 mod a^2."""
+    gens = [GradedGenerator("a", 2), GradedGenerator("b", 3)]
+    alg = PresentedAlgebra(gens, [parse_element("a^2")], 8)
+    with pytest.raises(ValidationError) as exc:
+        SqAction(alg, {"a": {1: alg.element("b")}})
+    assert str(exc.value) == "action does not descend to the quotient: Sq^2(a^2) is nonzero"
+
+
 def test_exterior_squares_checked():
     """Sq^{2i}(x^2) = (Sq^i x)^2 in characteristic 2, so an exterior x
     needs (Sq^i x)^2 = 0 inside the window."""
