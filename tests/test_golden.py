@@ -78,6 +78,12 @@ def corpus_argv() -> list[list[str]]:
     argvs += [["tor", "--module", "r0free", "--i", "3", "40"],
               ["tor", "--module", "r0free", "--k", "1", "--against", "N",
                "--i", "2", "41", "--json"]]
+    # twist and fgl routes that no argv above reaches
+    argvs += [["twist", "--hom", "(0,2)", "--n", "2", "--factors", "4"],
+              ["twist", "--decode", "5", "--truncation", "4"],
+              ["twist", "--multiply", "(0)", "(0,1)"],
+              ["fgl", "--law", "additive", "--two-series", "--solve-theta", "3", "--height"],
+              ["fgl", "--law", "gm", "--modulus", "8", "--truncation", "8", "--two-series"]]
     return argvs
 
 
