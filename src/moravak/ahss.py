@@ -63,7 +63,7 @@ class SpaceModel:
             raise ValidationError("top degree exceeds the degree cap")
         if self.top_degree < self.algebra.degree_cap:
             for d in range(self.top_degree + 1, self.algebra.degree_cap + 1):
-                if self.algebra._deg_data(d).basis_indices:
+                if self.algebra._basis_numbers(d):
                     raise ValidationError(
                         f"model of dimension {self.top_degree} has classes in degree {d}")
 
@@ -159,7 +159,7 @@ def e2_page(space: SpaceModel, n: int) -> Page:
     if n < 1:
         raise ValidationError("height must be >= 1")
     _check_height(n)
-    coords = {p: tuple(1 << i for i in range(len(space.algebra._deg_data(p).basis_indices)))
+    coords = {p: tuple(1 << i for i in range(len(space.algebra._basis_numbers(p))))
               for p in range(space.algebra.degree_cap + 1)}
     return Page(n, space.algebra, coords, None, frozenset(), "E2")
 
@@ -179,7 +179,7 @@ def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page
     for p in page.window:
         if p + R <= alg.degree_cap:
             # basis monomials are no pivots, so their window bits are reduced
-            units = [1 << alg._offsets[p] + i for i in alg._deg_data(p).basis_indices]
+            units = [1 << n for n in alg._basis_numbers(p)]
             diff[p] = tuple(alg._basis_bits(action._q(n, x) ^ alg._mul_bits(x, phi), p + R)
                             for x in (gf2.apply_columns(units, c) for c in page.coords[p]))
         elif space.closed_window:

@@ -5,14 +5,14 @@ Elements are F2-sums of monomials; a monomial is a sorted tuple of
 coefficient 1 and addition is symmetric difference.  Exponents are
 positive, and exterior generators square to zero.
 
-Quotient bases are computed one degree at a time by GF(2) linear
-algebra on the span of relation multiples.  Every algebra carries a
-hard degree cap ``D``: monomials of degree above ``D`` are truncated
-away, which keeps each degree window finite and exact.  A relation
-g^e = 0 on one polynomial generator is folded into the window instead:
-it gives g the height e, as an exterior generator has height 2, and the
-window holds only the exponents below each generator's height, so no
-multiple of g^e is listed or needs a relation row.
+Quotient bases come from GF(2) linear algebra on the span of relation
+multiples.  Every algebra carries a hard degree cap ``D``: monomials of
+degree above ``D`` are truncated away, which keeps each degree window
+finite and exact.  A relation g^e = 0 on one polynomial generator is
+folded into the window instead: it gives g the height e, as an exterior
+generator has height 2, and the window holds only the exponents below
+each generator's height, so no multiple of g^e is listed or needs a
+relation row.
 
 The window is held as packed keys, not as monomials: one bit field per
 generator, in name order, wide enough for twice the generator's largest
@@ -29,13 +29,19 @@ power, or a degree above the cap.
 
 The window monomials are also numbered, degree-major: degree d holds
 the numbers from its offset, the count of all lower degrees, in walk
-order.  An element is then one int with bit n for monomial n.  Each
-degree numbers its keys when it is first built, and registers its
-relation rows, shifted to its offset, in one window-wide pivot index;
-different degrees have disjoint supports, so one elimination against
-that index reduces an element of any degrees.  A product of two such
-elements is a sum of keys per pair of terms and one elimination.
-``reduce``, ``mul`` and ``express_bits`` all go through these numbers.
+order.  An element is then one int with bit n for monomial n.  The
+whole window is built when the algebra loads: one numbering of every
+key, and one echelon of every relation times every window key it can
+multiply within the cap, whose pivots form one window-wide index.  Its
+rows have homogeneous supports, and different degrees have disjoint
+supports, so their span is the direct sum of the spans of each degree's
+rows; a fully reduced echelon depends only on its span, so its rows,
+pivots and bases are each degree's own, and one elimination against
+the index reduces an element of any degrees.  The window numbers that
+are no pivots, ascending, are the basis numbers, each degree a slice.
+A product of two elements is a sum of keys per pair of terms and one
+elimination.  ``reduce``, ``mul`` and ``express_bits`` all go through
+these numbers.
 
 Monomial tuples exist only at the edges.  A term comes in through
 ``_bits``, which encodes its key factor by factor; a term outside the
@@ -55,7 +61,7 @@ and the prefix key is the key less that factor's key.
 from __future__ import annotations
 
 import re
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import ne
@@ -199,15 +205,10 @@ class PresentedAlgebra:
         self._by_name = {g.name: g for g in generators}
         # window keys in number order, degree by degree; see _window
         self._number_keys, self._offsets = self._window(self._heights(relations))
-        self._key_numbers: dict[int, int] = {}  # filled as each degree is built
+        self._key_numbers = dict(zip(self._number_keys, range(len(self._number_keys))))
         self._monomials: dict[int, Monomial] = {}  # window number -> decoded monomial
-        self._pivots: dict[int, int] = {}  # window-wide pivot index
-        self._pivot_mask = 0
         self.relations = tuple(self._normalize_relation(r) for r in relations)
-        # a term that is a multiple of a folded power has no key: it is zero
-        self._relation_keys = [(self.degree_of(r), keys) for r in self.relations
-                               if (keys := [k for k in map(self._key, r.terms) if k is not None])]
-        self._degree_cache: dict[int, _DegreeData] = {}
+        self._reduce_relations()
         self._reduced_relations_ok()
 
     # -- basic queries --------------------------------------------------
@@ -299,10 +300,8 @@ class PresentedAlgebra:
         return key if key >> self._degree_shift <= self.degree_cap else None
 
     def _number(self, m: Monomial) -> int | None:
-        """Window number of m, building its degree on first use; None
-        outside the window."""
-        k = self._key(m)
-        return None if k is None else self._number_of_key(k)
+        """Window number of m; None outside the window."""
+        return self._key_numbers.get(self._key(m))
 
     def _monomial(self, n: int) -> Monomial:
         """The monomial of window number n, decoded from its key once."""
@@ -312,17 +311,6 @@ class PresentedAlgebra:
             m = self._monomials[n] = tuple((name, e) for name, shift, mask, _ in self._factors
                                            if (e := k >> shift & mask))
         return m
-
-    def _number_of_key(self, k: int) -> int | None:
-        """Number of a key, building its degree on first use; None for a
-        key of no window monomial."""
-        n = self._key_numbers.get(k)
-        if n is None:
-            d = k >> self._degree_shift
-            if d <= self.degree_cap and d not in self._degree_cache:
-                self._deg_data(d)
-                n = self._key_numbers.get(k)
-        return n
 
     def _bits(self, e: GradedElement, reach: int | None = None) -> int:
         """The terms of e in window numbers, not reduced.  A term outside
@@ -354,32 +342,34 @@ class PresentedAlgebra:
             left = keys[n]
             for k in right:
                 p = numbers.get(left + k)
-                if p is None:
-                    p = self._number_of_key(left + k)
-                    if p is None:  # an exterior square, a folded power or above the cap
-                        continue
-                out ^= 1 << p
+                if p is not None:  # else an exterior square, a folded power or above the cap
+                    out ^= 1 << p
         return gf2._eliminate(out, self._pivot_mask, self._pivots)
 
     def _element(self, vec: int) -> GradedElement:
         return GradedElement(frozenset(map(self._monomial, gf2.bits(vec))))
 
+    def _basis_numbers(self, d: int) -> list[int]:
+        """The window numbers of basis(d), ascending."""
+        return self._free[self._free_offsets[d]:self._free_offsets[d + 1]]
+
     def _basis_bits(self, vec: int, d: int) -> int:
         """Coordinates over basis(d) of the degree-d part of a reduced
-        window vector."""
-        low, high = self._offsets[d], self._offsets[d + 1]
-        return self._deg_data(d).basis_bits((vec & (1 << high) - 1) >> low)
+        window vector: its window numbers are no pivots, so each is found
+        in the basis numbers."""
+        free, low, high = self._free, self._free_offsets[d], self._free_offsets[d + 1]
+        offset = self._offsets[d]
+        out = 0
+        for i in gf2.bits(vec >> offset & (1 << self._offsets[d + 1] - offset) - 1):
+            out |= 1 << bisect_left(free, offset + i, low, high) - low
+        return out
 
     # -- degreewise linear algebra ----------------------------------------
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
         """Deterministic monomial basis of the degree-d quotient space."""
         self._check_degree(d)
-        data = self._deg_data(d)
-        if data.basis is None:
-            offset = self._offsets[d]
-            data.basis = tuple(self._monomial(offset + i) for i in data.basis_indices)
-        return data.basis
+        return tuple(map(self._monomial, self._basis_numbers(d)))
 
     def basis_elements(self, d: int) -> tuple[GradedElement, ...]:
         return tuple(GradedElement(frozenset({m})) for m in self.basis(d))
@@ -390,8 +380,9 @@ class PresentedAlgebra:
         return self._basis_bits(self._reduced_bits(e), d)
 
     def element_from_bits(self, d: int, coords: int) -> GradedElement:
-        basis = self.basis(d)
-        return GradedElement(frozenset(basis[i] for i in gf2.bits(coords)))
+        self._check_degree(d)
+        numbers = self._basis_numbers(d)
+        return GradedElement(frozenset(self._monomial(numbers[i]) for i in gf2.bits(coords)))
 
     # -- internals ----------------------------------------------------------
 
@@ -474,8 +465,8 @@ class PresentedAlgebra:
             walk.append((w, cut, unit, list(compress(range(cap + 1), map(ne, counts, old)))))
         total = sum(counts)
         if total > MAX_WINDOW:
-            raise ComputationError(f"degree window [0, {cap}] holds {total} laurent-free "
-                                   f"monomials; the limit is {MAX_WINDOW}")
+            raise ComputationError(f"degree window [0, {cap}] holds {total} monomials; "
+                                   f"the limit is {MAX_WINDOW}")
         keys: list[list[int]] = [[0]] + [[] for _ in range(cap)]
         for w, cut, unit, gains in walk:
             with_g = [[]] * (cap + 1)  # the keys of each degree's part with g
@@ -488,51 +479,29 @@ class PresentedAlgebra:
                 keys[d] = with_g[d] + keys[d]
         return [k for degree in keys for k in degree], list(accumulate(counts, initial=0))
 
+    def _reduce_relations(self):
+        """One echelon of every relation times every window key of degree
+        at most the cap less the relation's, as the window-wide pivot
+        index, and the window numbers that are no pivots, ascending, with
+        the start of each degree among them."""
+        keys, offsets, numbers = self._number_keys, self._offsets, self._key_numbers
+        # a term that is a multiple of a folded power has no key: it is zero
+        relations = [(self.degree_of(r), [k for k in map(self._key, r.terms) if k is not None])
+                     for r in self.relations]
+        # a sum that is no key is zero: an exterior square or a folded power;
+        # the rows are made as the elimination takes them, not held
+        rows = (sum(1 << numbers[k + t] for t in terms if k + t in numbers)
+                for dr, terms in relations if terms
+                for k in keys[:offsets[self.degree_cap - dr + 1]])
+        echelon = gf2.reduce_rows(row for row in rows if row)
+        self._pivots, self._pivot_mask = echelon.by_pivot, echelon.mask
+        self._free = [n for n in range(len(keys)) if n not in self._pivots]
+        self._free_offsets = [bisect_left(self._free, offset) for offset in offsets]
+
     def _reduced_relations_ok(self):
         for r in self.relations:
             if self._reduced_bits(r):
                 raise ValidationError(f"relation does not reduce to zero: {r}")
-
-    def _deg_data(self, d: int) -> "_DegreeData":
-        if d not in self._degree_cache:
-            self._degree_cache[d] = self._build_degree(d)
-        return self._degree_cache[d]
-
-    def _build_degree(self, d: int) -> "_DegreeData":
-        # number the degree's keys as the walk listed them, then its relation rows
-        keys, offsets, numbers = self._number_keys, self._offsets, self._key_numbers
-        offset, end = offsets[d], offsets[d + 1]
-        numbers.update(zip(keys[offset:end], range(offset, end)))
-        rows = []
-        for dr, terms in self._relation_keys:
-            for k in keys[offsets[d - dr]:offsets[d - dr + 1]] if dr <= d else ():
-                # a sum that is no key is zero: an exterior square or a folded power
-                rows.append(sum(1 << numbers[k + t] - offset for t in terms if k + t in numbers))
-        rel_rows = gf2.reduce_rows(row for row in rows if row)
-        for p, row in rel_rows.by_pivot.items():
-            self._pivots[p + offset] = row << offset
-        self._pivot_mask |= rel_rows.mask << offset
-        return _DegreeData(end - offset, rel_rows)
-
-
-class _DegreeData:
-    __slots__ = ("rel_rows", "basis_indices", "basis", "pivots")
-
-    def __init__(self, size, rel_rows):
-        self.rel_rows = rel_rows  # keeps the pivot index of gf2.reduce_rows
-        pivots = gf2.pivots(rel_rows)
-        self.basis_indices = tuple(i for i in range(size) if i not in pivots)
-        self.basis = None  # the basis monomials, decoded by basis() on first call
-        self.pivots = sorted(pivots)
-
-    def basis_bits(self, vec: int) -> int:
-        """A reduced vector over the candidates as a bitmask over the
-        basis: candidate i that is no pivot sits at basis position i less
-        the number of pivots below it."""
-        out = 0
-        for i in gf2.bits(vec):
-            out |= 1 << i - bisect(self.pivots, i)
-        return out
 
 
 class _GeneratorMap:
@@ -586,7 +555,7 @@ class _GeneratorMap:
                 e = exps >> shift
                 out = self._power(name, e)
                 if exps & (1 << shift) - 1:
-                    prefix = source._number_of_key(k - e * unit)
+                    prefix = source._key_numbers[k - e * unit]
                     out = self.target._mul_bits(self.image(prefix), out)
             self._images[n] = out
         return out

@@ -100,10 +100,6 @@ def in_span(vec: int, reduced: Sequence[int]) -> bool:
     return reduce_vector(vec, reduced) == 0
 
 
-def pivots(reduced: Sequence[int]) -> set[int]:
-    return {b.bit_length() - 1 for b in reduced}
-
-
 def apply_columns(cols: Sequence[int], vec: int) -> int:
     """Apply the map with the given columns to a source vector."""
     out = 0

@@ -233,7 +233,7 @@ def test_window_count_is_exact(monkeypatch, gens, cap):
     monkeypatch.setattr(f2alg, "MAX_WINDOW", count - 1)
     with pytest.raises(ComputationError) as exc:
         PresentedAlgebra(gens, (), cap)
-    assert f"holds {count} laurent-free monomials" in str(exc.value)
+    assert f"holds {count} monomials;" in str(exc.value)
 
 
 def test_window_degrees_are_bounded():
@@ -337,7 +337,7 @@ class DenseQuotient:
         return sum(self.degree[n] * e for n, e in m)
 
     def basis(self, d: int) -> tuple:
-        pivots = gf2.pivots(self.rows.get(d, ()))
+        pivots = {row.bit_length() - 1 for row in self.rows.get(d, ())}
         return tuple(m for i, m in enumerate(self.window.get(d, ())) if i not in pivots)
 
     def reduce(self, e: GradedElement) -> GradedElement:
@@ -411,7 +411,7 @@ def test_exterior_power_does_not_spill_into_the_next_field():
 
 def test_two_degree_one_generators_just_under_the_limit():
     """154 degrees of up to 154 monomials, 11 935 in all: the widest
-    admitted window of two generators builds, degree by degree."""
+    admitted window of two generators builds."""
     gens = (GradedGenerator("b", 1), GradedGenerator("a", 1))
     alg = PresentedAlgebra(gens, (), 153)
     assert alg._offsets[-1] == 11935 <= f2alg.MAX_WINDOW
@@ -564,10 +564,11 @@ def reference_coordinates(alg: PresentedAlgebra, e: GradedElement) -> dict[int, 
             continue  # a multiple of a folded power is zero
         bit = reference_candidates(alg, d).index(m)
         by_degree[d] = by_degree.get(d, 0) ^ 1 << bit
-    return {d: gf2.reduce_vector(vec, alg._deg_data(d).rel_rows)
+    return {d: gf2.reduce_vector(vec, reference_relation_rows(alg, d))
             for d, vec in by_degree.items()}
 
 
+@lru_cache(maxsize=None)
 def reference_relation_rows(alg: PresentedAlgebra, d: int) -> list[int]:
     """The reduced relation rows of degree d, each multiple checked term
     by term and located in the reference candidate order."""
@@ -586,6 +587,13 @@ def reference_relation_rows(alg: PresentedAlgebra, d: int) -> list[int]:
     return gf2.reduce_rows(rows)
 
 
+def reference_basis_indices(alg: PresentedAlgebra, d: int) -> list[int]:
+    """The positions among the reference candidates of degree d that are
+    no pivots of its reference relation rows."""
+    pivots = {row.bit_length() - 1 for row in reference_relation_rows(alg, d)}
+    return [i for i in range(len(reference_candidates(alg, d))) if i not in pivots]
+
+
 def reference_routes(alg: PresentedAlgebra, e: GradedElement):
     """reduce and express_bits (every degree) read from the reference
     coordinates."""
@@ -593,9 +601,9 @@ def reference_routes(alg: PresentedAlgebra, e: GradedElement):
     reduced, bits = set(), {}
     for d, vec in sorted(coords.items()):
         candidates = reference_candidates(alg, d)
-        basis_indices = alg._deg_data(d).basis_indices
         reduced.update(candidates[i] for i in gf2.bits(vec))
-        bits[d] = sum(1 << pos for pos, i in enumerate(basis_indices) if (vec >> i) & 1)
+        bits[d] = sum(1 << pos for pos, i in enumerate(reference_basis_indices(alg, d))
+                      if (vec >> i) & 1)
     return GradedElement(frozenset(reduced)), bits
 
 
@@ -625,7 +633,10 @@ def test_window_index_matches_reference_kernel(make, rng):
     alg = make()
     for d in range(alg.degree_cap + 1):
         assert tuple(degree_monomials(alg, d)) == reference_candidates(alg, d)
-        assert alg._deg_data(d).rel_rows == reference_relation_rows(alg, d)
+        low, high = alg._offsets[d], alg._offsets[d + 1]
+        rows = [row >> low for p, row in alg._pivots.items() if low <= p < high]
+        assert sorted(rows, reverse=True) == reference_relation_rows(alg, d)
+        assert alg._basis_numbers(d) == [low + i for i in reference_basis_indices(alg, d)]
     for _ in range(60):
         e = random_unreduced(alg, rng)
         for m in e.terms:
@@ -724,24 +735,27 @@ def test_products_outside_the_window_as_before(name, rng):
         _error(lambda: reference_mul(alg, nope, square))
 
 
-def test_construction_builds_no_degree():
-    alg = PresentedAlgebra([GradedGenerator("t", 1)], (), f2alg.MAX_WINDOW - 1)
-    assert alg._degree_cache == {}  # as before window numbers
-    assert not alg._key_numbers
+def test_construction_builds_the_whole_window():
+    """Both limit shapes build every degree at load: F2[t] at the widest
+    cap, with no relation, and F2[a1, b1]/(a*b + b^2) at cap 153, whose
+    ranks follow the Hilbert series (1 + t)/(1 - t)."""
+    cap = f2alg.MAX_WINDOW - 1
+    t = PresentedAlgebra([GradedGenerator("t", 1)], (), cap)
+    assert t._free == list(range(cap + 1)) and t._pivots == {}
+    ab = PresentedAlgebra([GradedGenerator("a", 1), GradedGenerator("b", 1)],
+                          [parse_element("a*b + b^2")], 153)
+    assert [len(ab._basis_numbers(d)) for d in range(154)] == [1] + [2] * 153
 
 
-def test_product_builds_its_degree_first():
+def test_products_of_the_built_window():
     alg = PresentedAlgebra([GradedGenerator("a", 1), GradedGenerator("b", 2)],
                            [parse_element("a^4")], 12)
-    built = set(alg._degree_cache)
     x, y = alg.element("a*b"), alg.element("b^2")
-    assert 7 not in alg._degree_cache
     assert alg.mul(x, y) == alg.element("a*b^3") != ZERO
-    assert set(alg._degree_cache) == built | {3, 4, 7}
-    # a product whose degree is built but whose term is not in the window
+    # a product whose term is not in the window
     ext = PresentedAlgebra([GradedGenerator("e", 1, EXTERIOR), GradedGenerator("f", 2)], (), 4)
     e = ext.generator("e")
-    assert ext.mul(e, e) == ZERO and 2 in ext._degree_cache
+    assert ext.mul(e, e) == ZERO
 
 
 # -- total squares from cached prefixes ---------------------------------------
