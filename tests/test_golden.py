@@ -84,6 +84,9 @@ def corpus_argv() -> list[list[str]]:
               ["twist", "--multiply", "(0)", "(0,1)"],
               ["fgl", "--law", "additive", "--two-series", "--solve-theta", "3", "--height"],
               ["fgl", "--law", "gm", "--modulus", "8", "--truncation", "8", "--two-series"]]
+    # a wrong-degree twist is refused before the integral data is asked for
+    argvs += [["ahss", "--space", "rp_inf", "--n", "1", "--twist", "t^2", "--integral"],
+              ["ahss", "--space", "rp_inf", "--n", "1", "--twist", "t^2"]]
     return argvs
 
 
