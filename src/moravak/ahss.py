@@ -6,7 +6,9 @@ strip: for each column p we store a basis of the cell, as coordinate
 ints over the algebra's ``basis(p)``, and one differential matrix into
 column p + (2^{n+1} - 1); every other row of the page is the v-power
 translate of the strip, and the differential sends the v-exponent e to
-e - 1.  Classes are built as elements only on request.
+e - 1.  On E2 every column is the identity over ``basis(p)``, so no
+coordinate int is built: its classes are read as their window numbers.
+Classes are built as elements only on request.
 
 The differential on the starting page is
     d(m * v^e) = (Q_n(m) + m * phi) * v^{e-1},
@@ -21,7 +23,7 @@ there depends on classes the model does not contain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -53,6 +55,8 @@ class SpaceModel:
     action: SqAction
     integ: Optional[IntegralityData] = None
     top_degree: Optional[int] = None
+    # (twist element, n) -> phi in window numbers; see _twist_bits
+    _phis: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.action.algebra is not self.algebra:
@@ -85,10 +89,12 @@ class Page:
     """One fundamental strip of a bigraded page plus its differential.
 
     ``coords[p]`` holds one int per class of column p, bit i for the i-th
-    monomial of ``algebra.basis(p)``; ``bases`` builds the elements."""
+    monomial of ``algebra.basis(p)``, or None for an identity column, whose
+    classes are the monomials of ``basis(p)`` themselves, as on E2.
+    ``bases`` builds the elements."""
 
     def __init__(self, n: int, algebra: PresentedAlgebra,
-                 coords: Mapping[int, tuple[int, ...]],
+                 coords: Mapping[int, Optional[tuple[int, ...]]],
                  diff: Optional[Mapping[int, tuple[int, ...]]],
                  incomplete: frozenset, label: str):
         self.n = n
@@ -113,11 +119,18 @@ class Page:
 
     @cached_property
     def bases(self) -> dict[int, tuple[GradedElement, ...]]:
-        return {p: tuple(self.algebra.element_from_bits(p, c) for c in cols)
-                for p, cols in self.coords.items()}
+        return {p: tuple(map(self.algebra._element, self._vectors(p))) for p in self.coords}
 
     def rank(self, p: int) -> int:
-        return len(self.coords.get(p, ()))
+        cols = self.coords.get(p, ())
+        return len(self.algebra._basis_numbers(p) if cols is None else cols)
+
+    def _vectors(self, p: int) -> list[int]:
+        """The classes of column p in window numbers: its basis numbers'
+        bits on an identity column, else each coordinate int through them."""
+        units = [1 << n for n in self.algebra._basis_numbers(p)]
+        cols = self.coords[p]
+        return units if cols is None else [gf2.apply_columns(units, c) for c in cols]
 
     def is_incomplete(self, p: int) -> bool:
         return p in self.incomplete
@@ -143,15 +156,24 @@ def twist_term(space: SpaceModel, twist: TwistClass, n: int) -> GradedElement:
     """The degree-(2^{n+1}-1) class Q_{n-1}...Q_1 applied to the twist;
     at n = 1 the twist itself.  The steps run on window numbers, so only
     the twist and the result are built as monomials."""
-    alg = space.algebra
-    h = alg.reduce(twist.element)
-    if h and alg.degree_of(h) != n + 2:
-        raise WrongTwistDegreeError(
-            f"twist must be homogeneous of degree {n + 2}")
-    phi = alg._bits(h)
-    for j in range(1, n):
-        phi = space.action._q(j, phi)
-    return alg._element(phi)
+    return space.algebra._element(_twist_bits(space, twist, n))
+
+
+def _twist_bits(space: SpaceModel, twist: TwistClass, n: int) -> int:
+    """twist_term in window numbers, evaluated once per twist and n on
+    this space."""
+    key = (twist.element, n)
+    if key not in space._phis:
+        alg = space.algebra
+        h = alg.reduce(twist.element)
+        if h and alg.degree_of(h) != n + 2:
+            raise WrongTwistDegreeError(
+                f"twist must be homogeneous of degree {n + 2}")
+        phi = alg._bits(h)
+        for j in range(1, n):
+            phi = space.action._q(j, phi)
+        space._phis[key] = phi
+    return space._phis[key]
 
 
 def e2_page(space: SpaceModel, n: int) -> Page:
@@ -159,9 +181,8 @@ def e2_page(space: SpaceModel, n: int) -> Page:
     if n < 1:
         raise ValidationError("height must be >= 1")
     _check_height(n)
-    coords = {p: tuple(1 << i for i in range(len(space.algebra._basis_numbers(p))))
-              for p in range(space.algebra.degree_cap + 1)}
-    return Page(n, space.algebra, coords, None, frozenset(), "E2")
+    identity = dict.fromkeys(range(space.algebra.degree_cap + 1))
+    return Page(n, space.algebra, identity, None, frozenset(), "E2")
 
 
 def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page:
@@ -173,18 +194,17 @@ def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page
     n, R = page.n, page.step
     alg, action = space.algebra, space.action
     # columns are built in the algebra's window numbers (see f2alg)
-    phi = alg._reduced_bits(twist_term(space, twist, n))
+    phi = alg._keys(_twist_bits(space, twist, n))
     diff: dict[int, tuple[int, ...]] = {}
     incomplete: set[int] = set()
     for p in page.window:
         if p + R <= alg.degree_cap:
             # basis monomials are no pivots, so their window bits are reduced
-            units = [1 << n for n in alg._basis_numbers(p)]
             diff[p] = tuple(alg._basis_bits(action._q(n, x) ^ alg._mul_bits(x, phi), p + R)
-                            for x in (gf2.apply_columns(units, c) for c in page.coords[p]))
+                            for x in page._vectors(p))
         elif space.closed_window:
             # target degree exceeds the dimension: the map is honestly zero
-            diff[p] = (0,) * len(page.coords[p])
+            diff[p] = (0,) * len(page._vectors(p))
         else:
             incomplete.add(p)
     for p in page.window:
@@ -206,17 +226,18 @@ def turn_page(page: Page) -> Page:
 
     Surviving classes in column p are kernel-mod-image vectors reduced to
     their lexicographically least form, mapped through the old column's
-    coordinates; incomplete columns keep their old coordinates and stay
-    flagged, since their kernel is not computable inside the window.
+    coordinates, and kept as they are on an identity column; incomplete
+    columns keep their old coordinates and stay flagged, since their
+    kernel is not computable inside the window.
     """
     if page.diff is None:
         raise DifferentialNotFilledError("fill the differential before turning")
     R = page.step
     coords = dict(page.coords)  # incomplete columns have no diff and stay
-    for p, out in page.diff.items():
+    for p, out in page.diff.items():  # out has one column per class
         old, image = page.coords[p], page.diff[p - R] if p - R >= 0 else ()
-        coords[p] = tuple(gf2.apply_columns(old, rep)
-                          for rep in gf2.homology(out, len(old), image))
+        reps = gf2.homology(out, len(out), image)
+        coords[p] = tuple(reps if old is None else (gf2.apply_columns(old, r) for r in reps))
     zero_diff = {p: (0,) * len(coords[p]) for p in page.diff}
     label = f"E{2 ** (page.n + 1)}" if page.label == "E2" \
         else page.label + "+ (upper bound)"
@@ -265,11 +286,11 @@ def integral_first_differential(page: Page, space: SpaceModel,
     certificates: dict[int, tuple] = {}
     for p, cols in filled.diff.items():  # the complete columns
         verdicts = []
-        for c, col in zip(filled.coords[p], cols):
+        for x, col in zip(filled._vectors(p), cols):
             if col:
                 verdicts.append(TriState.NO)
             else:
-                m = space.algebra.element_from_bits(p, c)
+                m = space.algebra._element(x)
                 qn_ok = integ.contains(sq(filled.v_width, m, space.action))
                 verdicts.append(TriState.YES if (qn_ok and twist_ok)
                                 else TriState.UNKNOWN)

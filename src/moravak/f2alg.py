@@ -209,7 +209,6 @@ class PresentedAlgebra:
         self._monomials: dict[int, Monomial] = {}  # window number -> decoded monomial
         self.relations = tuple(self._normalize_relation(r) for r in relations)
         self._reduce_relations()
-        self._reduced_relations_ok()
 
     # -- basic queries --------------------------------------------------
 
@@ -277,7 +276,8 @@ class PresentedAlgebra:
 
     def mul(self, a: GradedElement, b: GradedElement) -> GradedElement:
         """Product in the quotient, truncated above the degree cap."""
-        return self._element(self._mul_bits(self._reduced_bits(a), self._reduced_bits(b)))
+        x, y = self._reduced_bits(a), self._reduced_bits(b)
+        return self._element(self._mul_bits(x, self._keys(y)))
 
     # -- window numbers ------------------------------------------------------
 
@@ -332,11 +332,9 @@ class PresentedAlgebra:
         """The canonical form of e in window numbers."""
         return gf2._eliminate(self._bits(e), self._pivot_mask, self._pivots)
 
-    def _mul_bits(self, x: int, y: int) -> int:
-        """Canonical product of two window vectors: each pair of terms
-        multiplies by adding keys, and the sum reduces in one elimination."""
+    def _mul_bits(self, x: int, right: list[int]) -> int:
+        """Canonical product of window vector x and the terms keyed right."""
         keys, numbers = self._number_keys, self._key_numbers
-        right = [keys[n] for n in gf2.bits(y)]
         out = 0
         for n in gf2.bits(x):
             left = keys[n]
@@ -345,6 +343,9 @@ class PresentedAlgebra:
                 if p is not None:  # else an exterior square, a folded power or above the cap
                     out ^= 1 << p
         return gf2._eliminate(out, self._pivot_mask, self._pivots)
+
+    def _keys(self, vec: int) -> list[int]:
+        return [self._number_keys[n] for n in gf2.bits(vec)]
 
     def _element(self, vec: int) -> GradedElement:
         return GradedElement(frozenset(map(self._monomial, gf2.bits(vec))))
@@ -498,11 +499,6 @@ class PresentedAlgebra:
         self._free = [n for n in range(len(keys)) if n not in self._pivots]
         self._free_offsets = [bisect_left(self._free, offset) for offset in offsets]
 
-    def _reduced_relations_ok(self):
-        for r in self.relations:
-            if self._reduced_bits(r):
-                raise ValidationError(f"relation does not reduce to zero: {r}")
-
 
 class _GeneratorMap:
     """A ring map given on generators, on window numbers: images maps
@@ -518,14 +514,14 @@ class _GeneratorMap:
                  images: Mapping[str, int]):
         self.source, self.target, self.images = source, target, images
         self._unit = target._reduced_bits(ONE)
-        self._powers: dict[str, list[int]] = {}
+        self._powers = {name: [target._keys(self._unit)] for name in images}  # each power's keys
         self._images: dict[int, int] = {}  # window number -> image
 
-    def _power(self, name: str, exp: int) -> int:
-        powers = self._powers.setdefault(name, [self._unit])
+    def _power(self, name: str, exp: int) -> list[int]:
+        powers = self._powers[name]
         while len(powers) <= exp and powers[-1]:
-            powers.append(self.target._mul_bits(powers[-1], self.images[name]))
-        return powers[exp] if exp < len(powers) else 0
+            powers.append(self.target._keys(self.target._mul_bits(self.images[name], powers[-1])))
+        return powers[exp] if exp < len(powers) else []
 
     def relation_image(self, r: GradedElement) -> int:
         """The image of a relation of the source, each term's factors'
@@ -553,10 +549,8 @@ class _GeneratorMap:
                 name, shift, _, unit = source._factors[
                     bisect(source._shifts, exps.bit_length() - 1) - 1]
                 e = exps >> shift
-                out = self._power(name, e)
-                if exps & (1 << shift) - 1:
-                    prefix = source._key_numbers[k - e * unit]
-                    out = self.target._mul_bits(self.image(prefix), out)
+                prefix = source._key_numbers[k - e * unit]  # 0, the unit, for one factor
+                out = self.target._mul_bits(self.image(prefix), self._power(name, e))
             self._images[n] = out
         return out
 

@@ -10,13 +10,17 @@ algebra's ``_GeneratorMap`` from each generator to its total square,
 so each window monomial's total square is one cached int.
 Sq^i of a degree-d monomial is the degree-(d+i) part of that int, one
 AND with the mask of that degree's numbers, and Q_j runs its
-commutator recursion on these ints.  ``sq`` and ``milnor_q`` take an
-element in through the algebra's one intake, ``_bits`` with the
-operator's reach, and convert back on exit.  Validation is eager and
-cannot be skipped: an action whose table is incompatible with the
-algebra's relations (some Sq^i(r) nonzero in the quotient, read off the
-total square of r) is rejected at load, since a silently inconsistent
-table would poison every differential computed from it.
+commutator recursion on these ints.  The table holds no entry above a
+generator's degree, so a degree-d total square lies in degrees d..2d:
+Sq^i of a degree-d term is zero for i > d (the unstable axiom), and
+such a term is skipped before its total square is built.  ``sq`` and
+``milnor_q`` take an element in through the algebra's one intake,
+``_bits`` with the operator's reach, and convert back on exit.
+Validation is eager and cannot be skipped: an action whose table is
+incompatible with the algebra's relations (some Sq^i(r) nonzero in the
+quotient, read off the total square of r) is rejected at load, since a
+silently inconsistent table would poison every differential computed
+from it.
 
 Integral statements are never decided on integral cohomology itself;
 they are decided through mod-2 representatives plus a declared
@@ -116,14 +120,19 @@ class SqAction:
 
     def _sq(self, i: int, x: int) -> int:
         """Sq^i of window vector x: each term's total square masked to
-        the term's degree plus i."""
+        the term's degree plus i.  A term of degree d < i is skipped
+        before its total square is built: that square lies in degrees
+        d..2d, so Sq^i of the term is zero."""
         alg = self.algebra
         keys, shift, offsets = alg._number_keys, alg._degree_shift, alg._offsets
         top = alg.degree_cap - i
         out = 0
-        for n in gf2.bits(x):
+        while x:
+            low = x & -x
+            x ^= low
+            n = low.bit_length() - 1
             d = keys[n] >> shift
-            if d <= top:
+            if i <= d <= top:
                 d += i
                 mask = self._masks.get(d) or \
                     self._masks.setdefault(d, (1 << offsets[d + 1]) - (1 << offsets[d]))
@@ -131,13 +140,15 @@ class SqAction:
         return out
 
     def _q(self, j: int, x: int) -> int:
-        """Q_j of window vector x by the commutator recursion."""
+        """Q_j of window vector x by the commutator recursion, which
+        makes no call on a zero vector: Q_j is linear."""
         if not x:
-            return 0  # Q_j is linear; this also keeps Q_j(0) from costing 2^j calls
+            return 0
         if j == 0:
             return self._sq(1, x)
         s = 1 << j
-        return self._sq(s, self._q(j - 1, x)) ^ self._q(j - 1, self._sq(s, x))
+        y, z = self._q(j - 1, x), self._sq(s, x)
+        return (y and self._sq(s, y)) ^ (z and self._q(j - 1, z))
 
     def _check_relations(self):
         """Sq^i(r) = 0 for every relation r, tested on r's total square,

@@ -1,6 +1,6 @@
 import pytest
 
-from moravak import gf2
+from moravak import cli, gf2
 from moravak.ahss import (
     SpaceModel,
     TwistClass,
@@ -107,6 +107,47 @@ def test_page_path_decodes_only_the_twist_and_phi():
     phi = twist_term(space, twist, 3)
     assert decoded <= twist.element.terms | phi.terms
     assert phi and page.rank(0) == 0  # d(1) = phi
+
+
+def test_e2_columns_are_read_as_basis_numbers(monkeypatch):
+    """E2 holds no coordinate int per class, and filling its differential
+    maps no class through gf2.apply_columns; only the d^2 check applies
+    the filled columns."""
+    alg, act = projective_product(3, 20)
+    space = SpaceModel(alg, act)
+    page = e2_page(space, 1)
+    assert all(c is None for c in page.coords.values())
+    applied = []
+    apply_columns = gf2.apply_columns
+    monkeypatch.setattr(gf2, "apply_columns",
+                        lambda cols, vec: applied.append(cols) or apply_columns(cols, vec))
+    filled = first_differential(page, space, TwistClass(parse_element("t1^2*t2 + t1*t2^2")))
+    assert applied and all(any(cols is d for d in filled.diff.values()) for cols in applied)
+    assert all(filled.rank(p) == len(alg.basis(p)) for p in filled.window)
+
+
+@pytest.mark.parametrize("integral", [[], ["--integral"]])
+def test_one_ahss_request_evaluates_phi_once(monkeypatch, capsys, integral):
+    """phi = Q_1(h4) is evaluated once per request, though both the
+    report and the differential read it; every other outermost Q is the
+    differential's Q_2."""
+    outer, depth = [], [0]
+    q = SqAction._q
+
+    def counted(self, j, x):
+        if not depth[0]:
+            outer.append(j)
+        depth[0] += 1
+        try:
+            return q(self, j, x)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(SqAction, "_q", counted)
+    argv = ["ahss", "--space", str(FIXTURES / "synth12.space"), "--n", "2", "--twist", "h4"]
+    assert cli.main(argv + integral) == 0
+    assert outer.count(1) == 1 and set(outer) == {1, 2}
+    capsys.readouterr()
 
 
 def test_twist_term_examples():

@@ -195,17 +195,27 @@ def test_non_integral_twist_is_exit_3(capsys, tmp_path, twist, beta):
     assert main(["ahss", "--space", str(path), "--n", "2", "--twist", "t1^4"]) == 0
 
 
+def fresh_interpreter_env(**extra: str) -> dict:
+    """The environment of a fresh interpreter that imports the moravak
+    these tests import, whether it came from PYTHONPATH or pytest's
+    pythonpath setting."""
+    import os
+    from pathlib import Path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_determinism_across_hash_seeds():
     """Reports must not leak set/dict iteration order: two fresh
     interpreters with different hash randomization agree bytewise."""
-    import os
     import subprocess
     import sys
     argv = [sys.executable, "-m", "moravak.cli", "ahss", "--space", "synth12",
             "--n", "2", "--twist", "h4", "--integral"]
     outputs = []
     for seed in ("1", "1337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = fresh_interpreter_env(PYTHONHASHSEED=seed)
         result = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
@@ -220,7 +230,8 @@ def test_closed_stdout_is_exit_141_without_traceback():
     # about 160 kB of report, far more than a pipe buffer holds
     argv = [sys.executable, "-m", "moravak.cli", "tor", "--module", "r0free",
             "--i", "0", "1500"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=fresh_interpreter_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()

@@ -173,6 +173,14 @@ def test_sq_masks_are_built_per_target_degree():
     assert set(act._masks) == {8}
 
 
+def test_sq_above_the_degree_builds_nothing():
+    """Sq^i of a degree-d term is zero for i > d (the unstable axiom), and
+    the term is skipped before its total square or a mask is built."""
+    alg, act = projective_space(40)
+    assert sq(5, alg.element("t^3"), act) == ZERO
+    assert not act._squares._images and not act._masks
+
+
 def element_from_exponents(alg, exps):
     out = alg.zero
     for e in exps:
