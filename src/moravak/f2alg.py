@@ -504,8 +504,9 @@ class _GeneratorMap:
     """A ring map given on generators, on window numbers: images maps
     each source generator to a reduced target vector.  The image of
     monomial n is the cached image of its prefix (all factors but the
-    last) times one cached power of its last factor's image; the empty
-    monomial maps to the target's reduced unit.  Products in the
+    last) times one cached power of its last factor's image, or that
+    power alone where there is no prefix; the empty monomial maps to the
+    target's reduced unit.  Products in the
     quotient are associative and canonical forms unique, so every cached
     image is the canonical form of the product of all its factors'
     images."""
@@ -514,14 +515,23 @@ class _GeneratorMap:
                  images: Mapping[str, int]):
         self.source, self.target, self.images = source, target, images
         self._unit = target._reduced_bits(ONE)
-        self._powers = {name: [target._keys(self._unit)] for name in images}  # each power's keys
+        self._generator_keys = {name: target._keys(img) for name, img in images.items()}
+        self._powers = {name: [self._unit] for name in images}
+        self._power_keys: dict[tuple[str, int], list[int]] = {}  # right operands only
         self._images: dict[int, int] = {}  # window number -> image
 
-    def _power(self, name: str, exp: int) -> list[int]:
+    def _power(self, name: str, exp: int) -> int:
         powers = self._powers[name]
         while len(powers) <= exp and powers[-1]:
-            powers.append(self.target._keys(self.target._mul_bits(self.images[name], powers[-1])))
-        return powers[exp] if exp < len(powers) else []
+            powers.append(self.target._mul_bits(powers[-1], self._generator_keys[name]))
+        return powers[exp] if exp < len(powers) else 0
+
+    def _right(self, name: str, exp: int) -> list[int]:
+        """The keys of a power that is the right operand of a product."""
+        keys = self._power_keys.get((name, exp))
+        if keys is None:
+            keys = self._power_keys[name, exp] = self.target._keys(self._power(name, exp))
+        return keys
 
     def relation_image(self, r: GradedElement) -> int:
         """The image of a relation of the source, each term's factors'
@@ -532,7 +542,7 @@ class _GeneratorMap:
         for m in r.terms:
             x = self._unit
             for name, e in m:
-                x = self.target._mul_bits(x, self._power(name, e))
+                x = self.target._mul_bits(x, self._right(name, e))
             out ^= x
         return out
 
@@ -549,8 +559,11 @@ class _GeneratorMap:
                 name, shift, _, unit = source._factors[
                     bisect(source._shifts, exps.bit_length() - 1) - 1]
                 e = exps >> shift
-                prefix = source._key_numbers[k - e * unit]  # 0, the unit, for one factor
-                out = self.target._mul_bits(self.image(prefix), self._power(name, e))
+                if exps & (1 << shift) - 1:
+                    prefix = source._key_numbers[k - e * unit]
+                    out = self.target._mul_bits(self.image(prefix), self._right(name, e))
+                else:  # one factor: the image is the power
+                    out = self._power(name, e)
             self._images[n] = out
         return out
 

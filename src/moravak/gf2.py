@@ -7,8 +7,9 @@ representatives are supported on the lowest possible coordinates; with
 coordinates sorted in increasing monomial order this yields the
 lexicographically least representatives everywhere downstream.
 
-All elimination runs through the one loop in ``_eliminate``.  ``rank``
-stops after the forward pass that ``reduce_rows`` starts with.  The
+All elimination runs through the one loop in ``_eliminate``.  ``pivots``
+stops after the forward pass that ``reduce_rows`` starts with and returns
+its pivot mask; the rank of the rows is the mask's bit count.  The
 fully reduced echelon form that ``reduce_rows`` returns (every pivot
 set in exactly one row, rows by descending pivot) depends only on the
 span of its input, never on the order or choice of the input rows.
@@ -81,9 +82,10 @@ def _forward(rows: Iterable[int]) -> tuple[dict[int, int], int]:
     return by_pivot, mask
 
 
-def rank(rows: Iterable[int]) -> int:
-    """Dimension of the span of rows, from forward elimination alone."""
-    return len(_forward(rows)[0])
+def pivots(rows: Iterable[int]) -> int:
+    """Mask of the highest bits of the span of rows, from forward
+    elimination alone; its bit count is the dimension of the span."""
+    return _forward(rows)[1]
 
 
 def reduce_rows(rows: Iterable[int]) -> list[int]:

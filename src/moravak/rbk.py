@@ -11,9 +11,12 @@ M_k (b_k acts by 0) and N_k (b_k acts by v^{2^k}).
 
 Two independent computational routes are kept deliberately separate:
 Tor via the explicit 2-periodic resolution and the bar page via an
-honest multicomplex (homology dimensions from boundary ranks, with
-representatives only where nonzero), against the one-shot
-stacked-cokernel quotient.
+honest multicomplex, against the one-shot stacked-cokernel quotient.
+The bar page ranks the coboundaries d_m^T of the multicomplex in
+ascending degree with clearing, so a column known to be a sum of lower
+columns is never built; over F2 the dual complex has the homology
+dimensions of the complex, and representatives are built only where
+they are nonzero.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .twistgroup import AlgebraHom
 
 DEFAULT_TENSOR_TRUNCATION = 6
 # bar_e2 refuses complexes with more generators than this (the slowest
-# shape at the limit, rank 1 over one factor, takes 40-60 ms on 2 vCPUs)
+# shape at the limit, rank 1 over one factor, takes 28-60 ms on 2 shared vCPUs)
 MAX_BAR_COMPLEX = 5000
 # reports name 2^(n+1) - 1 and |v| = 2^(n+1) - 2; past n of about 14 000
 # these numbers no longer convert to a string
@@ -217,6 +220,11 @@ def _resolution_maps(operator: Sequence[int],
     return (b_minus_v, b) if against is StandardModule.M else (b, b_minus_v)
 
 
+def _transpose(cols: Sequence[int], r: int) -> list[int]:
+    """Columns of the transpose of an r x r matrix given by columns."""
+    return [sum((col >> j & 1) << i for i, col in enumerate(cols)) for j in range(r)]
+
+
 def _quotient_module(n: int, degrees: Sequence[int], out_cols: Sequence[int],
                      image: Sequence[int]) -> GradedKnModule:
     """Degree classes of ker(out_cols) / span(image) over the generators."""
@@ -257,9 +265,18 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
     The total complex in degree m is a direct sum of copies of P over
     multi-indices alpha with |alpha| = m, with the k-th differential
     alternating along the k-th resolution; its homology is returned per
-    degree.  As d^2 = 0, dim H_m = dim T_m - rank d_m - rank d_{m+1}, and
-    representatives (so degree classes) are built only where it is not 0.
-    With valid inputs everything above degree 0 vanishes.
+    degree.  As d^2 = 0, dim H_m = dim T_m - rank d_m - rank d_{m+1}.
+    Each rank is read from the coboundary d_m^T, which has the same rank,
+    in ascending m with clearing (Chen & Kerber's twist on the dual
+    complex): each pivot of d_m^T is the highest bit of a coboundary c
+    with d_{m+1}^T c = 0, so that column of d_{m+1}^T is a sum of lower
+    ones, and it is neither built nor eliminated.  Where dim H_m is not
+    0, representatives (so degree classes) come from the cohomology
+    ker d_{m+1}^T / im d_m^T.  Every operator is block diagonal over the
+    generator classes mod |v|, so the complex and its dual split by
+    class, and per class, over a field, cohomology and homology have one
+    dimension: the classes are those of H_m.  With valid inputs
+    everything above degree 0 vanishes.
 
     Only the universal hom computes twisted homology; other homs are
     accepted as experimental coefficient structures.
@@ -276,43 +293,54 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
         raise ComputationError(
             f"bar complex to degree {max_degree + 1} has {size} generators; "
             f"the limit is {MAX_BAR_COMPLEX}")
-    maps = [_resolution_maps(P.operators[k], _factor_kind(hom, k)) for k in range(K)]
+    # the coboundary takes beta to alpha = beta + e_k by the transpose of
+    # the resolution map at alpha_k, so the pair is indexed by beta_k % 2
+    maps = [_resolution_maps(_transpose(P.operators[k], r), _factor_kind(hom, k))[::-1]
+            for k in range(K)]
     # multi-indices alpha with |alpha| = m as ints, one field per factor
     # and factor 0 highest, so int order is tuple order; each layer sorted
     width = (max_degree + 1).bit_length()
     shifts = [width * (K - 1 - k) for k in range(K)]
-    units, field = [1 << s for s in shifts], (1 << width) - 1
+    units = [1 << s for s in shifts]
     layers = [[0]]
     for _ in range(max_degree + 1):
         layers.append(sorted({a + u for a in layers[-1] for u in units}))
 
-    def boundary(m: int) -> list[int]:
-        """Columns of d: T_m -> T_{m-1}.  The r columns of one alpha are
-        packed in one int with stride W = dim T_{m-1}, split at the end."""
-        W = r * len(layers[m - 1])
-        mask, strides = (1 << W) - 1, [j * W for j in range(r)]
+    def coboundary(m: int, cleared: int = 0) -> list[int]:
+        """Columns of the coboundary d_m^T: T_{m-1} -> T_m, but none for
+        the bits of cleared.  Column (beta, j) is the j-th row of d_m, so
+        each factor adds the j-th row of its B_k-entry at beta + e_k; the
+        r columns of one beta are packed in one int with stride W =
+        dim T_m, split at the end."""
+        W = r * len(layers[m])
+        mask, strides, full = (1 << W) - 1, [j * W for j in range(r)], (1 << r) - 1
         factors = [(shift, unit, [sum(c << s for s, c in zip(strides, op)) for op in pair])
                    for shift, unit, pair in zip(shifts, units, maps)]
-        below = {a: idx * r for idx, a in enumerate(layers[m - 1])}
+        above = {a: idx * r for idx, a in enumerate(layers[m])}
         cols = []
-        for alpha in layers[m]:
-            acc = 0
-            for shift, unit, ops in factors:
-                a_k = alpha >> shift & field
-                if a_k:
-                    acc ^= ops[a_k & 1] << below[alpha - unit]
-            cols += [acc >> s & mask for s in strides]
+        for idx, beta in enumerate(layers[m - 1]):
+            keep = ~cleared >> idx * r & full
+            if keep:
+                acc = 0
+                for shift, unit, ops in factors:
+                    acc ^= ops[beta >> shift & 1] << above[beta + unit]
+                cols += [acc >> strides[j] & mask for j in range(r) if keep >> j & 1]
         return cols
 
-    # validated operators are idempotent and commute, so the count is exact
-    d = [[0] * r] + [boundary(m) for m in range(1, max_degree + 2)]
-    ranks = [0] + [gf2.rank(cols) for cols in d[1:]]
+    # a cleared column is a sum of lower ones, so the kept columns span
+    # the same image; d^2 = 0 as validated operators are idempotent and
+    # commute
+    images, ranks, cleared = [[]], [0], 0
+    for m in range(1, max_degree + 2):
+        images.append(coboundary(m, cleared))
+        cleared = gf2.pivots(images[-1])
+        ranks.append(cleared.bit_count())
     out = [GradedKnModule(P.n, ())] * (max_degree + 1)
     for m in range(max_degree + 1):
         dim = len(layers[m]) * r
         if dim - ranks[m] - ranks[m + 1]:
             degrees = [P.degrees[i % r] for i in range(dim)]
-            out[m] = _quotient_module(P.n, degrees, d[m], d[m + 1])
+            out[m] = _quotient_module(P.n, degrees, coboundary(m + 1), images[m])
     return out
 
 

@@ -256,6 +256,14 @@ def test_text_report_contains_json_block(capsys):
     assert json.loads(blob)["payload"]["encoded"] == 2
 
 
+def line_module(tmp_path) -> str:
+    """Rank 1 over one factor, b_0 acting as v: its bar complex has one
+    generator per degree, the shape that reaches MAX_BAR_COMPLEX."""
+    path = tmp_path / "line.module"
+    path.write_text("[module]\nn 2\ntruncation 1\nrank 1\ndegrees 0\n\n[operator 0]\n1\n")
+    return str(path)
+
+
 # 1 and x^k for Fibonacci k up to 89, at modulus 2^20 and truncation 400:
 # its largest series product, 351 by 2145 terms, is within the limit, while
 # x^144 would need a 2145 by 2145 one
@@ -291,9 +299,12 @@ GROUPLIKE_FIBONACCI = "1+x+x^2+x^3+x^5+x^8+x^13+x^21+x^34+x^55+x^89"
       "--check-grouplike", GROUPLIKE_FIBONACCI + "+x^144+x^233+x^377"), 4),
     (("fgl", "--law", "gm", "--truncation", "1000000000",
       "--check-grouplike", "1+x^5592405"), 4),
+    # 5 001 generators, one past MAX_BAR_COMPLEX
+    (("khorami", "--module", "{line}", "--max-degree", "4999"), 4),
 ])
-def test_out_of_range_arguments_are_typed_errors(capsys, argv, code):
-    assert main(list(argv)) == code
+def test_out_of_range_arguments_are_typed_errors(capsys, tmp_path, argv, code):
+    argv = [arg.format(line=line_module(tmp_path)) for arg in argv]
+    assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -322,12 +333,14 @@ def test_truncation_error_names_the_order(capsys):
     ("fgl", "--law", "gm", "--truncation", "1000000000", "--check-grouplike", "1+x"),
     # F2[a1, b1] at cap 200 would hold 20 301 monomials; a^3 = b^3 = 0 folds it to 9
     ("ahss", "--space", "{folded}", "--n", "1", "--twist", "0"),
+    # 5 000 generators, the most MAX_BAR_COMPLEX admits
+    ("khorami", "--module", "{line}", "--max-degree", "4998"),
 ])
 def test_work_at_the_limits_is_bounded(capsys, tmp_path, argv):
     folded = tmp_path / "folded.space"
     folded.write_text("[generators]\na 1\nb 1\n\n[relations]\na^3\nb^3\n\n"
                       "[metadata]\ncap 200\n")
-    argv = [arg.format(folded=folded) for arg in argv]
+    argv = [arg.format(folded=folded, line=line_module(tmp_path)) for arg in argv]
     start = time.perf_counter()
     assert main(list(argv)) == 0
     assert time.perf_counter() - start < 2.0

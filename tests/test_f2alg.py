@@ -799,8 +799,7 @@ def fold_image(fmap: AlgebraMap, m) -> GradedElement:
     gmap, target = fmap._map, fmap.target
     out = target._element(gmap._unit) if fmap.source._check_monomial(m) else ZERO
     for name, exp in m:
-        power = target._mul_bits(gmap._unit, gmap._power(name, exp))
-        out = target.mul(out, target._element(power))
+        out = target.mul(out, target._element(gmap._power(name, exp)))
     return out
 
 

@@ -180,5 +180,6 @@ def test_rank_is_the_size_of_the_reduced_rows(data, width):
     if rows:  # duplicates, anywhere
         rows = data.draw(st.permutations(
             rows + data.draw(st.lists(st.sampled_from(rows), max_size=4))))
-    assert gf2.rank(iter(rows)) == len(gf2.reduce_rows(rows)) == \
+    assert gf2.pivots(iter(rows)).bit_count() == len(gf2.reduce_rows(rows)) == \
         dense_rank_mod2(rows, width)
+    assert gf2.pivots(rows) == gf2.reduce_rows(rows).mask

@@ -341,7 +341,7 @@ def test_bar_page_matches_reference_multicomplex(seed, rank, K, max_degree, kind
 
 
 def test_bar_page_builds_at_most_one_kernel(monkeypatch):
-    """Homology dimensions come from boundary ranks: only a degree with
+    """Homology dimensions come from coboundary ranks: only a degree with
     nonzero homology (here degree 0) reduces a kernel for representatives."""
     ops = ((0b0001, 0b0010, 0, 0), (0, 0b0010, 0b0100, 0)) + ((0, 0, 0, 0),) * 4
     P = TensorModule(2, 6, (0, 0, 6, 6), ops)
@@ -352,3 +352,52 @@ def test_bar_page_builds_at_most_one_kernel(monkeypatch):
     page = bar_e2(P, AlgebraHom.universal(2, 6), max_degree=4)
     assert [entry.rank for entry in page] == [1, 0, 0, 0, 0]
     assert len(calls) <= 1
+
+
+def test_bar_page_ranks_only_columns_that_can_be_pivots(monkeypatch):
+    """Clearing: a pivot of one coboundary's elimination names a column
+    of the next that is never built, so on a module with no homology
+    every vector handed to the elimination is a pivot.  Ranking every
+    column of d_1 .. d_5 would hand it 24 + 84 + 224 + 504 + 1008."""
+    ops = ((0, 0, 0, 0), (0b0001, 0b0010, 0, 0), (0, 0b0010, 0b0100, 0)) + ((0, 0, 0, 0),) * 3
+    P = TensorModule(2, 6, (0, 0, 6, 6), ops)
+    handed = []
+    pivots = gf2.pivots
+    monkeypatch.setattr(gf2, "pivots", lambda rows: pivots(handed.append(list(rows)) or handed[-1]))
+    page = bar_e2(P, AlgebraHom.universal(2, 6), max_degree=4)
+    assert all(entry.is_zero for entry in page)
+    assert [len(rows) for rows in handed] == [4, 20, 64, 160, 344]
+    assert all(pivots(rows).bit_count() == len(rows) for rows in handed)
+
+
+def class_blocks(P: TensorModule) -> dict[int, TensorModule]:
+    """P split over its generator classes mod |v|: no operator entry
+    mixes two classes, so each class spans a submodule."""
+    w = v_degree(P.n)
+    blocks = {}
+    for c in sorted({d % w for d in P.degrees}):
+        idx = [i for i, d in enumerate(P.degrees) if d % w == c]
+        ops = tuple(tuple(sum((cols[i] >> a & 1) << b for b, a in enumerate(idx)) for i in idx)
+                    for cols in P.operators)
+        blocks[c] = TensorModule(P.n, P.truncation, tuple(P.degrees[i] for i in idx), ops)
+    return blocks
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32), rank=st.integers(1, 4),
+       K=st.integers(1, 6), max_degree=st.integers(0, 4),
+       kind=st.sampled_from(["universal", "augmentation", "mixed"]))
+def test_bar_page_classes_match_reference_per_class_block(seed, rank, K, max_degree, kind):
+    """The degree classes of every entry, read from the dual complex,
+    are those of the homology: each class block of the multicomplex,
+    ranked on its own by the reference, contributes its dimension."""
+    rnd = random.Random(seed)
+    P = classed_tensor(rnd, 2, rank, K)
+    active = {"universal": {0}, "augmentation": set(),
+              "mixed": {k for k in range(K) if rnd.randint(0, 1)}}[kind]
+    hom = AlgebraHom(2, K, frozenset(active))
+    expected = [() for _ in range(max_degree + 1)]
+    for c, block in class_blocks(P).items():
+        for m, dim in enumerate(reference_bar_ranks(block, hom, max_degree)):
+            expected[m] += (c,) * dim
+    assert [entry.degree_classes for entry in bar_e2(P, hom, max_degree)] == expected
