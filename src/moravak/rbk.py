@@ -37,7 +37,7 @@ from .twistgroup import AlgebraHom
 
 DEFAULT_TENSOR_TRUNCATION = 6
 # bar_e2 refuses complexes with more generators than this (the slowest
-# shape at the limit, rank 1 over one factor, takes 28-60 ms on 2 shared vCPUs)
+# shape at the limit, rank 1 over one factor, takes 23-33 ms on 2 shared vCPUs)
 MAX_BAR_COMPLEX = 5000
 # reports name 2^(n+1) - 1 and |v| = 2^(n+1) - 2; past n of about 14 000
 # these numbers no longer convert to a string
@@ -265,18 +265,16 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
     The total complex in degree m is a direct sum of copies of P over
     multi-indices alpha with |alpha| = m, with the k-th differential
     alternating along the k-th resolution; its homology is returned per
-    degree.  As d^2 = 0, dim H_m = dim T_m - rank d_m - rank d_{m+1}.
-    Each rank is read from the coboundary d_m^T, which has the same rank,
-    in ascending m with clearing (Chen & Kerber's twist on the dual
-    complex): each pivot of d_m^T is the highest bit of a coboundary c
-    with d_{m+1}^T c = 0, so that column of d_{m+1}^T is a sum of lower
-    ones, and it is neither built nor eliminated.  Where dim H_m is not
-    0, representatives (so degree classes) come from the cohomology
-    ker d_{m+1}^T / im d_m^T.  Every operator is block diagonal over the
-    generator classes mod |v|, so the complex and its dual split by
-    class, and per class, over a field, cohomology and homology have one
-    dimension: the classes are those of H_m.  With valid inputs
-    everything above degree 0 vanishes.
+    degree.  As d^2 = 0, dim H_m = dim T_m - rank d_m - rank d_{m+1},
+    each rank read from the coboundary d_m^T in ascending m with clearing
+    (Chen & Kerber's twist, on the dual complex): a pivot of d_m^T is the
+    highest bit of a coboundary c with d_{m+1}^T c = 0, so that column of
+    d_{m+1}^T is a sum of lower ones and is neither built nor eliminated.
+    Where dim H_m is not 0, representatives (so degree classes) come from
+    ker d_{m+1}^T / im d_m^T: every operator is block diagonal over the
+    generator classes mod |v|, so the complex and its dual split by class,
+    and per class, over a field, both have the same dimension.  With
+    valid inputs everything above degree 0 vanishes.
 
     Only the universal hom computes twisted homology; other homs are
     accepted as experimental coefficient structures.
@@ -308,10 +306,12 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
 
     def coboundary(m: int, cleared: int = 0) -> list[int]:
         """Columns of the coboundary d_m^T: T_{m-1} -> T_m, but none for
-        the bits of cleared.  Column (beta, j) is the j-th row of d_m, so
-        each factor adds the j-th row of its B_k-entry at beta + e_k; the
+        the bits of cleared.  Column (beta, j) is row (beta, j) of d_m, so
+        each factor adds row j of its B_k-entry at beta + e_k; the
         r columns of one beta are packed in one int with stride W =
         dim T_m, split at the end."""
+        if cleared == (1 << r * len(layers[m - 1])) - 1:
+            return []
         W = r * len(layers[m])
         mask, strides, full = (1 << W) - 1, [j * W for j in range(r)], (1 << r) - 1
         factors = [(shift, unit, [sum(c << s for s, c in zip(strides, op)) for op in pair])
@@ -327,9 +327,8 @@ def bar_e2(P: TensorModule, hom: AlgebraHom,
                 cols += [acc >> strides[j] & mask for j in range(r) if keep >> j & 1]
         return cols
 
-    # a cleared column is a sum of lower ones, so the kept columns span
-    # the same image; d^2 = 0 as validated operators are idempotent and
-    # commute
+    # clearing is exact as d^2 = 0: validated operators are idempotent
+    # and commute
     images, ranks, cleared = [[]], [0], 0
     for m in range(1, max_degree + 2):
         images.append(coboundary(m, cleared))
