@@ -363,7 +363,12 @@ def test_bar_page_ranks_only_columns_that_can_be_pivots(monkeypatch):
     P = TensorModule(2, 6, (0, 0, 6, 6), ops)
     handed = []
     pivots = gf2.pivots
-    monkeypatch.setattr(gf2, "pivots", lambda rows: pivots(handed.append(list(rows)) or handed[-1]))
+
+    def recording(rows):
+        handed.append(list(rows))
+        return pivots(handed[-1])
+
+    monkeypatch.setattr(gf2, "pivots", recording)
     page = bar_e2(P, AlgebraHom.universal(2, 6), max_degree=4)
     assert all(entry.is_zero for entry in page)
     assert [len(rows) for rows in handed] == [4, 20, 64, 160, 344]
