@@ -7,7 +7,9 @@ identical inputs (sorted keys, no timestamps).  Exit codes: 0 ok,
 closed early.
 
 The argument parser is built once per process, by the first ``main``
-call, and reused; ``build_parser`` builds a fresh one.
+call, and reused; ``build_parser`` builds a fresh one.  ``main`` hands
+argv to the parser of the subcommand it names; the top-level parser
+keeps help, unknown commands and leftover words.
 """
 
 from __future__ import annotations
@@ -520,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2", default="0")
     p.add_argument("--i", type=int, default=7)
     p.add_argument("--j", type=int, default=8)
+    parser.commands = sub.choices  # name -> subparser, for main's dispatch
     return parser
 
 
@@ -527,10 +530,25 @@ _parser = None  # built by the first main call, reused by every later one
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    An argv that starts with a command name is parsed once, by that
+    command's parser, as argparse's subparsers step would parse it; the
+    top-level parser reports its leftover words, and parses any argv that
+    names no command (help, a typo, nothing).
+    """
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = _parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            _parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         # looked up per call: the parser outlives any later replacement of a
         # cmd_* function (a tracer, a test patch), so it must not hold them

@@ -95,11 +95,12 @@ class SqAction:
             self._table[g.name] = row
         if table:
             raise ValidationError(f"Sq table for unknown generators: {sorted(table)}")
+        # Sq g = g + the row's entries + g^2; an entry or square above the
+        # cap is zero, as every other Sq^i(g) is
         self._generator_totals = {}
         for g in algebra.generators:
-            total = ZERO
-            for i in _window_indices(g.degree, algebra.degree_cap):
-                total = total + self.generator_sq(g.name, i)
+            ends = self.generator_sq(g.name, 0) + self.generator_sq(g.name, g.degree)
+            total = sum(self._table[g.name].values(), ends)
             self._generator_totals[g.name] = algebra._reduced_bits(total)
         self._squares = _GeneratorMap(algebra, algebra, self._generator_totals)
         # the total square of window monomial n, a canonical form
@@ -159,9 +160,9 @@ class SqAction:
         for g in alg.generators:
             if g.kind != EXTERIOR:
                 continue
-            for i in _window_indices(g.degree, alg.degree_cap):
-                s = self.generator_sq(g.name, i)
-                square = alg.mul(s, s)
+            row = self._table[g.name]  # (Sq^0 g)^2 = g^2 = 0 = (Sq^|g| g)^2
+            for i in sorted(row):
+                square = alg.mul(row[i], row[i])
                 if square:
                     raise ValidationError(
                         f"action does not respect {g.name}^2 = 0: Sq^{2 * i}"

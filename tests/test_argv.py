@@ -11,12 +11,14 @@ outside the choices, plus unknown flags and stray words.
 import contextlib
 import io
 import json
+import sys
 import time
 
 from hypothesis import given, strategies as st
 
 from moravak import cli
 from moravak.cli import main
+from moravak.errors import MoravakError
 
 from test_input_files import SECONDS, SETTINGS, TYPED_EXITS, rarely
 
@@ -219,3 +221,48 @@ def test_long_tor_report_is_json_dumps():
     code, out, err = outcome(["tor", "--module", "r0free", "--i", "0", "1500", "--json"])
     assert code == 0 and err == ""
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def reference(argv):
+    """Exit code, stdout and stderr when the top-level parser parses all
+    of argv, subcommand included, and the command runs and renders as
+    main runs and renders it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli.build_parser().parse_args(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+        try:
+            report = getattr(cli, f"cmd_{args.command}")(args)
+        except MoravakError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = exc.exit_code
+        else:
+            print(report.render(json_only=args.json), flush=True)
+            code = 0
+    return code, out.getvalue(), err.getvalue()
+
+
+# abbreviated and =-joined flags, leftover words before and after --, a
+# flag before the command, a truncated command, a negative pair value
+EDGE_ARGV = [
+    ["fgl", "--trunc", "8", "--two-series"],
+    ["fgl", "--truncation=8", "--two-series"],
+    ["twist", "--encode", "(0)", "extra", "more"],
+    ["--json", "twist", "--encode", "(0)"],
+    ["twist", "--encode", "(0)", "--", "x"],
+    ["tw"],
+    ["tor", "--module", "r0free", "--i", "-1", "4"],
+]
+
+
+def test_dispatch_answers_like_the_top_level_parser():
+    for argv in PARSER_ARGV + EDGE_ARGV:
+        assert outcome(argv) == reference(argv), argv
+
+
+@SETTINGS
+@given(argv=st.one_of(TWIST, TOR, KHORAMI, AHSS, FGL, OBSTRUCT))
+def test_generated_dispatch_answers_like_the_top_level_parser(argv):
+    assert outcome(argv) == reference(argv), argv

@@ -1,5 +1,7 @@
+import argparse
 import enum
 import json
+import sys
 import time
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 from moravak import cli
 from moravak.cli import build_parser, main
 
+from test_golden import README
 from test_input_files import SETTINGS
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -335,12 +338,19 @@ def test_truncation_error_names_the_order(capsys):
     ("ahss", "--space", "{folded}", "--n", "1", "--twist", "0"),
     # 5 000 generators, the most MAX_BAR_COMPLEX admits
     ("khorami", "--module", "{line}", "--max-degree", "4998"),
+    # 400 generators of degree 6 000 .. 6 399 at cap 11 999: each could
+    # carry about 6 000 squares, but has at most its table row and g^2
+    ("ahss", "--space", "{near_cap}", "--n", "1", "--twist", "0"),
 ])
 def test_work_at_the_limits_is_bounded(capsys, tmp_path, argv):
     folded = tmp_path / "folded.space"
     folded.write_text("[generators]\na 1\nb 1\n\n[relations]\na^3\nb^3\n\n"
                       "[metadata]\ncap 200\n")
-    argv = [arg.format(folded=folded, line=line_module(tmp_path)) for arg in argv]
+    near_cap = tmp_path / "near_cap.space"
+    near_cap.write_text("[generators]\n" + "".join(f"g{i} {6000 + i}\n" for i in range(400))
+                        + "\n[metadata]\ncap 11999\n")
+    argv = [arg.format(folded=folded, near_cap=near_cap, line=line_module(tmp_path))
+            for arg in argv]
     start = time.perf_counter()
     assert main(list(argv)) == 0
     assert time.perf_counter() - start < 2.0
@@ -446,6 +456,35 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert main(["fgl", "--two-series"]) == 0
     assert builds == [1]
     capsys.readouterr()
+
+
+def test_named_command_is_parsed_only_by_its_subparser(monkeypatch, capsys):
+    parser = build_parser()
+    calls = []
+
+    def counting_parse_known_args(*args, **kwargs):
+        calls.append(args)
+        return argparse.ArgumentParser.parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counting_parse_known_args)
+    monkeypatch.setattr(cli, "_parser", parser)
+    for argv in README:
+        assert main(list(argv)) == 0, argv
+    assert calls == []
+    for argv in ([], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert len(calls) == 2
+    capsys.readouterr()
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    assert main(["twist", "--encode", "(0,1)"]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["moravak", "twist", "--encode", "(0,1)"])
+    assert main() == 0
+    assert capsys.readouterr() == expected
 
 
 def test_dispatch_follows_a_patched_command(monkeypatch, capsys):
