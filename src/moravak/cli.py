@@ -530,13 +530,12 @@ _parser = None  # built by the first main call, reused by every later one
 
 
 def main(argv=None) -> int:
-    """Run one command line and return its exit code.
+    """Run one command line; return its exit code.
 
-    An argv that starts with a command name is parsed once, by that
-    command's parser, as argparse's subparsers step would parse it; the
-    top-level parser reports its leftover words, and parses any argv that
-    names no command (help, a typo, nothing).
-    """
+    The parser of the command argv names parses the words after the name,
+    as argparse's subparsers step would; the top-level parser reports
+    leftover words and parses an argv that names no command (help, a typo,
+    nothing)."""
     global _parser
     if _parser is None:
         _parser = build_parser()
