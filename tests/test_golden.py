@@ -87,6 +87,15 @@ def corpus_argv() -> list[list[str]]:
     # a wrong-degree twist is refused before the integral data is asked for
     argvs += [["ahss", "--space", "rp_inf", "--n", "1", "--twist", "t^2", "--integral"],
               ["ahss", "--space", "rp_inf", "--n", "1", "--twist", "t^2"]]
+    # declared classes of the wrong degree, or of none, on every checked route
+    argvs += [["obstruct", "--manifold", "m10", "--check", "heterotic", "--a", "r", "--b", "c"],
+              ["obstruct", "--manifold", "m10", "--check", "heterotic", "--a", "b", "--b", "r"],
+              ["obstruct", "--manifold", "m10", "--check", "quadratic", "--a", "b", "--a2", "r"],
+              ["obstruct", "--manifold", "synth12", "--check", "string", "--h4", "g6"],
+              ["obstruct", "--manifold", "fb12", "--check", "fivebrane", "--h5", "g7"],
+              ["obstruct", "--manifold", "m10", "--check", "string", "--h4", "b+r"],
+              ["ahss", "--space", "synth12", "--n", "2", "--twist", "g6"],
+              ["ahss", "--space", "synth12", "--n", "2", "--twist", "h4+g6"]]
     return argvs
 
 
