@@ -165,11 +165,9 @@ def _twist_bits(space: SpaceModel, twist: TwistClass, n: int) -> int:
     key = (twist.element, n)
     if key not in space._phis:
         alg = space.algebra
-        h = alg.reduce(twist.element)
-        if h and alg.degree_of(h) != n + 2:
-            raise WrongTwistDegreeError(
-                f"twist must be homogeneous of degree {n + 2}")
-        phi = alg._bits(h)
+        phi = alg._bits(alg._homogeneous(
+            twist.element, n + 2, f"twist must be homogeneous of degree {n + 2}",
+            WrongTwistDegreeError))
         for j in range(1, n):
             phi = space.action._q(j, phi)
         space._phis[key] = phi
@@ -236,7 +234,7 @@ def turn_page(page: Page) -> Page:
     coords = dict(page.coords)  # incomplete columns have no diff and stay
     for p, out in page.diff.items():  # out has one column per class
         old, image = page.coords[p], page.diff[p - R] if p - R >= 0 else ()
-        reps = gf2.homology(out, len(out), image)
+        reps = gf2.homology(out, len(out), image) if out else ()  # no classes, no homology
         coords[p] = tuple(reps if old is None else (gf2.apply_columns(old, r) for r in reps))
     zero_diff = {p: (0,) * len(coords[p]) for p in page.diff}
     label = f"E{2 ** (page.n + 1)}" if page.label == "E2" \

@@ -250,6 +250,16 @@ class PresentedAlgebra:
             raise IllFormedElementError(f"element is not homogeneous: {e}")
         return degs.pop()
 
+    def _homogeneous(self, e: GradedElement, degree: int, message: str,
+                     error: type = ValidationError) -> GradedElement:
+        """The canonical form of a declared class, which must be zero or
+        of the given degree, else error(message); a form of several
+        degrees raises as in degree_of."""
+        e = self.reduce(e)
+        if e and self.degree_of(e) != degree:
+            raise error(message)
+        return e
+
     # -- canonical form ---------------------------------------------------
 
     def _gen(self, name: str) -> GradedGenerator:
@@ -567,6 +577,13 @@ class _GeneratorMap:
             self._images[n] = out
         return out
 
+    def _apply(self, vec: int) -> int:
+        """The image of window vector vec, a sum of canonical forms."""
+        out = 0
+        for n in gf2.bits(vec):
+            out ^= self.image(n)
+        return out
+
 
 class AlgebraMap:
     """Degree-preserving algebra map given on generators.
@@ -585,11 +602,9 @@ class AlgebraMap:
         for g in source.generators:
             if g.name not in images:
                 raise InvalidPairError(f"no image supplied for generator {g.name}")
-            img = target.reduce(images[g.name])
-            if img and target.degree_of(img) != g.degree:
-                raise InvalidPairError(
-                    f"image of {g.name} is not homogeneous of degree {g.degree}")
-            self.images[g.name] = img
+            self.images[g.name] = target._homogeneous(
+                images[g.name], g.degree,
+                f"image of {g.name} is not homogeneous of degree {g.degree}", InvalidPairError)
         self._map = _GeneratorMap(source, target, {
             name: target._reduced_bits(img) for name, img in self.images.items()})
         for r in source.relations:
@@ -600,7 +615,4 @@ class AlgebraMap:
         """The image of e, term by term: a sum of canonical forms, hence
         canonical.  The terms are not reduced first, so a relation is
         carried to zero only if the map respects it."""
-        out = 0
-        for n in gf2.bits(self.source._bits(e)):
-            out ^= self._map.image(n)
-        return self.target._element(out)
+        return self.target._element(self._map._apply(self.source._bits(e)))

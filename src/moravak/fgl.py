@@ -296,8 +296,7 @@ def two_series(F: FGL) -> Series:
     return F.law.compose([x, x])
 
 
-def solve_theta(F: FGL, count: int, target: Series | None = None,
-                linear_coeff: int | None = None) -> ThetaAssignment:
+def solve_theta(F: FGL, count: int, target: Series | None = None) -> ThetaAssignment:
     """Solve target = (linear term) +_F sum_F theta_i x^{2^i} for theta.
 
     The default target is F's own 2-series.  theta_i is read off degree
@@ -315,11 +314,8 @@ def solve_theta(F: FGL, count: int, target: Series | None = None,
     if target is None:
         target = two_series(F)
     lin = target.coefficient((1,))
-    if linear_coeff is None:
-        if lin % 2 != 0 and F.modulus > 2:
-            raise Not2TypicalError(1, "2-series has a unit linear term; "
-                                      "supply linear_coeff explicitly")
-        linear_coeff = lin
+    if lin % 2 != 0 and F.modulus > 2:
+        raise Not2TypicalError(1, "2-series has a unit linear term")
 
     def plus(acc: Series, exponent: int, c: int) -> Series:
         """acc +_F c x^exponent; F(0, z) = z needs no composition."""
@@ -327,7 +323,7 @@ def solve_theta(F: FGL, count: int, target: Series | None = None,
         return term if acc.is_zero() else F.law.compose([acc, term])
 
     # the left fold of the nonzero terms so far
-    folded = plus(Series.zero(1, F.trunc, F.modulus), 1, linear_coeff)
+    folded = plus(Series.zero(1, F.trunc, F.modulus), 1, lin)
     thetas = [0] * count
     for i in range(1, min(count, F.trunc.bit_length() - 1) + 1):
         thetas[i - 1] = (target - folded).coefficient((1 << i,))

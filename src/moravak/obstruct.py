@@ -94,13 +94,10 @@ class ManifoldData:
             raise ValidationError(f"unknown flags: {sorted(self.flags - _FLAGS)}")
         if self.dimension < 0 or self.dimension > alg.degree_cap:
             raise ValidationError("dimension must sit inside the degree window")
-        self.sw = {int(i): alg.reduce(w) for i, w in self.sw.items()}
-        for i, w in self.sw.items():
-            if w and alg.degree_of(w) != i:
-                raise ValidationError(f"declared w_{i} is not homogeneous of degree {i}")
-        self.lam = alg.reduce(self.lam)
-        if self.lam and alg.degree_of(self.lam) != 4:
-            raise ValidationError("lambda must be a degree-4 class")
+        self.sw = {int(i): alg._homogeneous(w, int(i),
+                                            f"declared w_{i} is not homogeneous of degree {i}")
+                   for i, w in self.sw.items()}
+        self.lam = alg._homogeneous(self.lam, 4, "lambda must be a degree-4 class")
         if self.is_spin:
             for i in (1, 2):
                 if self.sw.get(i):
@@ -116,10 +113,10 @@ class ManifoldData:
                 raise MissingClassError("lambda declared but w_4 is missing")
             if self.lam != self.sw[4]:
                 raise ValidationError("lambda must reduce to w_4 mod 2")
-        self.pairing = alg.reduce(self.pairing)
-        if self.pairing and alg.degree_of(self.pairing) != self.dimension:
-            raise ValidationError("pairing must be a top-degree expression")
-        self.torsion4 = tuple(alg.reduce(t) for t in self.torsion4)
+        self.pairing = alg._homogeneous(self.pairing, self.dimension,
+                                        "pairing must be a top-degree expression")
+        self.torsion4 = tuple(alg._homogeneous(t, 4, f"torsion class {t} must have degree 4")
+                              for t in self.torsion4)
         if self.boundary is not None:
             res = self.boundary.restriction
             if res.source is not alg:
@@ -150,11 +147,9 @@ class ManifoldData:
     def pair(self, e: GradedElement) -> int:
         """Evaluation <e, [X]> against the declared pairing functional."""
         alg = self.space.algebra
-        e = alg.reduce(e)
+        e = alg._homogeneous(e, self.dimension, "pairing applies to top-degree classes only")
         if e == ZERO:
             return 0
-        if alg.degree_of(e) != self.dimension:
-            raise ValidationError("pairing applies to top-degree classes only")
         vec = alg.express_bits(e, self.dimension)
         ref = alg.express_bits(self.pairing, self.dimension)
         return bin(vec & ref).count("1") % 2
@@ -204,10 +199,7 @@ def wu_sq(m: ManifoldData, i: int, j: int) -> GradedElement:
 
 def _require_integral_degree(m: ManifoldData, e: GradedElement, degree: int,
                              what: str) -> GradedElement:
-    alg = m.space.algebra
-    e = alg.reduce(e)
-    if e and alg.degree_of(e) != degree:
-        raise ValidationError(f"{what} must be homogeneous of degree {degree}")
+    e = m.space.algebra._homogeneous(e, degree, f"{what} must be homogeneous of degree {degree}")
     if m.space.integ is not None and not m.space.integ.contains(e):
         raise NotIntegralError(f"{what} is not in the declared integral image")
     return e
@@ -249,10 +241,8 @@ def heterotic_check(m: ManifoldData, a: GradedElement,
     hypothesis is reported, not raised.
     """
     alg = m.space.algebra
-    a, b = alg.reduce(a), alg.reduce(b)
-    for name, cls in (("a", a), ("b", b)):
-        if cls and alg.degree_of(cls) != 4:
-            raise ValidationError(f"class {name} must have degree 4")
+    a, b = (alg._homogeneous(cls, 4, f"class {name} must have degree 4")
+            for name, cls in (("a", a), ("b", b)))
     if a + b != m.lam:
         raise AnomalyRelationViolatedError("a + b = lambda fails on this data")
     failed = []
@@ -304,10 +294,8 @@ class IndexTable:
 
     def evaluate(self, m: ManifoldData, e: GradedElement) -> int:
         alg = m.space.algebra
-        e = alg.reduce(e)
-        if e and alg.degree_of(e) != 4:
-            raise ValidationError("the index function is defined on degree 4")
-        key = alg.express_bits(e, 4)
+        key = alg.express_bits(
+            alg._homogeneous(e, 4, "the index function is defined on degree 4"), 4)
         if key not in self.values:
             raise ValidationError(f"index table does not cover coordinates {key:b}")
         return self.values[key] % 2
@@ -320,9 +308,7 @@ def quadratic_refinement_check(m: ManifoldData, f: IndexTable, a: GradedElement,
     if m.dimension != 10:
         raise ValidationError("the refinement identity is stated in dimension 10")
     for name, cls in (("a", a), ("a2", a2)):
-        cls = alg.reduce(cls)
-        if cls and alg.degree_of(cls) != 4:
-            raise ValidationError(f"class {name} must have degree 4")
+        alg._homogeneous(cls, 4, f"class {name} must have degree 4")
     lhs = f.evaluate(m, a + a2)
     cross = m.pair(alg.mul(a, sq(2, a2, m.space.action)))
     rhs = (f.evaluate(m, a) + f.evaluate(m, a2) + cross) % 2

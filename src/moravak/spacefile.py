@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from .ahss import SpaceModel
-from .errors import ComputationError, ParseError
+from .errors import ComputationError, ParseError, ValidationError
 from .f2alg import (
     EXTERIOR,
     POLYNOMIAL,
@@ -281,9 +281,13 @@ def parse_file(path: str | Path) -> ParsedSpace:
         torsion4=tuple(meta["torsion"]),
         boundary=boundary,
     )
-    index = IndexTable({algebra.express_bits(e, 4): bit for e, bit in meta["index"]}) \
-        if meta["index"] else None
-    return ParsedSpace(manifold, index)
+    values: dict[int, int] = {}
+    for e, bit in meta["index"]:
+        key = algebra.express_bits(
+            algebra._homogeneous(e, 4, f"index class {e} must have degree 4"), 4)
+        if values.setdefault(key, bit) != bit:
+            raise ValidationError(f"index class {e} is given both bits")
+    return ParsedSpace(manifold, IndexTable(values) if values else None)
 
 
 def parse_space(path: str | Path):

@@ -20,16 +20,18 @@ Validation is eager and cannot be skipped: an action whose table is
 incompatible with the algebra's relations (some Sq^i(r) nonzero in the
 quotient, read off the total square of r) is rejected at load, since a
 silently inconsistent table would poison every differential computed
-from it.
+from it.  A ring map commutes with the action when it carries each
+generator's total square to the total square of the generator's image.
 
 Integral statements are never decided on integral cohomology itself;
 they are decided through mod-2 representatives plus a declared
 "integral image" subspace (the span of reductions of integral classes,
-held as one echelon over window numbers).  One certificate,
-``_beta_certificate``, decides whether beta(x) vanishes: yes when x is
-zero or in the integral image, no when the shadow Sq^1(x) is nonzero,
-unknown otherwise.  ``sq_z`` and the checks in ``obstruct`` take their
-verdicts from it.
+held as one echelon over window numbers).  Its product closure is
+checked on the echelon's rows, one product per unordered pair.  One
+certificate, ``_beta_certificate``, decides whether beta(x) vanishes:
+yes when x is zero or in the integral image, no when the shadow
+Sq^1(x) is nonzero, unknown otherwise.  ``sq_z`` and the checks in
+``obstruct`` take their verdicts from it.
 """
 
 from __future__ import annotations
@@ -53,12 +55,6 @@ class TriState(enum.Enum):
     YES = "yes"
     NO = "no"
     UNKNOWN = "unknown"
-
-
-def _window_indices(degree: int, cap: int) -> range:
-    """The i <= degree with degree + i <= cap: past them Sq^i of a class
-    of that degree leaves the window [0, cap] and is zero."""
-    return range(min(degree, cap - degree) + 1)
 
 
 class SqAction:
@@ -259,24 +255,28 @@ class IntegralityData:
         return gf2.in_span(self.algebra._reduced_bits(e), self._span)
 
     def _validate(self):
-        cap = self.algebra.degree_cap
-        for d, elems in self._elements.items():
+        """Sq^1 kills each declared entry, and the span is closed under
+        products: the echelon rows span it, each is homogeneous, and
+        products commute, so one product per unordered pair of rows of
+        positive degrees summing to at most the cap decides it."""
+        alg, span = self.algebra, self._span
+        for elems in self._elements.values():
             for e in elems:
                 if sq(1, e, self.action) != ZERO:
                     raise ValidationError(
                         f"integral-image entry not killed by Sq^1: {e}")
-        degrees = sorted(self._elements)
-        for d1 in degrees:
-            for d2 in degrees:
-                if d1 + d2 > cap or (d1 == 0 or d2 == 0):
-                    continue
-                for a in self._elements[d1]:
-                    for b in self._elements[d2]:
-                        prod = self.algebra.mul(a, b)
-                        if prod and not self.contains(prod):
-                            raise ValidationError(
-                                "integral image is not closed under products: "
-                                f"({a})*({b}) escapes")
+        keys, shift = alg._number_keys, alg._degree_shift
+        # by ascending pivot, so by degree; the unit's row has degree 0
+        rows = [(d, row, alg._keys(row)) for row in reversed(span)
+                if (d := keys[row.bit_length() - 1] >> shift)]
+        for i, (d1, a, _) in enumerate(rows):
+            for d2, b, right in rows[i:]:
+                if d1 + d2 > alg.degree_cap:
+                    break
+                if not gf2.in_span(alg._mul_bits(a, right), span):
+                    raise ValidationError(
+                        "integral image is not closed under products: "
+                        f"({alg._element(a)})*({alg._element(b)}) escapes")
 
 
 def _beta_certificate(x: GradedElement, action: SqAction,
@@ -306,11 +306,10 @@ def sq_z(k: int, e: GradedElement, action: SqAction,
 
 def commutes_with_sq(fmap: AlgebraMap, source_action: SqAction,
                      target_action: SqAction) -> bool:
-    """Whether f(Sq^i g) = Sq^i f(g) for every generator and index."""
-    cap = max(fmap.source.degree_cap, fmap.target.degree_cap)
-    for g in fmap.source.generators:
-        for i in _window_indices(g.degree, cap):
-            lhs = fmap.apply(source_action.generator_sq(g.name, i))
-            if lhs != sq(i, fmap.images[g.name], target_action):
-                return False
-    return True
+    """Whether f(Sq^i g) = Sq^i f(g) for every generator and index, read
+    off the total squares once per generator: f keeps degrees, so the
+    degree-(|g| + i) parts of f(Sq g) and Sq f(g) are the two sides at
+    i, each zero where it leaves its window."""
+    f, totals = fmap._map, source_action._generator_totals
+    return all(f._apply(totals[g.name]) == target_action._squares._apply(f.images[g.name])
+               for g in fmap.source.generators)

@@ -341,6 +341,12 @@ def test_truncation_error_names_the_order(capsys):
     # 400 generators of degree 6 000 .. 6 399 at cap 11 999: each could
     # carry about 6 000 squares, but has at most its table row and g^2
     ("ahss", "--space", "{near_cap}", "--n", "1", "--twist", "0"),
+    # 1 000 [integral] rows t^2, t^4, ..., t^2000 on F2[t] at cap 2 000:
+    # closure takes one product per unordered pair of echelon rows
+    ("ahss", "--space", "{integral}", "--n", "1", "--twist", "0"),
+    # 100 generators of degree 6 000 .. 6 099 at cap 11 999, restricted to
+    # a copy of themselves: commutation takes one comparison per generator
+    ("obstruct", "--manifold", "{restricted}", "--check", "relative"),
 ])
 def test_work_at_the_limits_is_bounded(capsys, tmp_path, argv):
     folded = tmp_path / "folded.space"
@@ -349,7 +355,17 @@ def test_work_at_the_limits_is_bounded(capsys, tmp_path, argv):
     near_cap = tmp_path / "near_cap.space"
     near_cap.write_text("[generators]\n" + "".join(f"g{i} {6000 + i}\n" for i in range(400))
                         + "\n[metadata]\ncap 11999\n")
-    argv = [arg.format(folded=folded, near_cap=near_cap, line=line_module(tmp_path))
+    integral = tmp_path / "integral.space"
+    integral.write_text("[generators]\nt 1\n\n[integral]\n"
+                        + "".join(f"{2 * i} t^{2 * i}\n" for i in range(1, 1001))
+                        + "\n[metadata]\ncap 2000\n")
+    generators = "".join(f"g{i} {6000 + i}\n" for i in range(100))
+    restricted = tmp_path / "restricted.space"
+    restricted.write_text("[generators]\n" + generators + "\n[metadata]\ncap 11999\nw 6 0\n\n"
+                          "[boundary-generators]\n" + generators + "\n[restriction]\n"
+                          + "".join(f"g{i} g{i}\n" for i in range(100)))
+    argv = [arg.format(folded=folded, near_cap=near_cap, integral=integral,
+                       restricted=restricted, line=line_module(tmp_path))
             for arg in argv]
     start = time.perf_counter()
     assert main(list(argv)) == 0

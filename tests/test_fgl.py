@@ -62,6 +62,14 @@ def test_solve_theta_not_2_typical_mod4():
         solve_theta(FGL.multiplicative(12, 4), 3)
 
 
+def test_solve_theta_odd_linear_term_mod4():
+    # an odd linear term is a unit at modulus 4, which no theta sum matches
+    with pytest.raises(Not2TypicalError) as err:
+        solve_theta(FGL.multiplicative(12, 4), 3, target=x_power(1, 12, 4))
+    assert err.value.degree == 1
+    assert str(err.value) == "2-series has a unit linear term"
+
+
 def test_solve_theta_roundtrip(rng):
     for law in (FGL.multiplicative(), FGL.additive()):
         for _ in range(20):

@@ -264,3 +264,24 @@ def test_repeated_sections_rejected(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_space(path)
     assert str(exc.value) == "line 5: repeated section [generators]"
+
+
+# m10's index and torsion classes have degree 4, and each index class one bit
+@pytest.mark.parametrize("row, message", [
+    ("index r 1", "index class r must have degree 4"),
+    ("index b 1", "index class b is given both bits"),
+    ("torsion r", "torsion class r must have degree 4"),
+])
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_index_and_torsion_classes_are_checked(tmp_path, capsys, form, row, message):
+    if form == "text":
+        path = write(tmp_path, (FIXTURES / "m10.space").read_text() + row + "\n")
+    else:
+        doc = serialize_model(parse_file(FIXTURES / "m10.space"))
+        key, value = row.split(None, 1)
+        doc["metadata"][key].append(value)
+        path = write(tmp_path, json.dumps(doc))
+    argv = ["obstruct", "--manifold", str(path), "--check", "quadratic", "--a", "b",
+            "--a2", "c"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")

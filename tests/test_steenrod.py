@@ -409,6 +409,83 @@ def test_generators_above_the_window_cost_nothing():
     assert commutes_with_sq(identity, act, act)
 
 
+def reference_commutes(fmap, source, target) -> bool:
+    """f(Sq^i g) = Sq^i f(g) compared one generator and one index at a
+    time, for each i <= |g| with |g| + i within the larger cap."""
+    cap = max(fmap.source.degree_cap, fmap.target.degree_cap)
+    return all(fmap.apply(source.generator_sq(g.name, i)) == sq(i, fmap.images[g.name], target)
+               for g in fmap.source.generators
+               for i in range(min(g.degree, cap - g.degree) + 1))
+
+
+def free_action(degrees, cap, table):
+    """F2[g0, g1, ...] in the given degrees at the cap, with Sq table
+    {k: {i: element}} on generator gk."""
+    alg = PresentedAlgebra([GradedGenerator(f"g{k}", d) for k, d in enumerate(degrees)],
+                           (), cap)
+    return alg, SqAction(alg, {f"g{k}": row for k, row in table.items()})
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(3, 9),
+       st.integers(3, 9), st.randoms(use_true_random=False), st.data())
+def test_commutation_matches_the_per_index_reference(degrees, cap1, cap2, rnd, data):
+    """Free algebras on the same generators at two caps, with one table,
+    one entry of it perhaps changed in the target, and a map that sends
+    each generator to itself plus, at times, other terms of its degree."""
+    # every table entry has degree below 8; each side truncates its own
+    whole = PresentedAlgebra([GradedGenerator(f"g{k}", d) for k, d in enumerate(degrees)],
+                             (), 8)
+    table = {k: {i: random_element(whole, d + i, rnd) for i in range(1, d)
+                 if rnd.random() < 0.5} for k, d in enumerate(degrees)}
+    changed = {k: dict(row) for k, row in table.items()}
+    spots = [(k, i) for k, d in enumerate(degrees) for i in range(1, d)]
+    if spots and data.draw(st.booleans()):
+        k, i = data.draw(st.sampled_from(spots))
+        changed[k][i] = random_element(whole, degrees[k] + i, rnd)
+    source, source_action = free_action(degrees, cap1, table)
+    target, target_action = free_action(degrees, cap2, changed)
+    images = {f"g{k}": whole.generator(f"g{k}") + (random_element(whole, d, rnd)
+                                                    if rnd.random() < 0.3 else ZERO)
+              for k, d in enumerate(degrees)}
+    fmap = AlgebraMap(source, target, images)
+    assert commutes_with_sq(fmap, source_action, target_action) == \
+        reference_commutes(fmap, source_action, target_action)
+
+
+def test_commutation_failing_at_one_square():
+    """F2[g0, g1, g2] in degrees 4, 6, 7 with Sq^2 g0 = g1, Sq^3 g0 = g2
+    and Sq^1 g1 = g2; the target drops Sq^3 g0 = g2 alone, so the
+    identity fails at (g0, 3) and nowhere else."""
+    el = parse_element
+    table = {0: {2: el("g1"), 3: el("g2")}, 1: {1: el("g2")}}
+    source, source_action = free_action((4, 6, 7), 14, table)
+    target, target_action = free_action((4, 6, 7), 14, {0: {2: el("g1")}, 1: {1: el("g2")}})
+    fmap = AlgebraMap(source, target, {g.name: target.generator(g.name)
+                                       for g in source.generators})
+    failing = [(g.name, i) for g in source.generators for i in range(g.degree + 1)
+               if fmap.apply(source_action.generator_sq(g.name, i))
+               != sq(i, fmap.images[g.name], target_action)]
+    assert failing == [("g0", 3)]
+    assert not commutes_with_sq(fmap, source_action, target_action)
+    assert commutes_with_sq(fmap, source_action, source_action)
+
+
+@pytest.mark.parametrize("source_cap, target_cap, commutes", [(8, 11, False), (11, 8, True)])
+def test_commutation_between_two_caps(source_cap, target_cap, commutes):
+    """Sq^3 g = h, of degree 9, is declared on both sides but lies in
+    one window only; g^2, of degree 12, lies in neither.  Seen in the
+    target alone it breaks commutation, while a source square that
+    leaves the target's window maps to zero as it should."""
+    table = {0: {3: parse_element("g1")}}
+    source, source_action = free_action((6, 9), source_cap, table)
+    target, target_action = free_action((6, 9), target_cap, table)
+    fmap = AlgebraMap(source, target, {"g0": target.generator("g0"),
+                                       "g1": target.generator("g1")})
+    assert commutes_with_sq(fmap, source_action, target_action) is commutes
+    assert reference_commutes(fmap, source_action, target_action) is commutes
+
+
 def even_integrality(cap=12):
     """RP^infty with the even powers declared integral."""
     alg, act = projective_space(cap)
@@ -456,6 +533,71 @@ def test_integrality_validation():
                               6: [alg.element("t^6")]})  # t^2 * t^6 escapes
     with pytest.raises(ValidationError):
         IntegralityData(act, {3: [alg.element("t^2")]})  # wrong degree slot
+
+
+def reference_closed(alg, spans) -> bool:
+    """Every product of two declared entries of positive degrees summing
+    to at most the cap lies in their span, by dense ranks."""
+    entries = [(d, alg.reduce(e)) for d, elems in spans.items() for e in elems]
+    return all(reference_contains(alg, spans, alg.mul(a, b))
+               for d1, a in entries for d2, b in entries
+               if d1 and d2 and d1 + d2 <= alg.degree_cap)
+
+
+def closure_outcome(act, spans) -> bool:
+    """Whether IntegralityData accepts the spans as closed under products."""
+    try:
+        IntegralityData(act, spans)
+    except ValidationError as err:
+        assert "not closed under products" in str(err)
+        return False
+    return True
+
+
+@SETTINGS
+@given(st.randoms(use_true_random=False))
+def test_closure_matches_the_per_entry_reference(rnd):
+    """F2[g0, g1, g2] in degrees 2, 2, 4, where Sq^1 is zero, at cap 8:
+    each even degree declares nothing, its whole basis, or a few random
+    sums; half the time these are closed under products, and then one
+    entry may go."""
+    alg, act = free_action((2, 2, 4), 8, {})
+    spans = {}
+    for d in (2, 4, 6, 8):
+        mode = rnd.randrange(3)
+        if mode == 1:
+            spans[d] = set(alg.basis_elements(d))
+        elif mode == 2:
+            spans[d] = {random_element(alg, d, rnd) for _ in range(rnd.randint(1, 4))}
+    if rnd.random() < 0.5:
+        for _ in range(3):  # degrees 2 -> 4 -> 6 -> 8
+            entries = [(d, e) for d, elems in spans.items() for e in elems]
+            for d1, a in entries:
+                for d2, b in entries:
+                    if d1 + d2 <= 8:
+                        spans.setdefault(d1 + d2, set()).add(alg.mul(a, b))
+        entries = [(d, e) for d in sorted(spans) for e in sorted(spans[d], key=str)]
+        if entries and rnd.random() < 0.5:
+            d, e = rnd.choice(entries)
+            spans[d].discard(e)
+    spans = {d: sorted(elems, key=str) for d, elems in spans.items()}
+    assert closure_outcome(act, spans) == reference_closed(alg, spans)
+
+
+def test_closure_escape_through_rows_that_are_sums_of_entries():
+    """The degree-2 entries g0 + g1, g1 + g2 and g0 + g1 + g2 are none
+    of the echelon rows g0, g1, g2; the degree-4 entries lack g1*g2, so
+    the product of the rows g1 and g2 escapes."""
+    alg, act = free_action((2, 2, 2), 4, {})
+    el = parse_element
+    spans = {2: [el("g0 + g1"), el("g1 + g2"), el("g0 + g1 + g2")],
+             4: [el("g0^2"), el("g1^2"), el("g2^2"), el("g0*g1"), el("g0*g2")]}
+    assert not reference_closed(alg, spans)
+    with pytest.raises(ValidationError) as err:
+        IntegralityData(act, spans)
+    assert str(err.value) == "integral image is not closed under products: (g1)*(g2) escapes"
+    spans[4].append(el("g1*g2"))
+    assert reference_closed(alg, spans) and closure_outcome(act, spans)
 
 
 @lru_cache(maxsize=None)
