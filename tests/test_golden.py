@@ -78,6 +78,12 @@ def corpus_argv() -> list[list[str]]:
     argvs += [["tor", "--module", "r0free", "--i", "3", "40"],
               ["tor", "--module", "r0free", "--k", "1", "--against", "N",
                "--i", "2", "41", "--json"]]
+    # range edges: empty, index 0 alone and with one class, one class alone,
+    # key order across a change of digit count, and a negative first index
+    tor = ["tor", "--module", "r0free", "--i"]
+    argvs += [tor + ["5", "4"], tor + ["0", "0"], tor + ["0", "1"],
+              tor + ["1", "1", "--json"], tor + ["95", "105", "--json"],
+              tor + ["995", "1005"], tor + ["-1", "3"]]
     # twist and fgl routes that no argv above reaches
     argvs += [["twist", "--hom", "(0,2)", "--n", "2", "--factors", "4"],
               ["twist", "--decode", "5", "--truncation", "4"],
