@@ -6,6 +6,10 @@ identical inputs (sorted keys, no timestamps).  Exit codes: 0 ok,
 2 parse, 3 validation, 4 computation, 5 hypothesis violated, 141 stdout
 closed early.
 
+A Tor range is one payload value: an entry per index below 1 and one per
+parity class of the 2-periodic resolution, which the renderers expand
+per key, rendering each entry once.
+
 The argument parser is built once per process, by the first ``main``
 call, and reused; ``build_parser`` builds a fresh one.  ``main`` hands
 argv to the parser of the subcommand it names; the top-level parser
@@ -72,7 +76,7 @@ MAX_TOR_INDICES = 2048
 class Report:
     command: str
     inputs: dict
-    payload: dict
+    payload: dict | _TorRange
     version: str = __version__
 
     def to_json(self) -> str:
@@ -101,11 +105,10 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _json(value, depth: int) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, indented to ``depth``.
 
-    Within one dict, a value object that several keys share costs one
-    call.  Types other than dicts with str keys, lists, tuples, str,
-    exact int, bool and None go to ``json.dumps`` and are re-indented;
-    JSON text has no raw newline inside a string, so every newline there
-    starts an indented line.
+    Types other than dicts with str keys, lists, tuples, str, exact int,
+    bool, None and a ``_TorRange`` go to ``json.dumps`` and are
+    re-indented; JSON text has no raw newline inside a string, so every
+    newline there starts an indented line.
     """
     kind = type(value)
     if kind is str:
@@ -116,25 +119,21 @@ def _json(value, depth: int) -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
-    if kind is not dict and kind is not list and kind is not tuple:
-        return _json_fallback(value, depth)
     pad = "\n" + "  " * depth
     inner = pad + "  "
-    if not value:
-        return "{}" if kind is dict else "[]"
-    if kind is not dict:
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
         return "[" + inner + ("," + inner).join(
             [_json(sub, depth + 1) for sub in value]) + pad + "]"
-    if {*map(type, value)} != {str}:  # some key not an exact str
+    if kind is _TorRange:
+        items = value.keyed('"Tor_', lambda entry: '": ' + _json(entry, depth + 1))
+    elif kind is dict and {*map(type, value)} <= {str}:  # every key an exact str
+        items = [_encode_str(k) + ": " + _json(value[k], depth + 1) for k in sorted(value)]
+    else:
         return _json_fallback(value, depth)
-    tails: dict = {}  # id -> ": " + text, once per value object
-    items = []
-    for k in sorted(value):
-        sub = value[k]
-        tail = tails.get(id(sub))
-        if tail is None:
-            tail = tails[id(sub)] = ": " + _json(sub, depth + 1)
-        items.append(_encode_str(k) + tail)
+    if not items:
+        return "{}"
     return "{" + inner + ("," + inner).join(items) + pad + "}"
 
 
@@ -144,16 +143,16 @@ def _json_fallback(value, depth: int) -> str:
 
 def _render(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
+    if isinstance(value, _TorRange):
+        return value.keyed(f"{pad}Tor_", lambda entry: "\n".join(
+            [":", *_render(entry, indent + 1)]))
     lines = []
     if isinstance(value, dict):
-        shared: dict = {}  # id -> lines of a sub-container, once per object
         for key in sorted(value, key=str):
             sub = value[key]
             if isinstance(sub, (dict, list)):
                 lines.append(f"{pad}{key}:")
-                if id(sub) not in shared:
-                    shared[id(sub)] = _render(sub, indent + 1)
-                lines.extend(shared[id(sub)])
+                lines.extend(_render(sub, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {sub}")
     elif isinstance(value, list):
@@ -239,6 +238,29 @@ def _module_payload(mod) -> dict:
             "rank": mod.rank, "degrees": list(mod.degrees)}
 
 
+@dataclass(frozen=True)
+class _TorRange:
+    """Tor_lo .. Tor_hi as one payload value, for a resolution that is
+    2-periodic from index 1 on: ``low`` maps each index below 1 to its
+    entry, ``classes`` each parity (1 odd, 0 even) met in ``start`` .. ``hi``
+    to the entry its indices share.  The renderers expand it per key."""
+    low: dict
+    classes: dict
+    start: int
+    hi: int
+
+    def keyed(self, head: str, tail) -> list[str]:
+        """``head + str(i) + tail(entry)`` for every index i, in the string
+        order of the keys ``Tor_<i>``, calling ``tail`` once per entry."""
+        items = [f"{head}{i}{tail(self.low[i])}" for i in sorted(self.low, key=str)]
+        digits = {d: text for parity, entry in self.classes.items()
+                  for text in [tail(entry)] for d in "0123456789"[parity::2]}
+        # a key of index >= 1 sorts after every key of index < 1 ("-" < "0"
+        # < "1"), and its last digit gives its parity
+        return items + [f"{head}{s}{digits[s[-1]]}"
+                        for s in sorted(map(str, range(self.start, self.hi + 1)))]
+
+
 def cmd_tor(args) -> Report:
     mod = parse_module(_resolve_path(args.module, ".module"))
     if isinstance(mod, TensorModule):
@@ -254,18 +276,16 @@ def cmd_tor(args) -> Report:
         return {"rank": group.rank, "degrees_mod_v": list(group.degree_classes)}
 
     # the resolution is 2-periodic, so Tor_i for i >= 1 depends only on
-    # the parity of i: an index below 1 gets its own entry (the smallest
-    # raises first if negative); each parity class gets one entry that
-    # all its Tor_i keys share, and both renderers write it once
-    entries = {f"Tor_{i}": entry(i) for i in range(lo, min(hi, 0) + 1)}
+    # the parity of i: the range is one payload value holding an entry per
+    # index below 1 (the smallest raises first if negative) and one per
+    # parity class, which the renderers expand per key
     start = max(lo, 1)
-    for first in range(start, min(hi, start + 1) + 1):
-        entries.update(dict.fromkeys(
-            [f"Tor_{i}" for i in range(first, hi + 1, 2)], entry(first)))
     return Report("tor",
                   {"module": Path(args.module).name, "against": args.against,
                    "range": [lo, hi], **_module_payload(mod)},
-                  entries)
+                  _TorRange({i: entry(i) for i in range(lo, min(hi, 0) + 1)},
+                            {i % 2: entry(i) for i in range(start, min(hi, start + 1) + 1)},
+                            start, hi))
 
 
 def cmd_khorami(args) -> Report:

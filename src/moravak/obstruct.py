@@ -337,7 +337,8 @@ def phase_invariance_check(m: ManifoldData, f: IndexTable, a: GradedElement,
     alg = m.space.algebra
     if m.dimension != 10:
         raise ValidationError("the phase criterion is stated in dimension 10")
-    a, b = alg.reduce(a), alg.reduce(b)
+    a = alg._homogeneous(a, 4, "class a must have degree 4")
+    b = alg.reduce(b)
     rows = [alg.express_bits(t, 4) for t in m.torsion4 if t]
     if b and not gf2.in_span(alg.express_bits(b, 4), gf2.reduce_rows(rows)):
         raise HypothesisViolatedError("b is not among the declared torsion classes")

@@ -1,14 +1,19 @@
 import argparse
+import contextlib
 import enum
+import io
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from moravak import cli
 from moravak.cli import build_parser, main
+from moravak.rbk import TensorModule, tor
+from moravak.spacefile import parse_module
 
 from test_golden import README
 from test_input_files import SETTINGS
@@ -377,8 +382,6 @@ def test_work_at_the_limits_is_bounded(capsys, tmp_path, argv):
 @pytest.mark.parametrize("against", ["M", "N"])
 def test_tor_range_matches_each_index(capsys, module, k, against):
     from moravak import fixtures
-    from moravak.rbk import TensorModule, tor
-    from moravak.spacefile import parse_module
     mod = parse_module(fixtures.path(module, ".module"))
     if isinstance(mod, TensorModule):
         mod = mod.factor(int(k))
@@ -394,6 +397,83 @@ def test_tor_range_matches_each_index(capsys, module, k, against):
 def test_tor_range_with_a_negative_index_is_exit_3(capsys):
     assert main(["tor", "--module", "r0free", "--i", "-1", "3"]) == 3
     assert capsys.readouterr() == ("", "error: homological index must be nonnegative: -1\n")
+
+
+# three idempotent operators over a truncation-3 tensor ring: Tor_0 is
+# nonzero against M at k = 0 and 1 and against N at k = 0 and 2
+TENSOR_MODULE = """[module]
+n 2
+truncation 3
+rank 3
+degrees 0 6 2
+
+[operator 0]
+0 0 0
+1 1 0
+0 0 0
+
+[operator 1]
+0 0 0
+0 0 0
+0 0 0
+
+[operator 2]
+1 0 0
+0 1 0
+0 0 1
+"""
+
+
+@pytest.fixture(scope="module")
+def tensor_module(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("tor") / "three.module"
+    path.write_text(TENSOR_MODULE)
+    return str(path)
+
+
+def tor_per_index(module: str, k: int, against: str, lo: int, hi: int,
+                  json_only: bool) -> str:
+    """The tor report with one payload entry per index, rendered by
+    Report.render through its generic dict branches."""
+    mod = parse_module(cli._resolve_path(module, ".module"))
+    if isinstance(mod, TensorModule):
+        mod = mod.factor(k)
+
+    def entry(i: int) -> dict:
+        group = tor(mod, against, i)
+        return {"rank": group.rank, "degrees_mod_v": list(group.degree_classes)}
+
+    inputs = {"module": Path(module).name, "against": against, "range": [lo, hi],
+              **cli._module_payload(mod)}
+    payload = {f"Tor_{i}": entry(i) for i in range(lo, hi + 1)}
+    return cli.Report("tor", inputs, payload).render(json_only) + "\n"
+
+
+INDEX = st.integers(0, 1200)
+
+
+@SETTINGS
+@given(module=st.sampled_from([("r0free", 0), (None, 0), (None, 1), (None, 2)]),
+       against=st.sampled_from("MN"),
+       bounds=st.one_of(st.tuples(INDEX, INDEX), INDEX.map(lambda i: (i, i))),
+       json_only=st.booleans())
+@example(module=("r0free", 0), against="M", bounds=(0, cli.MAX_TOR_INDICES - 1),
+         json_only=False)
+@example(module=(None, 0), against="N", bounds=(0, cli.MAX_TOR_INDICES - 1),
+         json_only=True)
+def test_tor_range_renders_like_one_entry_per_index(tensor_module, module, against,
+                                                     bounds, json_only):
+    """The range payload expands per parity class to the bytes of a plain
+    dict with one entry per index; None stands for the tensor module."""
+    name, k = module
+    name = name or tensor_module
+    lo, hi = bounds
+    argv = ["tor", "--module", name, "--k", str(k), "--against", against,
+            "--i", str(lo), str(hi)] + ["--json"] * json_only
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == tor_per_index(name, k, against, lo, hi, json_only)
 
 
 class Level(enum.IntEnum):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from moravak.ahss import SpaceModel, TwistClass
+from moravak.cli import main
 from moravak.errors import (
     AnomalyRelationViolatedError,
     DegreeCapExceededError,
@@ -289,6 +290,18 @@ def test_phase_hypothesis_errors(m10):
     broken = IndexTable({0: 0, 1: 1, 2: 0, 3: 1})  # f(b) = 1
     with pytest.raises(HypothesisViolatedError):
         phase_invariance_check(model, broken, alg.element("c"), alg.element("b"))
+
+
+def test_phase_field_must_have_degree_4(m10, capsys):
+    model, table = m10.model, m10.index
+    alg = model.space.algebra
+    with pytest.raises(ValidationError, match="class a must have degree 4"):
+        phase_invariance_check(model, table, alg.element("r"), alg.element("b"))
+    with pytest.raises(ValidationError, match="not homogeneous"):
+        phase_invariance_check(model, table, alg.element("c + r"), alg.element("b"))
+    assert main(["obstruct", "--manifold", "m10", "--check", "phase",
+                 "--a", "r", "--b", "b"]) == 3
+    assert capsys.readouterr().err == "error: class a must have degree 4\n"
 
 
 def test_relative_obstruction(m10):
