@@ -1,14 +1,19 @@
 """Golden corpus: every recorded argv must reproduce its exit code,
 stdout and stderr byte for byte.
 
-Record (only when a report is meant to change):
+Record the argv that the corpus lacks:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The recorder never rewrites a recorded entry.  If one's output has
+changed it writes nothing and exits 1, naming each such argv; to
+re-record an entry on purpose, delete it from the corpus first.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +107,15 @@ def corpus_argv() -> list[list[str]]:
               ["obstruct", "--manifold", "m10", "--check", "string", "--h4", "b+r"],
               ["ahss", "--space", "synth12", "--n", "2", "--twist", "g6"],
               ["ahss", "--space", "synth12", "--n", "2", "--twist", "h4+g6"]]
+    # the fundamental twist and the string checks with a nonzero twist
+    argvs += [["ahss", "--space", "rp6", "--n", "1", "--twist", "fundamental"],
+              ["ahss", "--space", "rp6", "--n", "2", "--twist", "fundamental", "--integral"],
+              ["ahss", "--space", "s3", "--n", "1", "--twist", "fundamental", "--integral"],
+              ["ahss", "--space", "m10", "--n", "2", "--twist", "fundamental"],
+              ["obstruct", "--manifold", "synth12", "--check", "string", "--h4", "h4"],
+              ["obstruct", "--manifold", "m10", "--check", "string", "--h4", "b"],
+              ["obstruct", "--manifold", "pair12", "--check", "string", "--h4", "u4"],
+              ["obstruct", "--manifold", "m10", "--check", "relative", "--h4", "c"]]
     return argvs
 
 
@@ -111,6 +125,23 @@ def run(argv: list[str]) -> dict:
         code = main(argv)
     return {"argv": argv, "code": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
+
+
+def merge(corpus: list[dict], argvs: list[list[str]], run) -> tuple[list[dict], list[str]]:
+    """The corpus with an entry appended for each argv it lacks, and the
+    recorded argv whose output ``run`` no longer reproduces."""
+    recorded = {" ".join(case["argv"]) for case in corpus}
+    changed = [" ".join(case["argv"]) for case in corpus if run(case["argv"]) != case]
+    return corpus + [run(argv) for argv in argvs if " ".join(argv) not in recorded], changed
+
+
+def test_recorder_adds_missing_argv_and_rewrites_none():
+    outputs = {"a": 0, "b": 3}
+    fake = lambda argv: {"argv": argv, "code": outputs[argv[0]]}  # noqa: E731
+    corpus, changed = merge([fake(["a"])], [["a"], ["b"]], fake)
+    assert corpus == [fake(["a"]), fake(["b"])] and changed == []
+    outputs["a"] = 2
+    assert merge(corpus, [["a"], ["b"]], fake) == (corpus, ["a"])
 
 
 @pytest.fixture(scope="module")
@@ -124,5 +155,10 @@ def test_golden(argv, recorded):
 
 
 if __name__ == "__main__":
+    corpus = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    corpus, changed = merge(corpus, corpus_argv(), run)
+    if changed:
+        sys.exit("recorded output changed; delete the entry to re-record it:\n  "
+                 + "\n  ".join(changed))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([run(argv) for argv in corpus_argv()], indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(corpus, indent=1) + "\n")
