@@ -10,11 +10,14 @@ e - 1.  On E2 every column is the identity over ``basis(p)``, so no
 coordinate int is built: its classes are read as their window numbers.
 Classes are built as elements only on request.
 
-The differential on the starting page is
+The twist is a plain degree-(n+2) class of the space, assumed to reduce
+from an integral class.  The differential on the starting page is
     d(m * v^e) = (Q_n(m) + m * phi) * v^{e-1},
 where phi is the degree-(2^{n+1}-1) class obtained from the twist by
-applying Q_{n-1} ... Q_1 (the twist itself at n = 1).  Turning the page
-takes kernel mod image per column with deterministic representatives.
+applying Q_{n-1} ... Q_1 (the twist itself at n = 1).  When d^2 != 0,
+Sq^1 of the twist is checked: a nonzero one shows it reduces from no
+integral class.  Turning the page takes kernel mod image per column
+with deterministic representatives.
 
 Columns whose outgoing differential would leave a truncated window are
 flagged edge-incomplete instead of being reported as ranks: the kernel
@@ -74,15 +77,6 @@ class SpaceModel:
     @property
     def closed_window(self) -> bool:
         return self.top_degree < self.algebra.degree_cap
-
-
-@dataclass(frozen=True)
-class TwistClass:
-    """A degree-(n+2) class twisting the theory; the flag records that it
-    is declared to reduce from an integral class."""
-
-    element: GradedElement
-    integral: bool = True
 
 
 class Page:
@@ -152,21 +146,21 @@ class Page:
         return self.diff.get(p)
 
 
-def twist_term(space: SpaceModel, twist: TwistClass, n: int) -> GradedElement:
+def twist_term(space: SpaceModel, twist: GradedElement, n: int) -> GradedElement:
     """The degree-(2^{n+1}-1) class Q_{n-1}...Q_1 applied to the twist;
     at n = 1 the twist itself.  The steps run on window numbers, so only
     the twist and the result are built as monomials."""
     return space.algebra._element(_twist_bits(space, twist, n))
 
 
-def _twist_bits(space: SpaceModel, twist: TwistClass, n: int) -> int:
+def _twist_bits(space: SpaceModel, twist: GradedElement, n: int) -> int:
     """twist_term in window numbers, evaluated once per twist and n on
     this space."""
-    key = (twist.element, n)
+    key = (twist, n)
     if key not in space._phis:
         alg = space.algebra
         phi = alg._bits(alg._homogeneous(
-            twist.element, n + 2, f"twist must be homogeneous of degree {n + 2}",
+            twist, n + 2, f"twist must be homogeneous of degree {n + 2}",
             WrongTwistDegreeError))
         for j in range(1, n):
             phi = space.action._q(j, phi)
@@ -183,7 +177,7 @@ def e2_page(space: SpaceModel, n: int) -> Page:
     return Page(n, space.algebra, identity, None, frozenset(), "E2")
 
 
-def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page:
+def first_differential(page: Page, space: SpaceModel, twist: GradedElement) -> Page:
     """Fill d(m v^e) = (Q_n(m) + m.phi) v^{e-1} and verify d^2 = 0."""
     if page.diff is not None:
         raise ValidationError("differential is already filled on this page")
@@ -210,7 +204,7 @@ def first_differential(page: Page, space: SpaceModel, twist: TwistClass) -> Page
             down = diff[p + R]
             for col in diff[p]:
                 if gf2.apply_columns(down, col):
-                    h = alg.reduce(twist.element)
+                    h = alg.reduce(twist)
                     if beta := sq(1, h, action):  # then h is no integral reduction
                         raise NotIntegralError(
                             f"twist {h} reduces from no integral class: Sq^1 of it is {beta}")
@@ -256,7 +250,7 @@ class IntegralPageResult:
 
 
 def integral_first_differential(page: Page, space: SpaceModel,
-                                twist: TwistClass) -> IntegralPageResult:
+                                twist: GradedElement) -> IntegralPageResult:
     """Shadow of the integral first differential with vanishing certificates.
 
     The shadow matrix agrees with the mod-2 differential.  A nonzero
@@ -268,13 +262,11 @@ def integral_first_differential(page: Page, space: SpaceModel,
     (zero twist, or Sq^2 of the twist inside the image, which kills the
     innermost factor of the composite).  Everything else is unknown.
     """
-    if not twist.integral:
-        raise NotIntegralError("the twist must be flagged integral")
     if space.integ is None:
         raise IntegralDataRequiredError("the space carries no integral-image data")
     integ = space.integ
     filled = first_differential(page, space, twist)
-    h = space.algebra.reduce(twist.element)
+    h = space.algebra.reduce(twist)
     if h == ZERO:
         twist_ok = True
     elif page.n >= 2:

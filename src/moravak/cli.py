@@ -29,7 +29,6 @@ from pathlib import Path
 from . import __version__, fixtures
 from .ahss import (
     Page,
-    TwistClass,
     e2_page,
     first_differential,
     integral_first_differential,
@@ -189,6 +188,8 @@ def cmd_twist(args) -> Report:
     M = args.truncation
     inputs = {"truncation": M}
     payload: dict = {}
+    if args.encode is not None and args.decode is not None:
+        raise ParseError("twist: --encode and --decode report the same keys; give one")
     if args.encode is not None:
         f = twistgroup.from_exponents(_parse_exponent_list(args.encode), M)
         inputs["encode"] = args.encode
@@ -308,17 +309,15 @@ def cmd_khorami(args) -> Report:
 
 # -- ahss ----------------------------------------------------------------------
 
-def _twist_from_arg(space, n: int, raw: str) -> TwistClass:
+def _twist_from_arg(space, n: int, raw: str) -> GradedElement:
     algebra = space.algebra
-    if raw == "0":
-        return TwistClass(algebra.zero, integral=True)
     if raw == "fundamental":
         basis = algebra.basis_elements(n + 2)
         if len(basis) != 1:
             raise ValidationError(
                 f"'fundamental' needs a rank-1 degree-{n + 2} space; rank is {len(basis)}")
-        return TwistClass(basis[0], integral=True)
-    return TwistClass(algebra.element(raw), integral=True)
+        return basis[0]
+    return algebra.element(raw)
 
 
 def _page_payload(page: Page) -> dict:
@@ -448,7 +447,7 @@ def cmd_obstruct(args) -> Report:
     check = args.check
     if check in ("string", "relative"):
         run = twisted_string_check if check == "string" else relative_obstruction
-        payload = _report_payload(run(model, TwistClass(elem(args.h4))))
+        payload = _report_payload(run(model, elem(args.h4)))
         inputs["h4"] = args.h4
     elif check == "heterotic":
         payload = _report_payload(heterotic_check(model, elem(args.a), elem(args.b)))

@@ -26,7 +26,7 @@ from math import comb
 from typing import Mapping, Optional
 
 from . import gf2
-from .ahss import SpaceModel, TwistClass
+from .ahss import SpaceModel
 from .errors import (
     AnomalyRelationViolatedError,
     DegreeCapExceededError,
@@ -205,19 +205,19 @@ def _require_integral_degree(m: ManifoldData, e: GradedElement, degree: int,
     return e
 
 
-def twisted_string_check(m: ManifoldData, h4: TwistClass) -> ObstructionReport:
+def twisted_string_check(m: ManifoldData, h4: GradedElement) -> ObstructionReport:
     """Vanishing of the degree-7 obstruction W_7 + beta Sq^2 H_4.
 
-    Both summands are beta-images, so the verdict is the beta-certificate
-    of w_6 + Sq^2(h_4); cancellations between the two terms are decided
-    on that combined class, not termwise.
+    The twist h4 is a plain degree-4 class, assumed to reduce from an
+    integral class; where the data declares an integral image, h4 must
+    lie in it.  Both summands are beta-images, so the verdict is the
+    beta-certificate of w_6 + Sq^2(h_4); cancellations between the two
+    terms are decided on that combined class, not termwise.
     """
     warnings = []
     if m.dimension > 12:
         warnings.append(f"stated for dimension <= 12; data has dimension {m.dimension}")
-    if not h4.integral:
-        raise NotIntegralError("the degree-4 twist must be integral")
-    h = _require_integral_degree(m, h4.element, 4, "twist class")
+    h = _require_integral_degree(m, h4, 4, "twist class")
     rep, cert = _w7_certificate(m, h)
     return ObstructionReport(_STATUS[cert], rep, cert, tuple(warnings))
 
@@ -352,8 +352,9 @@ def phase_invariance_check(m: ManifoldData, f: IndexTable, a: GradedElement,
     return PhaseReport(correction == 0, correction, sq3 == ZERO, _STATUS[cert], cert)
 
 
-def relative_obstruction(m: ManifoldData, h4: TwistClass) -> ObstructionReport:
-    """Relative form of the twisted string check.
+def relative_obstruction(m: ManifoldData, h4: GradedElement) -> ObstructionReport:
+    """Relative form of the twisted string check, on the same degree-4
+    twist h4 as ``twisted_string_check``.
 
     With no boundary this is the absolute check.  With boundary data the
     participating classes must restrict to zero (be relative classes);
@@ -363,7 +364,7 @@ def relative_obstruction(m: ManifoldData, h4: TwistClass) -> ObstructionReport:
         return twisted_string_check(m, h4)
     res = m.boundary.restriction
     alg = m.space.algebra
-    h = alg.reduce(h4.element)
+    h = alg.reduce(h4)
     for name, cls in (("twist", h), ("w_6", m.sw_class(6))):
         if res.apply(cls) != ZERO:
             raise ValidationError(

@@ -9,7 +9,7 @@ import random
 
 from moravak import gf2
 from moravak import twistgroup as tw
-from moravak.ahss import SpaceModel, TwistClass, e2_page, first_differential, turn_page
+from moravak.ahss import SpaceModel, e2_page, first_differential, turn_page
 from moravak.cli import main
 from moravak.fgl import FGL, Series, grouplike_check, height, solve_theta, two_series
 from moravak.obstruct import (
@@ -127,11 +127,11 @@ def test_criterion_05_khorami_universal_case():
 
 def test_criterion_06_tahss_golden_case():
     space = parse_space(FIXTURES / "s3.space")
-    fundamental = TwistClass(space.algebra.generator("h"))
+    fundamental = space.algebra.generator("h")
     e4 = turn_page(first_differential(e2_page(space, 1), space, fundamental))
     assert not e4.incomplete
     assert all(e4.rank(p) == 0 for p in e4.window)
-    zero = TwistClass(space.algebra.zero)
+    zero = space.algebra.zero
     e4z = turn_page(first_differential(e2_page(space, 1), space, zero))
     for p in e4z.window:
         assert e4z.rank(p) == len(space.algebra.basis(p))
@@ -142,7 +142,7 @@ def test_criterion_07_d7_formula():
     syn = parse_space(FIXTURES / "synth12.space").space
     alg, act = syn.algebra, syn.action
     h4 = alg.element("h4")
-    page = first_differential(e2_page(syn, 2), syn, TwistClass(h4))
+    page = first_differential(e2_page(syn, 2), syn, h4)
     expected = sq(3, h4, act) + sq(2, sq(1, h4, act), act)
     assert alg.element_from_bits(7, page.diff[0][0]) == expected != alg.zero
     assert page.differential_matrix(0, 6) == page.differential_matrix(0, -12)
@@ -161,7 +161,7 @@ def test_criterion_07_d7_formula():
             honest.algebra.mul(a, d(b))
         assert honest.algebra.reduce(lhs + rhs) == honest.algebra.zero
 
-    filled = first_differential(e2_page(honest, 2), honest, TwistClass(h))
+    filled = first_differential(e2_page(honest, 2), honest, h)
     composable = 0
     for p in filled.window:
         if p in filled.diff and p + filled.step in filled.diff:
@@ -205,13 +205,13 @@ def test_criterion_09_wu_golden_case():
 def test_criterion_10_physics_verdicts():
     syn = parse_file(FIXTURES / "synth12.space").model
     alg = syn.space.algebra
-    assert twisted_string_check(syn, TwistClass(alg.element("h4"))).status == ORIENTED
+    assert twisted_string_check(syn, alg.element("h4")).status == ORIENTED
     fb = parse_file(FIXTURES / "fb12.space").model
-    assert twisted_string_check(fb, TwistClass(fb.space.algebra.zero)).status == ORIENTED
+    assert twisted_string_check(fb, fb.space.algebra.zero).status == ORIENTED
     m10doc = parse_file(FIXTURES / "m10.space")
     m10 = m10doc.model
     malg = m10.space.algebra
-    assert twisted_string_check(m10, TwistClass(malg.zero)).status == ORIENTED
+    assert twisted_string_check(m10, malg.zero).status == ORIENTED
 
     het = heterotic_check(m10, malg.element("c"), malg.zero)
     assert het.status == ORIENTED and het.hypothesis_ok

@@ -3,7 +3,6 @@ import pytest
 from moravak import cli, gf2
 from moravak.ahss import (
     SpaceModel,
-    TwistClass,
     e2_page,
     first_differential,
     integral_first_differential,
@@ -14,7 +13,6 @@ from moravak.errors import (
     DifferentialNotFilledError,
     InconsistentActionError,
     IntegralDataRequiredError,
-    NotIntegralError,
     ValidationError,
     WrongTwistDegreeError,
 )
@@ -54,7 +52,7 @@ def test_e2_page_point():
     page = e2_page(space, 1)
     assert page.rank(0) == 1
     assert all(page.rank(p) == 0 for p in range(1, 7))
-    assert turn_page(first_differential(page, space, TwistClass(space.algebra.zero))).rank(0) == 1
+    assert turn_page(first_differential(page, space, space.algebra.zero)).rank(0) == 1
 
 
 def test_e2_page_s3():
@@ -75,7 +73,7 @@ def test_e2_page_projective():
 def test_s3_fundamental_twist_kills_everything():
     space = s3_model()
     h = space.algebra.generator("h")
-    page = first_differential(e2_page(space, 1), space, TwistClass(h))
+    page = first_differential(e2_page(space, 1), space, h)
     assert page.diff[0] == (1,)
     assert page.diff[3] == (0,)
     e4 = turn_page(page)
@@ -87,7 +85,7 @@ def test_s3_fundamental_twist_kills_everything():
 def test_s3_zero_twist_page_unchanged():
     space = s3_model()
     page = first_differential(e2_page(space, 1), space,
-                              TwistClass(space.algebra.zero))
+                              space.algebra.zero)
     e4 = turn_page(page)
     assert {p: e4.rank(p) for p in e4.window} == \
         {p: len(space.algebra.basis(p)) for p in e4.window}
@@ -101,11 +99,11 @@ def test_page_path_decodes_only_the_twist_and_phi():
     assert not alg._monomials
     space = SpaceModel(alg, SqAction(alg))
     before = set(alg._monomials.values())  # the action's generator squares
-    twist = TwistClass(parse_element("t1*t2*t3^3"))  # phi has six terms
+    twist = parse_element("t1*t2*t3^3")  # phi has six terms
     page = turn_page(first_differential(e2_page(space, 3), space, twist))
     decoded = set(alg._monomials.values()) - before
     phi = twist_term(space, twist, 3)
-    assert decoded <= twist.element.terms | phi.terms
+    assert decoded <= twist.terms | phi.terms
     assert phi and page.rank(0) == 0  # d(1) = phi
 
 
@@ -121,7 +119,7 @@ def test_e2_columns_are_read_as_basis_numbers(monkeypatch):
     apply_columns = gf2.apply_columns
     monkeypatch.setattr(gf2, "apply_columns",
                         lambda cols, vec: applied.append(cols) or apply_columns(cols, vec))
-    filled = first_differential(page, space, TwistClass(parse_element("t1^2*t2 + t1*t2^2")))
+    filled = first_differential(page, space, parse_element("t1^2*t2 + t1*t2^2"))
     assert applied and all(any(cols is d for d in filled.diff.values()) for cols in applied)
     assert all(filled.rank(p) == len(alg.basis(p)) for p in filled.window)
 
@@ -153,15 +151,15 @@ def test_one_ahss_request_evaluates_phi_once(monkeypatch, capsys, integral):
 def test_twist_term_examples():
     space = s3_model()
     h = space.algebra.generator("h")
-    assert twist_term(space, TwistClass(h), 1) == h
+    assert twist_term(space, h, 1) == h
     syn = synth12()
     h4 = syn.algebra.element("h4")
-    phi = twist_term(syn, TwistClass(h4), 2)
+    phi = twist_term(syn, h4, 2)
     assert phi == syn.algebra.element("g7")
     assert syn.algebra.degree_of(phi) == 7
-    assert twist_term(syn, TwistClass(syn.algebra.zero), 2) == syn.algebra.zero
+    assert twist_term(syn, syn.algebra.zero, 2) == syn.algebra.zero
     with pytest.raises(WrongTwistDegreeError):
-        twist_term(syn, TwistClass(syn.algebra.element("g6")), 2)
+        twist_term(syn, syn.algebra.element("g6"), 2)
 
 
 def test_d7_formula_on_synthetic_model():
@@ -171,7 +169,7 @@ def test_d7_formula_on_synthetic_model():
     h4 = alg.element("h4")
     expected = sq(3, h4, syn.action) + sq(2, sq(1, h4, syn.action), syn.action)
     assert expected == alg.element("g7")
-    page = first_differential(e2_page(syn, 2), syn, TwistClass(h4))
+    page = first_differential(e2_page(syn, 2), syn, h4)
     col = page.diff[0][0]
     assert alg.element_from_bits(7, col) == expected
     # v-linearity: the matrix is the same on every row
@@ -184,7 +182,7 @@ def test_module_property_over_untwisted_page(rng):
     space = honest_height2_model()
     alg, act = space.algebra, space.action
     h = sq(1, alg.element("t1*t2*t3"), act)
-    phi = twist_term(space, TwistClass(h), 2)
+    phi = twist_term(space, h, 2)
     assert phi != alg.zero
     checked = 0
     for _ in range(100):
@@ -201,7 +199,7 @@ def test_module_property_over_untwisted_page(rng):
 def test_d_squared_zero_on_computed_window():
     space = honest_height2_model()
     h = sq(1, space.algebra.element("t1*t2*t3"), space.action)
-    page = first_differential(e2_page(space, 2), space, TwistClass(h))
+    page = first_differential(e2_page(space, 2), space, h)
     R = page.step
     composable = [p for p in page.window if p in page.diff and p + R in page.diff]
     assert composable  # the check must not be vacuous
@@ -216,13 +214,13 @@ def test_inconsistent_action_raises():
                          "h": {1: alg.element("g^2"), 2: alg.element("g*h")}})
     space = SpaceModel(alg, act)
     with pytest.raises(InconsistentActionError):
-        first_differential(e2_page(space, 1), space, TwistClass(alg.zero))
+        first_differential(e2_page(space, 1), space, alg.zero)
 
 
 def test_normalization_zero_twist_is_untwisted():
     space = honest_height2_model(cap=12)
     page = first_differential(e2_page(space, 2), space,
-                              TwistClass(space.algebra.zero))
+                              space.algebra.zero)
     for p in page.diff:
         for m, col in zip(page.bases[p], page.diff[p]):
             image = milnor_q(2, m, space.action)
@@ -234,7 +232,7 @@ def reference_columns(page, space, twist) -> dict:
     the term-by-term Sq reference and reference products, then read over
     the target basis one basis index at a time."""
     alg, ref = space.algebra, ReferenceSq(space.action)
-    phi = alg.reduce(twist.element)
+    phi = alg.reduce(twist)
     for j in range(1, page.n):
         phi = ref.milnor_q(j, phi)
     out = {}
@@ -256,7 +254,7 @@ def reference_columns(page, space, twist) -> dict:
 def test_first_differential_columns_match_reference(model, n, twists):
     space = model()
     for text in twists:
-        twist = TwistClass(space.algebra.element(text))
+        twist = space.algebra.element(text)
         page = first_differential(e2_page(space, n), space, twist)
         expected = reference_columns(page, space, twist)
         assert expected and all(page.diff[p] == cols for p, cols in expected.items())
@@ -266,7 +264,7 @@ def test_first_differential_columns_match_reference(model, n, twists):
 def test_edge_incomplete_flags_on_truncated_model():
     space = parse_space(FIXTURES / "rp_inf.space")  # cap 12, truncated
     page = first_differential(e2_page(space, 1), space,
-                              TwistClass(space.algebra.zero))
+                              space.algebra.zero)
     assert sorted(page.incomplete) == [10, 11, 12]
     turned = turn_page(page)
     assert turned.is_incomplete(11)
@@ -286,9 +284,9 @@ def test_naturality_intertwines_differentials():
     spaceY = SpaceModel(Y, actY, top_degree=6)
     fmap = AlgebraMap(X, Y, {"a": Y.element("b + c")})
     pageX = first_differential(e2_page(spaceX, 1), spaceX,
-                               TwistClass(X.generator("a")))
+                               X.generator("a"))
     pageY = first_differential(e2_page(spaceY, 1), spaceY,
-                               TwistClass(Y.element("b + c")))
+                               Y.element("b + c"))
     R = pageX.step
     for p in pageX.window:
         if p + R > X.degree_cap:
@@ -311,7 +309,7 @@ def test_projective_space_rank_is_two_to_the_height():
         alg = PresentedAlgebra([GradedGenerator("t", 1)], (), cap)
         space = SpaceModel(alg, SqAction(alg, {}))
         page = turn_page(first_differential(e2_page(space, n), space,
-                                            TwistClass(alg.zero)))
+                                            alg.zero))
         R = 2 ** (n + 1) - 1
         survivors = [p for p in page.window
                      if not page.is_incomplete(p) and page.rank(p)]
@@ -327,7 +325,7 @@ def test_closed_truncated_projective_model():
     alg, act = truncated_projective(9, 12)
     space = SpaceModel(alg, act, top_degree=8)
     page = turn_page(first_differential(e2_page(space, 1), space,
-                                        TwistClass(alg.zero)))
+                                        alg.zero))
     assert not page.incomplete
     ranks = {p: page.rank(p) for p in page.window if page.rank(p)}
     assert ranks == {0: 1, 2: 1, 7: 1}
@@ -342,7 +340,7 @@ def test_turn_page_requires_filled_differential():
 def test_second_turn_is_upper_bound():
     space = s3_model()
     page = first_differential(e2_page(space, 1), space,
-                              TwistClass(space.algebra.zero))
+                              space.algebra.zero)
     once = turn_page(page)
     twice = turn_page(once)
     assert "upper bound" in twice.label
@@ -382,7 +380,7 @@ def test_turned_representatives_are_sums_of_basis_elements(model, n, twists):
     space = model()
     for text in twists:
         filled = first_differential(e2_page(space, n), space,
-                                    TwistClass(space.algebra.element(text)))
+                                    space.algebra.element(text))
         once = turn_page(filled)
         assert once.bases == reference_turn(filled)
         assert turn_page(once).bases == reference_turn(once)
@@ -395,7 +393,7 @@ def test_rank_path_builds_no_element(monkeypatch):
     def ranks():
         alg, act = projective_product(3, 17)
         space = SpaceModel(alg, act)
-        twist = TwistClass(alg.element("t1*t2*t3^3"))  # phi has six terms
+        twist = alg.element("t1*t2*t3^3")  # phi has six terms
         page = turn_page(first_differential(e2_page(space, 3), space, twist))
         return {p: page.rank(p) for p in page.window}, page.incomplete
 
@@ -412,7 +410,7 @@ def test_rank_path_builds_no_element(monkeypatch):
     for text, expected in (("0", {0: "Y", 4: "N", 6: "U", 7: "N", 8: "U"}),
                            ("h4", {0: "N", 4: "U", 6: "N", 7: "U", 8: "N"})):
         result = integral_first_differential(e2_page(syn, 2), syn,
-                                             TwistClass(syn.algebra.element(text)))
+                                             syn.algebra.element(text))
         assert {p: "".join(t.name[0] for t in row)
                 for p, row in result.certificates.items() if row} == expected
 
@@ -427,7 +425,7 @@ def all_integral_model(cap=18):
 def test_integral_certificates_yes_everywhere():
     space = all_integral_model()
     result = integral_first_differential(e2_page(space, 2), space,
-                                         TwistClass(space.algebra.zero))
+                                         space.algebra.zero)
     seen = 0
     for p, row in result.certificates.items():
         for verdict in row:
@@ -439,13 +437,13 @@ def test_integral_certificates_yes_everywhere():
 def test_integral_certificates_mixed_on_synthetic_model():
     syn = synth12()
     result = integral_first_differential(e2_page(syn, 2), syn,
-                                         TwistClass(syn.algebra.zero))
+                                         syn.algebra.zero)
     assert result.certificate(0, 0) is TriState.YES       # d(1) = 0, unit integral
     assert result.certificate(4, 0) is TriState.NO        # Q_2(h4) = h4 g7 != 0
     assert result.certificate(6, 0) is TriState.UNKNOWN   # g6^2 not declared
     # a nonzero twist without a Sq^2-certificate downgrades zero rows
     result2 = integral_first_differential(e2_page(syn, 2), syn,
-                                          TwistClass(syn.algebra.element("h4")))
+                                          syn.algebra.element("h4"))
     assert result2.certificate(0, 0) is TriState.NO       # shadow g7 is nonzero
 
 
@@ -453,12 +451,7 @@ def test_integral_requirements():
     space = s3_model()  # no integral data
     with pytest.raises(IntegralDataRequiredError):
         integral_first_differential(e2_page(space, 1), space,
-                                    TwistClass(space.algebra.generator("h")))
-    syn = synth12()
-    with pytest.raises(NotIntegralError):
-        integral_first_differential(e2_page(syn, 2), syn,
-                                    TwistClass(syn.algebra.element("h4"),
-                                               integral=False))
+                                    space.algebra.generator("h"))
 
 
 def test_space_model_dimension_validation():

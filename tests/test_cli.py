@@ -309,6 +309,8 @@ GROUPLIKE_FIBONACCI = "1+x+x^2+x^3+x^5+x^8+x^13+x^21+x^34+x^55+x^89"
       "--check-grouplike", "1+x^5592405"), 4),
     # 5 001 generators, one past MAX_BAR_COMPLEX
     (("khorami", "--module", "{line}", "--max-degree", "4999"), 4),
+    # both report element and series, so one would overwrite the other
+    (("twist", "--encode", "(0,1)", "--decode", "5"), 2),
 ])
 def test_out_of_range_arguments_are_typed_errors(capsys, tmp_path, argv, code):
     argv = [arg.format(line=line_module(tmp_path)) for arg in argv]

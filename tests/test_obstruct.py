@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from moravak.ahss import SpaceModel, TwistClass
+from moravak.ahss import SpaceModel
 from moravak.cli import main
 from moravak.errors import (
     AnomalyRelationViolatedError,
@@ -130,18 +130,18 @@ def test_twisted_string_cancellation(synth12):
     """w7-shadow = Sq^3 h4 = g7 on both sides, so the combined class
     w6 + Sq^2 h4 vanishes and the verdict is conclusive."""
     alg = synth12.space.algebra
-    report = twisted_string_check(synth12, TwistClass(alg.element("h4")))
+    report = twisted_string_check(synth12, alg.element("h4"))
     assert report.status == ORIENTED
     assert report.obstruction == alg.zero
     assert report.certificate is TriState.YES
     # with zero twist the same data is conclusively obstructed
-    report0 = twisted_string_check(synth12, TwistClass(alg.zero))
+    report0 = twisted_string_check(synth12, alg.zero)
     assert report0.status == OBSTRUCTED
     assert report0.obstruction == alg.element("g7")
 
 
 def test_twisted_string_on_string_manifold(fb12):
-    report = twisted_string_check(fb12, TwistClass(fb12.space.algebra.zero))
+    report = twisted_string_check(fb12, fb12.space.algebra.zero)
     assert report.status == ORIENTED and not report.warnings
 
 
@@ -149,7 +149,7 @@ def test_twisted_string_dimension_warning(genspin):
     alg = genspin.space.algebra
     big = ManifoldData(space=genspin.space, dimension=15,
                        sw={6: alg.zero}, flags=frozenset({"oriented", "spin"}))
-    report = twisted_string_check(big, TwistClass(alg.zero))
+    report = twisted_string_check(big, alg.zero)
     assert report.warnings and "dimension" in report.warnings[0]
 
 
@@ -196,7 +196,7 @@ def test_string_obstruction_matches_d7_twist_term(synth12):
     alg = synth12.space.algebra
     model = ManifoldData(space=synth12.space, dimension=12, sw={6: alg.zero},
                          flags=frozenset({"oriented", "spin"}))
-    h4 = TwistClass(alg.element("h4"))
+    h4 = alg.element("h4")
     report = twisted_string_check(model, h4)
     result = integral_first_differential(e2_page(synth12.space, 2),
                                          synth12.space, h4)
@@ -307,17 +307,17 @@ def test_phase_field_must_have_degree_4(m10, capsys):
 def test_relative_obstruction(m10):
     pair = load("pair12.space").model
     alg = pair.space.algebra
-    report = relative_obstruction(pair, TwistClass(alg.zero))
+    report = relative_obstruction(pair, alg.zero)
     assert report.status == OBSTRUCTED
     assert report.obstruction == alg.element("m7")
     # the twist u4 cancels the relative w7-shadow
-    report2 = relative_obstruction(pair, TwistClass(alg.element("u4")))
+    report2 = relative_obstruction(pair, alg.element("u4"))
     assert report2.status == ORIENTED
     # no boundary: coincides with the absolute check
     closed = load("synth12.space").model
     h4 = closed.space.algebra.element("h4")
-    assert relative_obstruction(closed, TwistClass(h4)).status == \
-        twisted_string_check(closed, TwistClass(h4)).status
+    assert relative_obstruction(closed, h4).status == \
+        twisted_string_check(closed, h4).status
 
 
 def test_relative_identity_restriction_needs_zero_classes():
@@ -330,11 +330,11 @@ def test_relative_identity_restriction_needs_zero_classes():
     pair = PairModel(SpaceModel(alg, act), identity)
     model = ManifoldData(space=space, dimension=12, sw={6: alg.zero},
                          flags=frozenset({"oriented", "spin"}), boundary=pair)
-    report = relative_obstruction(model, TwistClass(alg.zero))
+    report = relative_obstruction(model, alg.zero)
     assert report.status == ORIENTED
     # nonzero classes are rejected as non-relative
     with pytest.raises(ValidationError):
-        relative_obstruction(model, TwistClass(alg.element("u4")))
+        relative_obstruction(model, alg.element("u4"))
 
 
 def test_restriction_must_commute_with_sq():
@@ -406,7 +406,7 @@ def test_beta_certificate_rule_at_every_entry_point(sq1d, integral, x, shadow, v
     space = SpaceModel(alg, act, integ)
     assert integral_sw(ManifoldData(space=space, dimension=9, sw={6: x}), 7) == want
     m = ManifoldData(space=space, dimension=9, sw={6: x + d})
-    report = twisted_string_check(m, TwistClass(c))
+    report = twisted_string_check(m, c)
     assert (report.obstruction, report.certificate) == want
     status = {TriState.YES: ORIENTED, TriState.NO: OBSTRUCTED, TriState.UNKNOWN: UNDECIDED}
     assert report.status == status[verdict]
