@@ -102,12 +102,10 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json(value, depth: int) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, indented to ``depth``.
-
-    Types other than dicts with str keys, lists, tuples, str, exact int,
-    bool, None and a ``_TorRange`` go to ``json.dumps`` and are
-    re-indented; JSON text has no raw newline inside a string, so every
-    newline there starts an indented line.
+    """``json.dumps(value, sort_keys=True, indent=2)``, indented to ``depth``,
+    for the types a report holds: dicts with str keys, lists, tuples,
+    str, exact int, bool, None and a ``_TorRange``.  Any other type
+    raises TypeError.
     """
     kind = type(value)
     if kind is str:
@@ -130,14 +128,10 @@ def _json(value, depth: int) -> str:
     elif kind is dict and {*map(type, value)} <= {str}:  # every key an exact str
         items = [_encode_str(k) + ": " + _json(value[k], depth + 1) for k in sorted(value)]
     else:
-        return _json_fallback(value, depth)
+        raise TypeError(f"{kind.__name__} is no report type, or a dict key is no str")
     if not items:
         return "{}"
     return "{" + inner + ("," + inner).join(items) + pad + "}"
-
-
-def _json_fallback(value, depth: int) -> str:
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _render(value, indent: int = 0) -> list[str]:

@@ -46,16 +46,19 @@ these numbers.
 Monomial tuples exist only at the edges.  A term comes in through
 ``_bits``, which encodes its key factor by factor; a term outside the
 window raises on an unknown generator or a negative exponent and is
-dropped otherwise.  A number is decoded back to its tuple, once per
-algebra, only where an element leaves: ``_element``, ``basis`` and the
-message naming a failing relation.  Reduction is linear and works
-degree by degree, so a sum of canonical forms, and the part of one
-degree of a canonical form, are canonical.  A ring map given on
-generators, ``AlgebraMap`` here and the total square in ``steenrod``,
-maps window numbers through one ``_GeneratorMap``: a monomial's image
-is the cached image of its prefix, all factors but the last, times one
-cached power.  The last factor is the highest nonzero field of the key,
-and the prefix key is the key less that factor's key.
+dropped otherwise.  A number is decoded back to its tuple only where an
+element leaves: ``_element``, ``basis`` and ``element_from_bits``.
+Reduction is linear and works degree by degree, so a sum of canonical
+forms, and the part of one degree of a canonical form, are canonical.
+A ring map given on generators, ``AlgebraMap`` here and the total
+square in ``steenrod``, maps window numbers through one
+``_GeneratorMap``: a monomial's image is the cached image of its
+prefix, all factors but the last, times one cached power.  The last
+factor is the highest nonzero field of the key, and the prefix key is
+the key less that factor's key.  ``_GeneratorMap`` also holds the one
+presentation check of such a map: each exterior square x^2 and each
+relation of the source must map to zero, and the first that does not
+is named.
 """
 
 from __future__ import annotations
@@ -206,7 +209,6 @@ class PresentedAlgebra:
         # window keys in number order, degree by degree; see _window
         self._number_keys, self._offsets = self._window(self._heights(relations))
         self._key_numbers = dict(zip(self._number_keys, range(len(self._number_keys))))
-        self._monomials: dict[int, Monomial] = {}  # window number -> decoded monomial
         self.relations = tuple(self._normalize_relation(r) for r in relations)
         self._reduce_relations()
 
@@ -314,13 +316,10 @@ class PresentedAlgebra:
         return self._key_numbers.get(self._key(m))
 
     def _monomial(self, n: int) -> Monomial:
-        """The monomial of window number n, decoded from its key once."""
-        m = self._monomials.get(n)
-        if m is None:
-            k = self._number_keys[n]
-            m = self._monomials[n] = tuple((name, e) for name, shift, mask, _ in self._factors
-                                           if (e := k >> shift & mask))
-        return m
+        """The monomial of window number n, decoded from its key."""
+        k = self._number_keys[n]
+        return tuple((name, e) for name, shift, mask, _ in self._factors
+                     if (e := k >> shift & mask))
 
     def _bits(self, e: GradedElement, reach: int | None = None) -> int:
         """The terms of e in window numbers, not reduced.  A term outside
@@ -543,18 +542,27 @@ class _GeneratorMap:
             keys = self._power_keys[name, exp] = self.target._keys(self._power(name, exp))
         return keys
 
-    def relation_image(self, r: GradedElement) -> int:
-        """The image of a relation of the source, each term's factors'
-        powers multiplied out.  A relation folded into the source window,
-        g^e = 0, has no window number, so it is read as _power(g, e): a
-        map that does not carry it to zero is still caught."""
-        out = 0
-        for m in r.terms:
-            x = self._unit
-            for name, e in m:
-                x = self.target._mul_bits(x, self._right(name, e))
-            out ^= x
-        return out
+    def _first_nonzero(self) -> tuple[GradedElement, int] | None:
+        """The first part of the source presentation that the map does not
+        carry to zero, with its image: the square x^2 of each exterior
+        generator x, in generator order, then each relation; None if every
+        part maps to zero.  A part's image is each term's factors' powers
+        multiplied out.  x^2 and a relation folded into the source window,
+        g^e = 0, have no window number, so they are read as _power(x, 2)
+        and _power(g, e): a map that does not carry them to zero is still
+        caught."""
+        squares = [GradedElement(frozenset({((g.name, 2),)}))
+                   for g in self.source.generators if g.kind == EXTERIOR]
+        for r in (*squares, *self.source.relations):
+            out = 0
+            for m in r.terms:
+                x = self._unit
+                for name, e in m:
+                    x = self.target._mul_bits(x, self._right(name, e))
+                out ^= x
+            if out:
+                return r, out
+        return None
 
     def image(self, n: int) -> int:
         out = self._images.get(n)
@@ -588,7 +596,8 @@ class _GeneratorMap:
 class AlgebraMap:
     """Degree-preserving algebra map given on generators.
 
-    Validated to carry every relation of the source to zero; used for
+    Validated to carry every exterior square and every relation of the
+    source to zero, through ``_GeneratorMap._first_nonzero``; used for
     naturality of pages and for boundary restriction maps.  Monomials
     map through one ``_GeneratorMap``; source monomials outside the
     source window (exterior squares, degrees above the cap) map to zero.
@@ -607,9 +616,8 @@ class AlgebraMap:
                 f"image of {g.name} is not homogeneous of degree {g.degree}", InvalidPairError)
         self._map = _GeneratorMap(source, target, {
             name: target._reduced_bits(img) for name, img in self.images.items()})
-        for r in source.relations:
-            if self._map.relation_image(r):
-                raise InvalidPairError(f"relation {r} is not carried to zero")
+        if failing := self._map._first_nonzero():
+            raise InvalidPairError(f"relation {failing[0]} is not carried to zero")
 
     def apply(self, e: GradedElement) -> GradedElement:
         """The image of e, term by term: a sum of canonical forms, hence

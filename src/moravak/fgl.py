@@ -82,10 +82,6 @@ class Series:
         return (self.nvars, self.trunc, self.modulus, self.coeffs) == \
             (other.nvars, other.trunc, other.modulus, other.coeffs)
 
-    def __hash__(self):
-        return hash((self.nvars, self.trunc, self.modulus,
-                     tuple(sorted(self.coeffs.items()))))
-
     def __add__(self, other: "Series") -> "Series":
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():

@@ -17,11 +17,14 @@ such a term is skipped before its total square is built.  ``sq`` and
 ``milnor_q`` take an element in through the algebra's one intake,
 ``_bits`` with the operator's reach, and convert back on exit.
 Validation is eager and cannot be skipped: an action whose table is
-incompatible with the algebra's relations (some Sq^i(r) nonzero in the
-quotient, read off the total square of r) is rejected at load, since a
-silently inconsistent table would poison every differential computed
-from it.  A ring map commutes with the action when it carries each
-generator's total square to the total square of the generator's image.
+incompatible with the algebra's presentation (some Sq^i(r) nonzero in
+the quotient, for r an exterior square x^2 or a relation) is rejected
+at load, since a silently inconsistent table would poison every
+differential computed from it.  The check is the presentation check of
+``_GeneratorMap`` on the total square, whose image of r names the
+lowest failing i.  A ring map commutes with the action when it carries
+each generator's total square to the total square of the generator's
+image.
 
 Integral statements are never decided on integral cohomology itself;
 they are decided through mod-2 representatives plus a declared
@@ -42,7 +45,6 @@ from typing import Mapping, Sequence
 from . import gf2
 from .errors import NotIntegralError, ValidationError
 from .f2alg import (
-    EXTERIOR,
     AlgebraMap,
     GradedElement,
     PresentedAlgebra,
@@ -148,28 +150,16 @@ class SqAction:
         return (y and self._sq(s, y)) ^ (z and self._q(j - 1, z))
 
     def _check_relations(self):
-        """Sq^i(r) = 0 for every relation r, tested on r's total square,
-        whose lowest nonzero degree part names the failing i; and for the
-        relation x^2 = 0 of each exterior x: in characteristic 2,
-        Sq^{2i}(x^2) = (Sq^i x)^2."""
+        """Sq^i(r) = 0 for every part r of the presentation, each exterior
+        square x^2 and each relation, tested on r's total square, whose
+        lowest nonzero degree part names the failing i.  For x^2 that is
+        Sq^{2i}(x^2) = (Sq^i x)^2, in characteristic 2."""
         alg = self.algebra
-        for g in alg.generators:
-            if g.kind != EXTERIOR:
-                continue
-            row = self._table[g.name]  # (Sq^0 g)^2 = g^2 = 0 = (Sq^|g| g)^2
-            for i in sorted(row):
-                square = alg.mul(row[i], row[i])
-                if square:
-                    raise ValidationError(
-                        f"action does not respect {g.name}^2 = 0: Sq^{2 * i}"
-                        f"({g.name}^2) = (Sq^{i} {g.name})^2 = {square} is nonzero")
-        for r in alg.relations:
-            total = self._squares.relation_image(r)
-            if total:
-                low = alg._monomial((total & -total).bit_length() - 1)
-                i = alg.monomial_degree(low) - alg.degree_of(r)
-                raise ValidationError(
-                    f"action does not descend to the quotient: Sq^{i}({r}) is nonzero")
+        if failing := self._squares._first_nonzero():
+            r, total = failing
+            low = alg._number_keys[(total & -total).bit_length() - 1] >> alg._degree_shift
+            raise ValidationError(f"action does not descend to the quotient: "
+                                  f"Sq^{low - alg.degree_of(r)}({r}) is nonzero")
 
 
 def sq(i: int, e: GradedElement, action: SqAction) -> GradedElement:

@@ -4,11 +4,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from moravak.f2alg import (
     EXTERIOR,
+    POLYNOMIAL,
     GradedElement,
     GradedGenerator,
     PresentedAlgebra,
@@ -93,3 +95,28 @@ def random_unreduced(alg: PresentedAlgebra, rnd: random.Random) -> GradedElement
             for t in r.terms:
                 terms ^= {monomial(*mult, *t)}
     return GradedElement(frozenset(terms))
+
+
+@st.composite
+def presentations(draw):
+    """One to three generators g0, g1, g2 of degrees 1 to 4, each
+    polynomial or exterior, at a cap of 6 to 12, with perhaps a power
+    g^e of a polynomial generator, which the window folds in, and
+    perhaps a homogeneous relation: a sum of two or three free
+    monomials, or one monomial where its degree has no other."""
+    gens = [GradedGenerator(f"g{k}", draw(st.integers(1, 4)),
+                            draw(st.sampled_from([POLYNOMIAL, EXTERIOR])))
+            for k in range(draw(st.integers(1, 3)))]
+    cap = draw(st.integers(6, 12))
+    relations = []
+    polynomial = [g for g in gens if g.kind == POLYNOMIAL]
+    if polynomial and draw(st.booleans()):
+        g = draw(st.sampled_from(polynomial))
+        relations.append(GradedElement(frozenset({((g.name, draw(
+            st.integers(1, cap // g.degree))),)})))
+    if draw(st.booleans()):
+        free = PresentedAlgebra(gens, (), cap)
+        if basis := free.basis(draw(st.integers(1, cap))):
+            relations.append(GradedElement(frozenset(draw(
+                st.sets(st.sampled_from(basis), min_size=min(2, len(basis)), max_size=3)))))
+    return PresentedAlgebra(gens, relations, cap)

@@ -91,17 +91,25 @@ def test_s3_zero_twist_page_unchanged():
         {p: len(space.algebra.basis(p)) for p in e4.window}
 
 
-def test_page_path_decodes_only_the_twist_and_phi():
+def test_page_path_decodes_only_the_twist_and_phi(monkeypatch):
     """The window is listed as keys: building F2[t1,t2,t3] at cap 20
     decodes no monomial, and the page path decodes only the monomials it
     prints, those of the twist and of phi, not the window's thousands."""
+    decoded = set()
+    decode = PresentedAlgebra._monomial
+
+    def recording_decode(self, n):
+        decoded.add(m := decode(self, n))
+        return m
+
+    monkeypatch.setattr(PresentedAlgebra, "_monomial", recording_decode)
     alg = PresentedAlgebra([GradedGenerator(f"t{i}", 1) for i in (1, 2, 3)], (), 20)
-    assert not alg._monomials
+    assert not decoded
     space = SpaceModel(alg, SqAction(alg))
-    before = set(alg._monomials.values())  # the action's generator squares
+    before = set(decoded)  # the action's generator squares
     twist = parse_element("t1*t2*t3^3")  # phi has six terms
     page = turn_page(first_differential(e2_page(space, 3), space, twist))
-    decoded = set(alg._monomials.values()) - before
+    decoded -= before
     phi = twist_term(space, twist, 3)
     assert decoded <= twist.terms | phi.terms
     assert phi and page.rank(0) == 0  # d(1) = phi

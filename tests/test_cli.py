@@ -203,6 +203,16 @@ def test_non_integral_twist_is_exit_3(capsys, tmp_path, twist, beta):
     assert main(["ahss", "--space", str(path), "--n", "2", "--twist", "t1^4"]) == 0
 
 
+def test_restriction_must_carry_exterior_squares_to_zero(capsys, tmp_path):
+    """e^2 = 0 on the total space, but t^2 is nonzero on the boundary:
+    the restriction e -> t is no ring map, and the error names e^2."""
+    path = tmp_path / "pair.space"
+    path.write_text("[generators]\ne 3 exterior\n\n[metadata]\ncap 8\ndimension 3\n\n"
+                    "[boundary-generators]\nt 3 polynomial\n\n[restriction]\ne t\n")
+    assert main(["ahss", "--space", str(path), "--n", "1", "--twist", "0"]) == 3
+    assert capsys.readouterr().err == "error: relation e^2 is not carried to zero\n"
+
+
 def fresh_interpreter_env(**extra: str) -> dict:
     """The environment of a fresh interpreter that imports the moravak
     these tests import, whether it came from PYTHONPATH or pytest's
@@ -489,21 +499,29 @@ ANY_CHARACTER = st.one_of(
     st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
                   exclude_categories=()),  # lone surrogates
 )
-LEAVES = st.one_of(
+# the leaves a report holds, and the ones it never holds
+REPORT_LEAVES = st.one_of(
     st.text(ANY_CHARACTER, max_size=6),
     st.integers(),
     st.integers(-2**200, 2**200),
     st.booleans(),
     st.none(),
-    st.floats(),
-    st.sampled_from(Level),
 )
-VALUES = st.recursive(LEAVES, lambda inner: st.one_of(
-    st.lists(inner, max_size=4),
-    st.lists(inner, max_size=4).map(tuple),
-    st.dictionaries(st.text(ANY_CHARACTER, max_size=4), inner, max_size=4),
-    st.dictionaries(st.integers(-3, 3), inner, max_size=3),
-), max_leaves=20)
+LEAVES = st.one_of(REPORT_LEAVES, st.floats(), st.sampled_from(Level))
+
+
+def nested(leaves, *dicts):
+    """Lists, tuples and the given dicts of the leaves, nested."""
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        *(st.dictionaries(keys, inner, max_size=size) for keys, size in dicts),
+    ), max_leaves=20)
+
+
+STR_KEYS = (st.text(ANY_CHARACTER, max_size=4), 4)
+REPORT_VALUES = nested(REPORT_LEAVES, STR_KEYS)
+VALUES = nested(LEAVES, STR_KEYS, (st.integers(-3, 3), 3))
 
 
 def shared_at_two_depths(value, other):
@@ -520,15 +538,33 @@ def tor_shaped(odd_keys, even_keys, odd, even, other):
 
 
 MANY_KEYS = st.lists(st.text(ANY_CHARACTER, max_size=4), max_size=40)
-ENTRIES = st.one_of(VALUES, st.lists(VALUES, min_size=1, max_size=3),
-                    st.dictionaries(st.text(max_size=4), VALUES, min_size=1, max_size=3))
-TOR_SHAPED = st.builds(tor_shaped, MANY_KEYS, MANY_KEYS, ENTRIES, ENTRIES, VALUES)
+
+
+def tor_shapes(values):
+    entries = st.one_of(values, st.lists(values, min_size=1, max_size=3),
+                        st.dictionaries(st.text(max_size=4), values, min_size=1, max_size=3))
+    return st.builds(tor_shaped, MANY_KEYS, MANY_KEYS, entries, entries, values)
+
+
+TOR_SHAPED = tor_shapes(VALUES)
 
 
 @SETTINGS
-@given(value=st.one_of(VALUES, st.builds(shared_at_two_depths, VALUES, VALUES), TOR_SHAPED))
+@given(value=st.one_of(REPORT_VALUES, st.builds(shared_at_two_depths, REPORT_VALUES,
+                                                REPORT_VALUES), tor_shapes(REPORT_VALUES)))
 def test_json_renderer_matches_json_dumps(value):
     assert cli._json(value, 0) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {2: None}}, 0.5, {"a": [1, 1.5]},
+                                   Level.LOW, {"a": (Level.HIGH,)}],
+                         ids=["int-key", "nested-int-key", "float", "nested-float",
+                              "int-enum", "nested-int-enum"])
+def test_json_renderer_refuses_what_no_report_holds(value):
+    """A float, an int enum and a dict with a non-str key are no report
+    values: the renderer raises instead of guessing their text."""
+    with pytest.raises(TypeError):
+        cli._json(value, 0)
 
 
 @SETTINGS

@@ -26,6 +26,7 @@ from moravak.f2alg import (
 
 from conftest import (
     exterior_pair,
+    presentations,
     projective_product,
     projective_space,
     random_element,
@@ -446,6 +447,52 @@ def test_algebra_map_validation():
     assert fmap.apply(parse_element("t^2 + t^4")) == short.element("s^2")
 
 
+def test_exterior_square_must_map_to_zero():
+    """e^2 = 0 in Lambda(e3), but t^2 is nonzero in F2[t3]: no ring map
+    sends e to t."""
+    source = PresentedAlgebra([GradedGenerator("e", 3, EXTERIOR)], (), 8)
+    target = PresentedAlgebra([GradedGenerator("t", 3)], (), 8)
+    with pytest.raises(InvalidPairError) as exc:
+        AlgebraMap(source, target, {"e": target.generator("t")})
+    assert str(exc.value) == "relation e^2 is not carried to zero"
+    short = PresentedAlgebra([GradedGenerator("t", 3)], (), 5)
+    AlgebraMap(source, short, {"e": short.generator("t")})  # t^2 lies above the cap
+
+
+def reference_map_refusal(source, target, images) -> str | None:
+    """The presentation check made part by part in the target: f(x)^2
+    for each exterior x in generator order, then each relation as a sum
+    of products of its factors' powers."""
+    images = {name: target.reduce(img) for name, img in images.items()}
+    for g in source.generators:
+        if g.kind == EXTERIOR and target.mul(images[g.name], images[g.name]):
+            return f"relation {g.name}^2 is not carried to zero"
+    for r in source.relations:
+        image = target.zero
+        for m in r.terms:
+            term = target.one
+            for name, e in m:
+                for _ in range(e):
+                    term = target.mul(term, images[name])
+            image = image + term
+        if image:
+            return f"relation {r} is not carried to zero"
+    return None
+
+
+@settings(SETTINGS, max_examples=200)
+@given(presentations(), presentations(), st.randoms(use_true_random=False))
+def test_map_check_matches_the_per_part_reference(source, target, rnd):
+    images = {g.name: random_element(target, g.degree, rnd) for g in source.generators}
+    expected = reference_map_refusal(source, target, images)
+    try:
+        AlgebraMap(source, target, images)
+    except InvalidPairError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None
+
+
 def cubic_relation(cap=12):
     """F2[x2, y3]/(y^2 + x^3): a relation that is not a monomial."""
     gens = [GradedGenerator("x", 2), GradedGenerator("y", 3)]
@@ -816,17 +863,18 @@ def test_algebra_map_images_match_factor_fold():
     source = PresentedAlgebra([GradedGenerator("a", 1), GradedGenerator("b", 1),
                                GradedGenerator("c", 2), GradedGenerator("e", 1, EXTERIOR)],
                               (), 8)
-    target = PresentedAlgebra([GradedGenerator("s", 1), GradedGenerator("u", 2)],
+    target = PresentedAlgebra([GradedGenerator("s", 1), GradedGenerator("u", 2),
+                               GradedGenerator("f", 1, EXTERIOR)],
                               [parse_element("s^3")], 8)
     fmap = AlgebraMap(source, target, {"a": target.element("s"), "b": target.element("s"),
                                        "c": target.element("u + s^2"),
-                                       "e": target.element("s")})
+                                       "e": target.element("f")})
     zero_prefixes = 0
     for m in window_monomials(source):
         assert map_image(fmap, m) == fold_image(fmap, m)
         zero_prefixes += len(m) > 1 and not map_image(fmap, m[:-1])
     assert zero_prefixes  # a^3 = s^3 = 0 is a prefix of a^3*b and others
-    # e^2 vanishes in the source though s^2 does not in the target
+    # e^2 is no window monomial of the source: it maps to zero
     for m in ((("e", 2),), (("a", 1), ("e", 2)), (("c", 1), ("e", 2))):
         assert map_image(fmap, m) == fold_image(fmap, m) == ZERO
 
@@ -841,16 +889,18 @@ def test_algebra_map_drops_terms_above_the_source_cap():
 
 @lru_cache(maxsize=None)
 def capped_map() -> AlgebraMap:
-    """F2[a1, b2, e1 exterior]/(b^2 + a^4) at cap 4 into F2[s1, u2]/(u^2)
-    at cap 8: b^2 + a^4 maps to (u + s^2)^2 + s^4 = u^2 = 0."""
+    """F2[a1, b2, e1 exterior]/(b^2 + a^4) at cap 4 into
+    F2[s1, u2, f1 exterior]/(u^2) at cap 8: b^2 + a^4 maps to
+    (u + s^2)^2 + s^4 = u^2 = 0, and e^2 to f^2 = 0."""
     source = PresentedAlgebra([GradedGenerator("a", 1), GradedGenerator("b", 2),
                                GradedGenerator("e", 1, EXTERIOR)],
                               [parse_element("b^2 + a^4")], 4)
-    target = PresentedAlgebra([GradedGenerator("s", 1), GradedGenerator("u", 2)],
+    target = PresentedAlgebra([GradedGenerator("s", 1), GradedGenerator("u", 2),
+                               GradedGenerator("f", 1, EXTERIOR)],
                               [parse_element("u^2")], 8)
     return AlgebraMap(source, target, {"a": target.element("s"),
                                        "b": target.element("u + s^2"),
-                                       "e": target.element("s")})
+                                       "e": target.element("f")})
 
 
 @SETTINGS
