@@ -8,7 +8,10 @@ closed early.
 
 A Tor range is one payload value: an entry per index below 1 and one per
 parity class of the 2-periodic resolution, which the renderers expand
-per key, rendering each entry once.
+per key, rendering each entry once.  The keys of index >= 1 are expanded
+by decimal-prefix blocks: the text of all keys under one prefix is made
+once from a placeholder and copied under each prefix it fits.  The
+placeholder never occurs in a rendered entry, which holds only ints.
 
 The argument parser is built once per process, by the first ``main``
 call, and reused; ``build_parser`` builds a fresh one.  ``main`` hands
@@ -95,7 +98,7 @@ class Report:
     def render(self, json_only: bool = False) -> str:
         if json_only:
             return self.to_json()
-        return self.to_text() + "\n--- json ---\n" + self.to_json()
+        return f"{self.to_text()}\n--- json ---\n{self.to_json()}"
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -118,27 +121,28 @@ def _json(value, depth: int) -> str:
         return "true" if value else "false"
     pad = "\n" + "  " * depth
     inner = pad + "  "
+    sep = "," + inner
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join(
-            [_json(sub, depth + 1) for sub in value]) + pad + "]"
+        return "[" + inner + sep.join([_json(sub, depth + 1) for sub in value]) + pad + "]"
     if kind is _TorRange:
-        items = value.keyed('"Tor_', lambda entry: '": ' + _json(entry, depth + 1))
+        items = value.keyed('"Tor_', lambda entry: '": ' + _json(entry, depth + 1), sep)
     elif kind is dict and {*map(type, value)} <= {str}:  # every key an exact str
         items = [_encode_str(k) + ": " + _json(value[k], depth + 1) for k in sorted(value)]
     else:
         raise TypeError(f"{kind.__name__} is no report type, or a dict key is no str")
     if not items:
         return "{}"
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
+    # one f-string, not a chain of +: a long Tor range is copied once here
+    return f"{{{inner}{sep.join(items)}{pad}}}"
 
 
 def _render(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
     if isinstance(value, _TorRange):
         return value.keyed(f"{pad}Tor_", lambda entry: "\n".join(
-            [":", *_render(entry, indent + 1)]))
+            [":", *_render(entry, indent + 1)]), "\n")
     lines = []
     if isinstance(value, dict):
         for key in sorted(value, key=str):
@@ -238,22 +242,60 @@ class _TorRange:
     """Tor_lo .. Tor_hi as one payload value, for a resolution that is
     2-periodic from index 1 on: ``low`` maps each index below 1 to its
     entry, ``classes`` each parity (1 odd, 0 even) met in ``start`` .. ``hi``
-    to the entry its indices share.  The renderers expand it per key."""
+    to the entry its indices share.  The renderers expand it per key,
+    by decimal-prefix blocks (``keyed``)."""
     low: dict
     classes: dict
     start: int
     hi: int
 
-    def keyed(self, head: str, tail) -> list[str]:
-        """``head + str(i) + tail(entry)`` for every index i, in the string
-        order of the keys ``Tor_<i>``, calling ``tail`` once per entry."""
-        items = [f"{head}{i}{tail(self.low[i])}" for i in sorted(self.low, key=str)]
-        digits = {d: text for parity, entry in self.classes.items()
-                  for text in [tail(entry)] for d in "0123456789"[parity::2]}
-        # a key of index >= 1 sorts after every key of index < 1 ("-" < "0"
-        # < "1"), and its last digit gives its parity
-        return items + [f"{head}{s}{digits[s[-1]]}"
-                        for s in sorted(map(str, range(self.start, self.hi + 1)))]
+    def keyed(self, head: str, tail, sep: str) -> list[str]:
+        """Pieces that, joined by ``sep``, give ``head + str(i) + tail(entry)``
+        for every index i, in the string order of the keys ``Tor_<i>``,
+        calling ``tail`` once per entry.
+
+        The keys of index >= 1 sort after every key of index < 1 ("-" < "0"
+        < "1"); their string order is a preorder walk of decimal prefixes.
+        Where every extension of a prefix p by 1..k digits is in range and
+        none by k + 1 digits is, p's extensions are one block: the text of
+        every extension of a NUL placeholder by 1..k digits, whose last
+        digit gives its parity, with the placeholder replaced by p.  A
+        rendered entry holds only ints, so the placeholder never occurs in
+        one."""
+        pieces = [f"{head}{i}{tail(self.low[i])}" for i in sorted(self.low, key=str)]
+        text = {parity: tail(entry) for parity, entry in self.classes.items()}
+        start, hi = self.start, self.hi
+        blocks = [""]  # blocks[k]: the placeholder's extensions by 1..k digits
+        # (p, width): p * width <= hi < p * width * 10, so width is 10^k for
+        # the deepest k at which p has an extension <= hi; the root is p = 0
+        stack = [(0, 10 ** len(str(hi)))] if start <= hi else []
+        while stack:
+            p, width = stack.pop()
+            if p >= start:
+                pieces.append(f"{head}{p}{text[p % 2]}")
+            if width == 1:
+                continue
+            if p * 10 >= start and (p + 1) * width <= hi + 1:
+                k = len(str(width)) - 1
+                while len(blocks) <= k:
+                    prev = blocks[-1]
+                    blocks.append(sep.join([
+                        f"{head}\0{d}{text[int(d) % 2]}"
+                        + (prev and sep + prev.replace("\0", "\0" + d))
+                        for d in "0123456789"]))
+                pieces.append(blocks[k].replace("\0", str(p)))
+                continue
+            width //= 10
+            if width == 1:  # the children are leaves: emit them in order
+                pieces += [f"{head}{c}{text[c % 2]}"
+                           for c in range(max(p * 10, start), min(p * 10 + 9, hi) + 1)]
+                continue
+            for d in range(9, -1 if p else 0, -1):  # popped in ascending order
+                child = p * 10 + d
+                w = width if child * width <= hi else width // 10
+                if (child + 1) * w > start:
+                    stack.append((child, w))
+        return pieces
 
 
 def cmd_tor(args) -> Report:

@@ -15,13 +15,15 @@ is the square of a^(h/2), and any other a^e is a^(e-h) a^h for the top
 bit h of e, so each new exponent costs one product by a square power,
 which mod 2 stays as sparse as the argument.  Each product counts its
 term pairs first and refuses more than MAX_PRODUCT_PAIRS, and one
-``compose`` refuses to hold more than MAX_POWER_TERMS terms of powers.
+``compose`` refuses, before each product of powers, to hold more than
+MAX_POWER_TERMS terms of powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import comb
 from operator import add, mul
 from typing import Mapping, Sequence
 
@@ -123,14 +125,21 @@ class Series:
         powers = [{1: a} for a in args]
         held = 0  # terms of the powers made so far
 
-        def keep(memo: dict, e: int, p: Series):
+        def keep(memo: dict, e: int, a: Series, b: Series):
+            """memo[e] = a * b, refused before the product is built if it
+            could take the held terms over the limit: a square mod 2 has at
+            most the terms of its root (Frobenius), any product at most
+            len(a) * len(b), and no series more than its monomials."""
             nonlocal held
-            held += len(p.coeffs)
-            if held > MAX_POWER_TERMS:
+            bound = len(a.coeffs) if a is b and a.modulus == 2 \
+                else len(a.coeffs) * len(b.coeffs)
+            bound = min(bound, comb(a.trunc + a.nvars, a.nvars))
+            if held + bound > MAX_POWER_TERMS:
                 raise ComputationError(
-                    f"series substitution holds {held} terms of argument powers, "
-                    f"exceeding the limit of {MAX_POWER_TERMS}")
-            memo[e] = p
+                    f"series substitution would hold {held + bound} terms of argument "
+                    f"powers, exceeding the limit of {MAX_POWER_TERMS}")
+            memo[e] = p = a * b
+            held += len(p.coeffs)
 
         def power(i: int, e: int) -> Series:
             memo = powers[i]
@@ -138,10 +147,10 @@ class Series:
                 low, h = 0, 1  # low: the bits of e below h
                 while h <= e:
                     if h not in memo:
-                        keep(memo, h, memo[h >> 1] * memo[h >> 1])
+                        keep(memo, h, memo[h >> 1], memo[h >> 1])
                     if e & h:
                         if low + h not in memo:
-                            keep(memo, low + h, memo[low] * memo[h])
+                            keep(memo, low + h, memo[low], memo[h])
                         low += h
                     h <<= 1
             return memo[e]

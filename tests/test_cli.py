@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import enum
+import gc
 import io
 import json
 import sys
@@ -462,17 +463,33 @@ def tor_per_index(module: str, k: int, against: str, lo: int, hi: int,
 
 
 INDEX = st.integers(0, 1200)
+# far from 0, where a range meets whole blocks of 1-3 digits under a prefix
+# and cuts through prefixes of 4-8 digits
+FAR = st.tuples(st.integers(1, 10**7), st.integers(0, cli.MAX_TOR_INDICES - 1)).map(
+    lambda pair: (pair[0], pair[0] + pair[1]))
+# decimal boundaries, a whole range from 1, the longest range, one index and none
+BOUNDARIES = [(9, 10), (99, 101), (999, 1001), (1, 1500), (1000, 3047),
+              (99_990, 100_100), (10**6, 10**6), (1, 1), (5, 4)]
+
+
+def at_boundaries(test):
+    for i, bounds in enumerate(BOUNDARIES):
+        for json_only in (False, True):
+            test = example(module=[("r0free", 0), (None, 1)][i % 2], against="MN"[i % 2],
+                           bounds=bounds, json_only=json_only)(test)
+    return test
 
 
 @SETTINGS
 @given(module=st.sampled_from([("r0free", 0), (None, 0), (None, 1), (None, 2)]),
        against=st.sampled_from("MN"),
-       bounds=st.one_of(st.tuples(INDEX, INDEX), INDEX.map(lambda i: (i, i))),
+       bounds=st.one_of(st.tuples(INDEX, INDEX), INDEX.map(lambda i: (i, i)), FAR),
        json_only=st.booleans())
 @example(module=("r0free", 0), against="M", bounds=(0, cli.MAX_TOR_INDICES - 1),
          json_only=False)
 @example(module=(None, 0), against="N", bounds=(0, cli.MAX_TOR_INDICES - 1),
          json_only=True)
+@at_boundaries
 def test_tor_range_renders_like_one_entry_per_index(tensor_module, module, against,
                                                      bounds, json_only):
     """The range payload expands per parity class to the bytes of a plain
@@ -486,6 +503,22 @@ def test_tor_range_renders_like_one_entry_per_index(tensor_module, module, again
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     assert out.getvalue() == tor_per_index(name, k, against, lo, hi, json_only)
+
+
+def test_rendering_leaves_no_cyclic_garbage():
+    """The renderers free what they build by reference counting: a report's
+    pieces do not wait for the cyclic collector."""
+    args = build_parser().parse_args(["tor", "--module", "r0free", "--i", "0",
+                                      str(cli.MAX_TOR_INDICES - 1)])
+    report = cli.cmd_tor(args)
+    gc.collect()
+    gc.disable()
+    try:
+        for json_only in (False, True):
+            report.render(json_only)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class Level(enum.IntEnum):

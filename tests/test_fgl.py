@@ -224,9 +224,34 @@ def test_compose_power_terms_above_the_limit_are_refused(monkeypatch):
     monkeypatch.setattr(fgl, "MAX_POWER_TERMS", 6)
     assert cube.compose([arg]) == naive_compose(cube, [arg])
     monkeypatch.setattr(fgl, "MAX_POWER_TERMS", 5)
-    with pytest.raises(ComputationError, match="series substitution holds 6 terms "
+    with pytest.raises(ComputationError, match="series substitution would hold 6 terms "
                        "of argument powers, exceeding the limit of 5"):
         cube.compose([arg])
+
+
+@pytest.mark.parametrize("modulus", [2, 8])
+def test_refused_compose_builds_no_product_over_the_limit(monkeypatch, modulus):
+    """Every product a refused compose builds is a power it keeps, so the
+    terms those products hold stay within the limit."""
+    arg = Series(1, 40, modulus, {(1,): 1, (2,): 3, (3,): 1})
+    outer = Series(1, 40, modulus, {(29,): 1})
+    built = []
+    product = Series.__mul__
+
+    def counted(a, b):
+        out = product(a, b)
+        built.append(len(out.coeffs))
+        return out
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    outer.compose([arg])
+    held = sum(built)
+    for limit in range(held):
+        built.clear()
+        monkeypatch.setattr(fgl, "MAX_POWER_TERMS", limit)
+        with pytest.raises(ComputationError):
+            outer.compose([arg])
+        assert sum(built) <= limit
 
 
 @pytest.mark.parametrize("modulus", [2, 8])
