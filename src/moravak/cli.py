@@ -10,8 +10,10 @@ A Tor range is one payload value: an entry per index below 1 and one per
 parity class of the 2-periodic resolution, which the renderers expand
 per key, rendering each entry once.  The keys of index >= 1 are expanded
 by decimal-prefix blocks: the text of all keys under one prefix is made
-once from a placeholder and copied under each prefix it fits.  The
-placeholder never occurs in a rendered entry, which holds only ints.
+once from a placeholder, split once at it, and joined with each prefix
+it fits.  The placeholder never occurs in a rendered entry, which holds
+only ints.  JSON is written as one list of pieces, joined once, so a
+long range's text is copied once, not once per nesting level.
 
 The argument parser is built once per process, by the first ``main``
 call, and reused; ``build_parser`` builds a fresh one.  ``main`` hands
@@ -108,34 +110,51 @@ def _json(value, depth: int) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, indented to ``depth``,
     for the types a report holds: dicts with str keys, lists, tuples,
     str, exact int, bool, None and a ``_TorRange``.  Any other type
-    raises TypeError.
+    raises TypeError.  The text is written as pieces and joined once, so
+    a long Tor range is copied once, not once per nesting level.
     """
+    out: list[str] = []
+    _write_json(out, value, depth)
+    return "".join(out)
+
+
+def _write_json(out: list[str], value, depth: int) -> None:
+    """Append the pieces of ``_json(value, depth)`` to out."""
     kind = type(value)
     if kind is str:
-        return _encode_str(value)
-    if kind is int:
-        return repr(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    sep = "," + inner
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        return "[" + inner + sep.join([_json(sub, depth + 1) for sub in value]) + pad + "]"
-    if kind is _TorRange:
-        items = value.keyed('"Tor_', lambda entry: '": ' + _json(entry, depth + 1), sep)
-    elif kind is dict and {*map(type, value)} <= {str}:  # every key an exact str
-        items = [_encode_str(k) + ": " + _json(value[k], depth + 1) for k in sorted(value)]
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
     else:
-        raise TypeError(f"{kind.__name__} is no report type, or a dict key is no str")
-    if not items:
-        return "{}"
-    # one f-string, not a chain of +: a long Tor range is copied once here
-    return f"{{{inner}{sep.join(items)}{pad}}}"
+        pad = "\n" + "  " * depth
+        sep = "," + pad + "  "
+        first = len(out)  # the first entry's sep becomes the opening bracket
+        if kind is list or kind is tuple:
+            brackets = "[]"
+            for sub in value:
+                out.append(sep)
+                _write_json(out, sub, depth + 1)
+        elif kind is _TorRange:
+            brackets = "{}"
+            items = value.keyed('"Tor_', lambda entry: '": ' + _json(entry, depth + 1), sep)
+            for item in items:
+                out += sep, item
+        elif kind is dict and {*map(type, value)} <= {str}:  # every key an exact str
+            brackets = "{}"
+            for key in sorted(value):
+                out += sep, _encode_str(key), ": "
+                _write_json(out, value[key], depth + 1)
+        else:
+            raise TypeError(f"{kind.__name__} is no report type, or a dict key is no str")
+        if len(out) == first:
+            out.append(brackets)
+        else:
+            out[first] = brackets[0] + sep[1:]
+            out.append(pad + brackets[1])
 
 
 def _render(value, indent: int = 0) -> list[str]:
@@ -259,13 +278,14 @@ class _TorRange:
         Where every extension of a prefix p by 1..k digits is in range and
         none by k + 1 digits is, p's extensions are one block: the text of
         every extension of a NUL placeholder by 1..k digits, whose last
-        digit gives its parity, with the placeholder replaced by p.  A
+        digit gives its parity.  Each block is split once at the
+        placeholder, and p's copy is its parts joined with ``str(p)``.  A
         rendered entry holds only ints, so the placeholder never occurs in
         one."""
         pieces = [f"{head}{i}{tail(self.low[i])}" for i in sorted(self.low, key=str)]
         text = {parity: tail(entry) for parity, entry in self.classes.items()}
         start, hi = self.start, self.hi
-        blocks = [""]  # blocks[k]: the placeholder's extensions by 1..k digits
+        blocks = [[""]]  # blocks[k]: the block of 1..k digits, split
         # (p, width): p * width <= hi < p * width * 10, so width is 10^k for
         # the deepest k at which p has an extension <= hi; the root is p = 0
         stack = [(0, 10 ** len(str(hi)))] if start <= hi else []
@@ -278,12 +298,12 @@ class _TorRange:
             if p * 10 >= start and (p + 1) * width <= hi + 1:
                 k = len(str(width)) - 1
                 while len(blocks) <= k:
-                    prev = blocks[-1]
+                    prev = "\0".join(blocks[-1])
                     blocks.append(sep.join([
                         f"{head}\0{d}{text[int(d) % 2]}"
                         + (prev and sep + prev.replace("\0", "\0" + d))
-                        for d in "0123456789"]))
-                pieces.append(blocks[k].replace("\0", str(p)))
+                        for d in "0123456789"]).split("\0"))
+                pieces.append(str(p).join(blocks[k]))
                 continue
             width //= 10
             if width == 1:  # the children are leaves: emit them in order

@@ -114,7 +114,15 @@ def apply_columns(cols: Sequence[int], vec: int) -> int:
 
 def compose_columns(outer: Sequence[int], inner: Sequence[int]) -> list[int]:
     """Columns of outer∘inner."""
-    return [apply_columns(outer, col) for col in inner]
+    out = []
+    for vec in inner:  # apply_columns inlined: one call per column costs more
+        acc = 0
+        while vec:
+            low = vec & -vec
+            acc ^= outer[low.bit_length() - 1]
+            vec ^= low
+        out.append(acc)
+    return out
 
 
 def _augmented(cols: Sequence[int], dim: int) -> list[int]:

@@ -70,16 +70,16 @@ def _check_operator(cols: Sequence[int], degrees: Sequence[int], n: int,
     if len(cols) != r:
         raise ValidationError(f"{what}: operator must be {r}x{r}")
     w = v_degree(n)
-    mask_rows = [sum(1 << i for i in range(r) if degrees[i] % w == degrees[j] % w)
-                 for j in range(r)]
+    same_class: dict[int, int] = {}  # degree mod |v| -> mask of its generators
+    for i, d in enumerate(degrees):
+        same_class[d % w] = same_class.get(d % w, 0) | 1 << i
     for j, col in enumerate(cols):
         if col >> r:
             raise ValidationError(f"{what}: column {j} has out-of-range bits")
-        if col & ~mask_rows[j]:
+        if col & ~same_class[degrees[j] % w]:
             raise ValidationError(
                 f"{what}: entry mixes generator degrees that differ mod |v| = {w}")
-    squared = gf2.compose_columns(cols, cols)
-    if list(squared) != list(cols):
+    if gf2.compose_columns(cols, cols) != list(cols):
         raise ValidationError(
             f"{what}: defining relation fails, B^2 != v^(2^k) B in normalized form")
     return tuple(cols)

@@ -100,10 +100,10 @@ def _read_sections(text: str, section_key) -> dict:
     sections: dict = {}
     rows = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             name = line[1:-1].strip().lower()
             key = section_key(name, lineno)
             if key is None:
@@ -118,14 +118,19 @@ def _read_sections(text: str, section_key) -> dict:
     return sections
 
 
-def _module_section(name: str, lineno: int) -> str | int | None:
-    """'module', or the factor index of an [operator k] block."""
+def _module_section(name: str, lineno: int, explicit: dict) -> str | int | None:
+    """'module', or the factor index of an [operator k] block: 0 for a
+    bare [operator].  Records the line of each explicit index in explicit."""
     if name == "module":
         return name
     if not name.startswith("operator"):
         return None
     rest = name[len("operator"):].strip()
-    return _int(rest, lineno, f"bad operator index {rest!r}") if rest else 0
+    if not rest:
+        return 0
+    k = _int(rest, lineno, f"bad operator index {rest!r}")
+    explicit[k] = lineno
+    return k
 
 
 def _shaped(value, kind: type, where: str):
@@ -346,12 +351,16 @@ def serialize_model(parsed: ParsedSpace) -> dict:
 def parse_module(path: str | Path) -> RbkModule | TensorModule:
     """Module files: a [module] header plus normalized operator matrices.
 
-    Matrix rows are 0/1 entries of the v-normalized operator; row i,
-    column j is the coefficient of generator i in b_k * generator j.
-    The truncation and the rank are checked against their limits before
-    any list or matrix is built.
+    Matrix rows are 0/1 entries of the v-normalized operator, each any
+    spelling of 0 or 1 that int() reads; row i, column j is the
+    coefficient of generator i in b_k * generator j.  A single-factor
+    module's block is [operator] or [operator k], k its header's factor
+    index.  The truncation and the rank are checked against their limits
+    before any list or matrix is built.
     """
-    sections = _read_sections(_read(path), _module_section)
+    explicit: dict[int, int] = {}  # factor index -> line of its [operator k]
+    sections = _read_sections(_read(path),
+                              lambda name, lineno: _module_section(name, lineno, explicit))
     header: dict[str, int] = {}
     degrees: list[int] = []
     for lineno, line in sections.pop("module", []):
@@ -377,11 +386,17 @@ def parse_module(path: str | Path) -> RbkModule | TensorModule:
         raise ParseError("rank does not match the number of degrees")
 
     def to_columns(rows: list[tuple[int, str]]) -> tuple[int, ...]:
-        bits = [[_int(x, lineno, "matrix rows must be 0/1 entries", (0, 1))
-                 for x in line.split()] for lineno, line in rows]
-        if len(bits) != rank or any(len(row) != rank for row in bits):
+        table = []
+        for lineno, line in rows:
+            entries = line.split()
+            if not {*entries} <= {"0", "1"}:  # other spellings go through int()
+                entries = ["01"[_int(x, lineno, "matrix rows must be 0/1 entries", (0, 1))]
+                           for x in entries]
+            table.append(entries)
+        if len(table) != rank or any(len(entries) != rank for entries in table):
             raise ParseError(f"operator matrix must be {rank}x{rank}")
-        return tuple(sum(bits[i][j] << i for i in range(rank)) for j in range(rank))
+        # row i is bit i of each column, so the last row is its leading digit
+        return tuple(int("".join(col), 2) for col in zip(*reversed(table)))
 
     if K is not None:
         extra = set(sections) - set(range(K))
@@ -392,5 +407,9 @@ def parse_module(path: str | Path) -> RbkModule | TensorModule:
         return TensorModule(header["n"], K, tuple(degrees), ops)
     if len(sections) != 1:
         raise ParseError("a single-factor module needs exactly one [operator] block")
-    cols = to_columns(next(iter(sections.values())))
-    return RbkModule(header["n"], header.get("k", 0), tuple(degrees), cols)
+    (index, rows), = sections.items()
+    k = header.get("k", 0)
+    if index in explicit and index != k:
+        raise ParseError(f"operator index {index} differs from the module's k = {k}",
+                         explicit[index])
+    return RbkModule(header["n"], k, tuple(degrees), to_columns(rows))

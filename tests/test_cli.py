@@ -589,6 +589,34 @@ def test_json_renderer_matches_json_dumps(value):
     assert cli._json(value, 0) == json.dumps(value, sort_keys=True, indent=2)
 
 
+@st.composite
+def nested_tor_ranges(draw):
+    """A _TorRange two levels deep in dicts and lists beside other values,
+    and the same value with the range as the plain dict it renders as."""
+    lo, hi = draw(st.one_of(st.tuples(st.integers(-3, 30), st.integers(-3, 30)), FAR))
+    start = max(lo, 1)
+    low = {i: draw(REPORT_VALUES) for i in range(lo, min(hi, 0) + 1)}
+    classes = {i % 2: draw(REPORT_VALUES) for i in range(start, min(hi, start + 1) + 1)}
+    value = cli._TorRange(low, classes, start, hi)
+    plain = {**{f"Tor_{i}": entry for i, entry in low.items()},
+             **{f"Tor_{i}": classes[i % 2] for i in range(start, hi + 1)}}
+    for _ in range(2):
+        other, key, other_key = draw(REPORT_VALUES), draw(st.text(max_size=3)), draw(
+            st.text(max_size=3))
+        if draw(st.booleans()):
+            value, plain = [other, value], [other, plain]
+        else:
+            value, plain = {other_key: other, key: value}, {other_key: other, key: plain}
+    return value, plain
+
+
+@SETTINGS
+@given(drawn=nested_tor_ranges())
+def test_json_renderer_expands_a_nested_tor_range(drawn):
+    value, plain = drawn
+    assert cli._json(value, 0) == json.dumps(plain, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("value", [{1: "a"}, {"a": {2: None}}, 0.5, {"a": [1, 1.5]},
                                    Level.LOW, {"a": (Level.HIGH,)}],
                          ids=["int-key", "nested-int-key", "float", "nested-float",

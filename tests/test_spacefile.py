@@ -1,15 +1,22 @@
 import json
+import tempfile
 import time
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from moravak import gf2
 from moravak.ahss import SpaceModel
 from moravak.cli import main
 from moravak.errors import ParseError, ValidationError
 from moravak.obstruct import ManifoldData
+from moravak.rbk import RbkModule
 from moravak.twistgroup import MAX_FACTORS
 from moravak.spacefile import (
     MAX_MODULE_RANK,
+    _int,
     parse_file,
     parse_module,
     parse_space,
@@ -171,6 +178,10 @@ MALFORMED = [
      "tor", 4),
     ("repeat.module", MODULE_HEAD + "[operator]\n0\n[operator 0]\n1\n", "tor", 2),
     ("entry.module", MODULE_HEAD + "[operator]\n2\n", "tor", 2),
+    # an explicit block index names the factor: it must be the module's k
+    ("opk.module", MODULE_HEAD + "[operator 3]\n1\n", "tor", 2),
+    ("opk.module", MODULE_HEAD + "[operator 3]\n1\n", "khorami", 2),
+    ("opk1.module", MODULE_HEAD + "k 1\n[operator 0]\n1\n", "tor", 2),
     ("w.space", "[generators]\nt 1\n[metadata]\nw x g\n", "ahss", 2),
     ("integral.space", "[generators]\nt 1\n[integral]\nx g\n", "ahss", 2),
     ("gens.space", '{"generators": 5}', "ahss", 2),
@@ -285,3 +296,78 @@ def test_index_and_torsion_classes_are_checked(tmp_path, capsys, form, row, mess
             "--a2", "c"]
     assert main(argv) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_operator_block_index_is_the_module_factor(tmp_path):
+    """[operator j] in a single-factor file is the block of factor j: it
+    loads under k j and is refused, at its header's line, under another k."""
+    block = "[operator 3]\n1\n"
+    assert parse_module(write(tmp_path, MODULE_HEAD + "k 3\n" + block, "k3.module")).k == 3
+    with pytest.raises(ParseError) as exc:
+        parse_module(write(tmp_path, MODULE_HEAD + block, "k0.module"))
+    assert str(exc.value) == "line 5: operator index 3 differs from the module's k = 0"
+
+
+def reference_columns(rows, rank):
+    """Columns of operator rows as parse_module read them before its fast
+    path for plain 0/1 rows: every entry through _int, then the shape."""
+    bits = [[_int(x, lineno, "matrix rows must be 0/1 entries", (0, 1))
+             for x in line.split()] for lineno, line in rows]
+    if len(bits) != rank or any(len(row) != rank for row in bits):
+        raise ParseError(f"operator matrix must be {rank}x{rank}")
+    return tuple(sum(bits[i][j] << i for i in range(rank)) for j in range(rank))
+
+
+def outcome(load):
+    try:
+        return load()
+    except (ParseError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+
+
+# every idempotent matrix of rank 1..3, by columns: most drawn rows load
+IDEMPOTENTS = {r: [cols for cols in product(range(1 << r), repeat=r)
+                   if gf2.compose_columns(cols, cols) == list(cols)] for r in (1, 2, 3)}
+SPELLINGS = {0: ["0", "00", "+0", "-0", "0_0", "\u0660"],  # U+0660: Arabic-Indic zero
+             1: ["1", "01", "+1", "0_1", "\u0661"]}
+BAD_ENTRIES = ["2", "x", "1_0", "-1", "1.0", "_1", "0x1"]
+
+
+@st.composite
+def operator_rows(draw):
+    """Rank and rows of an idempotent matrix: entries mostly plain, some in
+    other spellings int() reads, rarely a bad entry, a row too long or too
+    short, or a row too many or too few."""
+    rank = draw(st.integers(1, 3))
+    cols = draw(st.sampled_from(IDEMPOTENTS[rank]))
+    plain = st.integers(0, 5).map(lambda r: r > 1)
+    rows = []
+    for i in range(rank):
+        entries = [SPELLINGS[c >> i & 1][0] if draw(plain)
+                   else draw(st.sampled_from(SPELLINGS[c >> i & 1])) for c in cols]
+        if draw(st.integers(0, 15)) == 0:
+            entries[draw(st.integers(0, rank - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+        if draw(st.integers(0, 15)) == 0:
+            entries = entries[:-1] if draw(st.booleans()) else entries + ["0"]
+        rows.append(" ".join(entries))
+    if draw(st.integers(0, 15)) == 0:
+        rows = rows[:-1] if draw(st.booleans()) else rows + [" ".join("0" * rank)]
+    return rank, rows
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=operator_rows())
+def test_matrix_rows_read_as_every_entry_through_int(drawn):
+    """parse_module reads plain 0/1 rows without int(); it must give the
+    columns, or the error and line, that reading every entry does."""
+    rank, rows = drawn
+    head = ["[module]", "n 2", f"rank {rank}", "degrees " + " ".join("0" * rank),
+            "[operator]"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.module"
+        path.write_text("\n".join(head + rows) + "\n", encoding="utf-8")
+        got = outcome(lambda: parse_module(path))
+    numbered = list(enumerate(rows, start=len(head) + 1))
+    assert got == outcome(lambda: RbkModule(2, 0, (0,) * rank,
+                                            reference_columns(numbered, rank)))
