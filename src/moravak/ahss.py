@@ -245,9 +245,6 @@ class IntegralPageResult:
     page: Page
     certificates: dict
 
-    def certificate(self, p: int, i: int) -> TriState:
-        return self.certificates[p][i]
-
 
 def integral_first_differential(page: Page, space: SpaceModel,
                                 twist: GradedElement) -> IntegralPageResult:

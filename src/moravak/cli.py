@@ -457,9 +457,8 @@ def cmd_fgl(args) -> Report:
     if args.two_series:
         payload["two_series"] = str(two_series(F))
     if args.solve_theta is not None:
-        thetas = solve_theta(F, args.solve_theta)
-        payload["theta"] = {f"theta_{i}": v
-                            for i, v in enumerate(thetas.values, start=1)}
+        payload["theta"] = {f"theta_{i}": v for i, v in
+                            enumerate(solve_theta(F, args.solve_theta), start=1)}
     if args.height:
         h = height(F)
         payload["height"] = h if h is not None else \

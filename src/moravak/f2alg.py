@@ -493,15 +493,21 @@ class PresentedAlgebra:
         """One echelon of every relation times every window key of degree
         at most the cap less the relation's, as the window-wide pivot
         index, and the window numbers that are no pivots, ascending, with
-        the start of each degree among them."""
+        the start of each degree among them.
+
+        Only the rows of the relations' own echelon are multiplied: its
+        multiples span what the relations' multiples span, and the fully
+        reduced echelon depends only on the span, so a repeated relation
+        or a sum of others adds no work."""
         keys, offsets, numbers = self._number_keys, self._offsets, self._key_numbers
-        # a term that is a multiple of a folded power has no key: it is zero
-        relations = [(self.degree_of(r), [k for k in map(self._key, r.terms) if k is not None])
-                     for r in self.relations]
+        # a term that is a multiple of a folded power is zero in _bits; each
+        # row is homogeneous, of the degree of its top key
+        relations = [(keys[row.bit_length() - 1] >> self._degree_shift, self._keys(row))
+                     for row in gf2.reduce_rows(map(self._bits, self.relations))]
         # a sum that is no key is zero: an exterior square or a folded power;
         # the rows are made as the elimination takes them, not held
         rows = (sum(1 << numbers[k + t] for t in terms if k + t in numbers)
-                for dr, terms in relations if terms
+                for dr, terms in relations
                 for k in keys[:offsets[self.degree_cap - dr + 1]])
         echelon = gf2.reduce_rows(row for row in rows if row)
         self._pivots, self._pivot_mask = echelon.by_pivot, echelon.mask

@@ -21,7 +21,6 @@ MAX_POWER_TERMS terms of powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import add, mul
@@ -216,24 +215,6 @@ class Series:
     __repr__ = __str__
 
 
-def series_from_coefficients(coeffs: Sequence[int], trunc: int = DEFAULT_TRUNCATION,
-                             modulus: int = 2) -> Series:
-    """1-variable series from the list [c_0, c_1, ...]."""
-    return Series(1, trunc, modulus, {(i,): c for i, c in enumerate(coeffs)})
-
-
-@dataclass(frozen=True)
-class ThetaAssignment:
-    """Solved coefficients theta_1..theta_I of the 2-series expansion."""
-
-    values: tuple[int, ...]
-
-    def __getitem__(self, i: int) -> int:
-        if i < 1 or i > len(self.values):
-            raise IndexError(f"theta index {i} out of range")
-        return self.values[i - 1]
-
-
 class FGL:
     """A commutative one-dimensional formal group law, truncated."""
 
@@ -301,8 +282,9 @@ def two_series(F: FGL) -> Series:
     return F.law.compose([x, x])
 
 
-def solve_theta(F: FGL, count: int, target: Series | None = None) -> ThetaAssignment:
-    """Solve target = (linear term) +_F sum_F theta_i x^{2^i} for theta.
+def solve_theta(F: FGL, count: int, target: Series | None = None) -> tuple[int, ...]:
+    """Solve target = (linear term) +_F sum_F theta_i x^{2^i} for theta;
+    returns (theta_1, ..., theta_count).
 
     The default target is F's own 2-series.  theta_i is read off degree
     2^i of the residual because mixed formal-sum terms start strictly
@@ -338,7 +320,7 @@ def solve_theta(F: FGL, count: int, target: Series | None = None) -> ThetaAssign
     low = resid.lowest_term()
     if low is not None:
         raise Not2TypicalError(sum(low[0]))
-    return ThetaAssignment(tuple(thetas))
+    return tuple(thetas)
 
 
 def height(F: FGL) -> int | None:
@@ -356,10 +338,8 @@ def height(F: FGL) -> int | None:
     return exp.bit_length() - 1
 
 
-def grouplike_check(alpha: Series | Sequence[int], F: FGL) -> bool:
+def grouplike_check(alpha: Series, F: FGL) -> bool:
     """Whether alpha(F(y,z)) = alpha(y) alpha(z) to the truncation order."""
-    if not isinstance(alpha, Series):
-        alpha = series_from_coefficients(alpha, F.trunc, F.modulus)
     if alpha.coefficient((0,)) != 1:
         raise ValidationError("grouplike candidates have constant term 1")
     y = Series.variable(0, 2, F.trunc, F.modulus)

@@ -56,16 +56,9 @@ def _eliminate(vec: int, mask: int, by_pivot: dict[int, int]) -> int:
     return vec
 
 
-def reduce_vector(vec: int, reduced: Sequence[int]) -> int:
-    """Reduce vec against fully reduced rows (highest-pivot convention).
-
-    ``reduced`` is the result of ``reduce_rows`` or any list of rows
-    with distinct pivots in which no row has another row's pivot bit,
-    such as a subset of one; a plain list is indexed on the fly."""
-    if isinstance(reduced, _Echelon):
-        return _eliminate(vec, reduced.mask, reduced.by_pivot)
-    by_pivot = {b.bit_length() - 1: b for b in reduced}
-    return _eliminate(vec, sum(1 << p for p in by_pivot), by_pivot)
+def reduce_vector(vec: int, reduced: _Echelon) -> int:
+    """Reduce vec against the result of ``reduce_rows``."""
+    return _eliminate(vec, reduced.mask, reduced.by_pivot)
 
 
 def _forward(rows: Iterable[int]) -> tuple[dict[int, int], int]:
@@ -88,7 +81,7 @@ def pivots(rows: Iterable[int]) -> int:
     return _forward(rows)[1]
 
 
-def reduce_rows(rows: Iterable[int]) -> list[int]:
+def reduce_rows(rows: Iterable[int]) -> _Echelon:
     """Row-reduce, pivoting on highest set bits; returns nonzero rows."""
     by_pivot, mask = _forward(rows)
     # back-substitute, lowest pivot first: the rows below are final
@@ -98,7 +91,7 @@ def reduce_rows(rows: Iterable[int]) -> list[int]:
     return _Echelon(by_pivot, mask)
 
 
-def in_span(vec: int, reduced: Sequence[int]) -> bool:
+def in_span(vec: int, reduced: _Echelon) -> bool:
     return reduce_vector(vec, reduced) == 0
 
 

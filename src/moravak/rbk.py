@@ -167,11 +167,6 @@ class TensorModule:
         ops[module.k] = module.operator
         return cls(module.n, truncation, module.degrees, tuple(ops))
 
-    @classmethod
-    def point(cls, n: int, truncation: int = DEFAULT_TENSOR_TRUNCATION) -> "TensorModule":
-        """Rank one, every operator zero."""
-        return cls(n, truncation, (0,), tuple((0,) for _ in range(truncation)))
-
 
 @dataclass(frozen=True)
 class GradedKnModule:
@@ -193,18 +188,6 @@ class GradedKnModule:
     @property
     def is_zero(self) -> bool:
         return not self.degree_classes
-
-
-def standard_module(which: StandardModule | str, n: int, k: int) -> RbkModule:
-    """The cyclic quotients M_k, N_k and the free rank-2 module R_k."""
-    which = StandardModule(which)
-    if which is StandardModule.M:
-        return RbkModule(n, k, (0,), (0,))
-    if which is StandardModule.N:
-        return RbkModule(n, k, (0,), (1,))
-    # free module on 1 and b_k; multiplication by b_k sends 1 -> b_k
-    # and b_k -> v^{2^k} b_k
-    return RbkModule(n, k, (0, b_degree(n, k)), (0b10, 0b10))
 
 
 def _resolution_maps(operator: Sequence[int],

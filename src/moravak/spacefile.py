@@ -295,11 +295,6 @@ def parse_file(path: str | Path) -> ParsedSpace:
     return ParsedSpace(manifold, IndexTable(values) if values else None)
 
 
-def parse_space(path: str | Path):
-    """SpaceModel or ManifoldData from a space file."""
-    return parse_file(path).model
-
-
 def _algebra_doc(space: SpaceModel) -> dict:
     """Generators, relations and the nonzero Sq table of one space."""
     gens, table = space.algebra.generators, space.action._table
@@ -355,13 +350,16 @@ def parse_module(path: str | Path) -> RbkModule | TensorModule:
     spelling of 0 or 1 that int() reads; row i, column j is the
     coefficient of generator i in b_k * generator j.  A single-factor
     module's block is [operator] or [operator k], k its header's factor
-    index.  The truncation and the rank are checked against their limits
-    before any list or matrix is built.
+    index.  A header with a truncation declares a tensor module, whose
+    [operator j] is factor j's block; it may not carry k.  The
+    truncation and the rank are checked against their limits before any
+    list or matrix is built.
     """
     explicit: dict[int, int] = {}  # factor index -> line of its [operator k]
     sections = _read_sections(_read(path),
                               lambda name, lineno: _module_section(name, lineno, explicit))
     header: dict[str, int] = {}
+    lines: dict[str, int] = {}  # header key -> its line
     degrees: list[int] = []
     for lineno, line in sections.pop("module", []):
         key, rest = (line.split(None, 1) + [""])[:2]
@@ -370,12 +368,16 @@ def parse_module(path: str | Path) -> RbkModule | TensorModule:
             degrees = [_int(x, lineno, f"bad degree {x!r}") for x in rest.split()]
         elif key in ("n", "k", "rank", "truncation"):
             header[key] = _int(rest, lineno, f"{key} expects an integer")
+            lines[key] = lineno
         else:
             raise ParseError(f"unknown module key {key!r}", lineno)
     if "n" not in header:
         raise ParseError("module file must declare n")
     K = header.get("truncation")
     if K is not None:
+        if "k" in header:
+            raise ParseError("k is for single-factor modules, not a module with a "
+                             "truncation", lines["k"])
         _check_factors(K)
     rank = header.get("rank", len(degrees))
     if rank > MAX_MODULE_RANK:

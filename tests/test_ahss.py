@@ -17,7 +17,7 @@ from moravak.errors import (
     WrongTwistDegreeError,
 )
 from moravak.f2alg import AlgebraMap, EXTERIOR, GradedGenerator, PresentedAlgebra, parse_element
-from moravak.spacefile import parse_space
+from moravak.spacefile import parse_file
 from moravak.steenrod import IntegralityData, SqAction, TriState, milnor_q, sq
 
 from conftest import FIXTURES, projective_product, random_element
@@ -26,11 +26,11 @@ from test_steenrod import ReferenceSq
 
 
 def s3_model() -> SpaceModel:
-    return parse_space(FIXTURES / "s3.space")
+    return parse_file(FIXTURES / "s3.space").model
 
 
 def synth12():
-    return parse_space(FIXTURES / "synth12.space").space
+    return parse_file(FIXTURES / "synth12.space").model.space
 
 
 def honest_height2_model(cap=16):
@@ -48,7 +48,7 @@ def wedge_model(cap=12):
 
 
 def test_e2_page_point():
-    space = parse_space(FIXTURES / "point.space")
+    space = parse_file(FIXTURES / "point.space").model
     page = e2_page(space, 1)
     assert page.rank(0) == 1
     assert all(page.rank(p) == 0 for p in range(1, 7))
@@ -65,7 +65,7 @@ def test_e2_page_s3():
 
 
 def test_e2_page_projective():
-    space = parse_space(FIXTURES / "rp_inf.space")
+    space = parse_file(FIXTURES / "rp_inf.space").model
     page = e2_page(space, 1)
     assert all(page.rank(p) == 1 for p in range(13))
 
@@ -254,9 +254,9 @@ def reference_columns(page, space, twist) -> dict:
 @pytest.mark.parametrize("model, n, twists", [
     (lambda: honest_height2_model(cap=12), 2, ["0", "t1^4 + t1*t2*t3^2", "t2^2*t3^2"]),
     (synth12, 2, ["0", "h4"]),
-    (lambda: parse_space(FIXTURES / "rp_inf.space"), 1, ["0", "t^3"]),
+    (lambda: parse_file(FIXTURES / "rp_inf.space").model, 1, ["0", "t^3"]),
     (synth12, 1, ["0"]),
-    (lambda: parse_space(FIXTURES / "fb12.space").space, 2, ["0"]),
+    (lambda: parse_file(FIXTURES / "fb12.space").model.space, 2, ["0"]),
     (wedge_model, 1, ["0", "a^3 + b^3"]),
 ], ids=["product", "synth12", "rp_inf", "synth12-n1", "fb12", "wedge"])
 def test_first_differential_columns_match_reference(model, n, twists):
@@ -270,7 +270,7 @@ def test_first_differential_columns_match_reference(model, n, twists):
 
 
 def test_edge_incomplete_flags_on_truncated_model():
-    space = parse_space(FIXTURES / "rp_inf.space")  # cap 12, truncated
+    space = parse_file(FIXTURES / "rp_inf.space").model  # cap 12, truncated
     page = first_differential(e2_page(space, 1), space,
                               space.algebra.zero)
     assert sorted(page.incomplete) == [10, 11, 12]
@@ -378,7 +378,7 @@ def reference_turn(page) -> dict:
 
 @pytest.mark.parametrize("model, n, twists", [
     (s3_model, 1, ["0", "h"]),
-    (lambda: parse_space(FIXTURES / "rp_inf.space"), 1, ["0", "t^3"]),
+    (lambda: parse_file(FIXTURES / "rp_inf.space").model, 1, ["0", "t^3"]),
     (synth12, 2, ["h4"]),
     (lambda: honest_height2_model(cap=12), 2, ["t1^4 + t1*t2*t3^2"]),
     # Sq^1(t1 t2): survivors of up to three terms
@@ -446,13 +446,28 @@ def test_integral_certificates_mixed_on_synthetic_model():
     syn = synth12()
     result = integral_first_differential(e2_page(syn, 2), syn,
                                          syn.algebra.zero)
-    assert result.certificate(0, 0) is TriState.YES       # d(1) = 0, unit integral
-    assert result.certificate(4, 0) is TriState.NO        # Q_2(h4) = h4 g7 != 0
-    assert result.certificate(6, 0) is TriState.UNKNOWN   # g6^2 not declared
+    assert result.certificates[0][0] is TriState.YES       # d(1) = 0, unit integral
+    assert result.certificates[4][0] is TriState.NO        # Q_2(h4) = h4 g7 != 0
+    assert result.certificates[6][0] is TriState.UNKNOWN   # g6^2 not declared
     # a nonzero twist without a Sq^2-certificate downgrades zero rows
     result2 = integral_first_differential(e2_page(syn, 2), syn,
                                           syn.algebra.element("h4"))
-    assert result2.certificate(0, 0) is TriState.NO       # shadow g7 is nonzero
+    assert result2.certificates[0][0] is TriState.NO       # shadow g7 is nonzero
+
+
+def test_nonzero_twist_at_n1_is_never_integral():
+    """At n = 1 the twist term is the twist itself, so a nonzero twist
+    gives no vanishing certificate even where Sq^2 of it is integral.
+    Column h of Lambda(h3, u5) with Sq^2 h = u, u integral, is zero under
+    both twists, and Sq^2 h lies in the integral image."""
+    alg = PresentedAlgebra([GradedGenerator("h", 3, EXTERIOR),
+                            GradedGenerator("u", 5, EXTERIOR)], (), 10)
+    act = SqAction(alg, {"h": {2: alg.element("u")}})
+    space = SpaceModel(alg, act, IntegralityData(act, {5: [alg.element("u")]}))
+    for twist, verdict in (("0", TriState.YES), ("h", TriState.UNKNOWN)):
+        result = integral_first_differential(e2_page(space, 1), space, alg.element(twist))
+        assert result.page.diff[3] == (0,)
+        assert result.certificates[3] == (verdict,)
 
 
 def test_integral_requirements():

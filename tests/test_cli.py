@@ -365,6 +365,10 @@ def test_truncation_error_names_the_order(capsys):
     # 100 generators of degree 6 000 .. 6 099 at cap 11 999, restricted to
     # a copy of themselves: commutation takes one comparison per generator
     ("obstruct", "--manifold", "{restricted}", "--check", "relative"),
+    # F2[a1, b1, c1] at cap 38 with the relation a + b given 200 and 1 000
+    # times: its copies add no row to the relations' echelon
+    ("ahss", "--space", "{tmp}/repeated200.space", "--n", "1", "--twist", "0"),
+    ("ahss", "--space", "{tmp}/repeated1000.space", "--n", "1", "--twist", "0"),
 ])
 def test_work_at_the_limits_is_bounded(capsys, tmp_path, argv):
     folded = tmp_path / "folded.space"
@@ -382,8 +386,12 @@ def test_work_at_the_limits_is_bounded(capsys, tmp_path, argv):
     restricted.write_text("[generators]\n" + generators + "\n[metadata]\ncap 11999\nw 6 0\n\n"
                           "[boundary-generators]\n" + generators + "\n[restriction]\n"
                           + "".join(f"g{i} g{i}\n" for i in range(100)))
+    for copies in (200, 1000):
+        (tmp_path / f"repeated{copies}.space").write_text(
+            "[generators]\na 1\nb 1\nc 1\n\n[relations]\n" + "a + b\n" * copies
+            + "\n[metadata]\ncap 38\n")
     argv = [arg.format(folded=folded, near_cap=near_cap, integral=integral,
-                       restricted=restricted, line=line_module(tmp_path))
+                       restricted=restricted, line=line_module(tmp_path), tmp=tmp_path)
             for arg in argv]
     start = time.perf_counter()
     assert main(list(argv)) == 0

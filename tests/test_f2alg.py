@@ -669,10 +669,18 @@ def exterior_relation(cap=10):
     return PresentedAlgebra(gens, [parse_element("a^3 + e*a^2 + a*f")], cap)
 
 
+def two_relations_of_one_degree(cap=8):
+    """F2[a1, b1, c1]/(a*b + c^2, a^2 + b*c): the relations' echelon has
+    two rows of degree 2, and the ideal needs the multiples of both."""
+    gens = [GradedGenerator(name, 1) for name in "abc"]
+    return PresentedAlgebra(gens, [parse_element("a*b + c^2"), parse_element("a^2 + b*c")],
+                            cap)
+
+
 INDEX_ALGEBRAS = [lambda gens=gens, cap=cap: PresentedAlgebra(gens, (), cap)
                   for gens, cap in WINDOW_ALGEBRAS] + [
     lambda: truncated_projective(9, 12)[0], cubic_relation, lambda: rbk_algebra(cap=18),
-    exterior_relation]
+    exterior_relation, two_relations_of_one_degree]
 
 
 @pytest.mark.parametrize("make", INDEX_ALGEBRAS)

@@ -31,7 +31,7 @@ from moravak.ahss import e2_page, first_differential, turn_page
 from moravak.cli import _twist_from_arg, main
 from moravak.errors import MoravakError
 from moravak.f2alg import GradedElement
-from moravak.spacefile import parse_space
+from moravak.spacefile import parse_file
 
 from test_input_files import SETTINGS, spaces, text_file
 
@@ -63,7 +63,7 @@ def assert_relabeling_keeps_ranks(text: str, data) -> None:
         path = Path(tmp) / "space.space"
         path.write_text(text)
         try:
-            model = parse_space(path)
+            model = parse_file(path).model
         except MoravakError:
             return
         algebra = getattr(model, "space", model).algebra
@@ -108,7 +108,7 @@ def euler_characteristics(space, n: int, twist: GradedElement) -> tuple[int, int
     ("rp6", 1, "0"), ("rp6", 1, "fundamental"), ("rp6", 2, "0"), ("rp6", 2, "fundamental"),
     ("s3", 1, "0"), ("s3", 1, "fundamental"), ("s3", 2, "0")])
 def test_turning_keeps_the_euler_characteristic_of_a_fixture(fixture, n, twist):
-    space = parse_space(fixtures.path(fixture, ".space"))
+    space = parse_file(fixtures.path(fixture, ".space")).model
     e2, turned = euler_characteristics(space, n, _twist_from_arg(space, n, twist))
     assert e2 == turned
 
@@ -128,7 +128,7 @@ def test_turning_keeps_the_euler_characteristic(a, e, b, spare, n, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "product.space"
         path.write_text(text)
-        space = parse_space(path)
+        space = parse_file(path).model
     twists = [GradedElement(frozenset())]
     if n + 2 <= top + spare and (basis := space.algebra.basis(n + 2)):
         twists.append(GradedElement(frozenset(data.draw(

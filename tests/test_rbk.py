@@ -18,24 +18,26 @@ from moravak.rbk import (
     bar_e2,
     b_degree,
     khorami_quotient,
-    standard_module,
     tor,
     v_degree,
 )
+from moravak.spacefile import parse_module
 from moravak.twistgroup import AlgebraHom
 
+from conftest import FIXTURES
 from oracles import dense_cokernel_rank, dense_rank_mod2
 from test_input_files import SETTINGS
 
 
 def test_standard_modules():
-    M0 = standard_module("M", 2, 0)
+    """The cyclic quotients M_k, N_k and the free rank-2 module R_k."""
+    M0 = RbkModule(2, 0, (0,), (0,))
     assert M0.rank == 1 and M0.operator == (0,)
-    N0 = standard_module("N", 2, 0)
+    N0 = RbkModule(2, 0, (0,), (1,))
     assert N0.operator == (1,)
-    R0 = standard_module("R", 2, 0)
+    # free on 1 and b_k; columns: b.1 = b, b.b = v^{2^k} b
+    R0 = RbkModule(2, 0, (0, b_degree(2, 0)), (0b10, 0b10))
     assert R0.degrees == (0, b_degree(2, 0))
-    # columns: b.1 = b, b.b = v^{2^k} b
     assert R0.operator == (0b10, 0b10)
 
 
@@ -60,15 +62,16 @@ def test_commutation_guard():
 
 
 def test_tor_examples():
-    M0 = standard_module("M", 2, 0)
-    N0 = standard_module("N", 2, 0)
+    M0 = RbkModule(2, 0, (0,), (0,))
+    N0 = RbkModule(2, 0, (0,), (1,))
+    R0 = RbkModule(2, 0, (0, b_degree(2, 0)), (0b10, 0b10))
     # Tor_0(M_0, M_0) has rank 1; Tor_0(N_0, M_0) dies since b acts invertibly
     assert tor(M0, "M", 0).rank == 1
     assert tor(N0, "M", 0).rank == 0
     assert tor(N0, "N", 0).rank == 1
     assert tor(M0, "N", 0).rank == 0
     for i in range(1, 5):
-        for P in (M0, N0, standard_module("R", 2, 0)):
+        for P in (M0, N0, R0):
             assert tor(P, "M", i).is_zero
             assert tor(P, "N", i).is_zero
     with pytest.raises(InvalidIndexError):
@@ -153,11 +156,11 @@ def test_bar_page_concentrated_in_degree_zero(rng):
 
 def test_khorami_examples():
     for n in (1, 2, 3):
-        assert khorami_quotient(TensorModule.point(n)).is_zero
+        assert khorami_quotient(TensorModule(n, 6, (0,), ((0,),) * 6)).is_zero
     # B_0 = v: the stacked map vanishes on the first factor
     P = TensorModule(2, 6, (0,), ((1,),) + ((0,),) * 5)
     assert khorami_quotient(P).rank == 1
-    Rfree = TensorModule.from_single(standard_module("R", 2, 0))
+    Rfree = TensorModule.from_single(RbkModule(2, 0, (0, b_degree(2, 0)), (0b10, 0b10)))
     assert khorami_quotient(Rfree).rank == 1
     page = bar_e2(Rfree, AlgebraHom.universal(2, 6))
     assert [e.rank for e in page] == [1, 0, 0, 0, 0]
@@ -165,13 +168,13 @@ def test_khorami_examples():
 
 def test_bar_page_augmentation_module():
     # every operator zero: the quotient forces the unit to die
-    P = TensorModule.point(2)
+    P = parse_module(FIXTURES / "point.module")
     page = bar_e2(P, AlgebraHom.universal(2, 6))
     assert page[0].is_zero
 
 
 def test_bar_page_hom_mismatch():
-    P = TensorModule.point(2, truncation=4)
+    P = TensorModule(2, 4, (0,), ((0,),) * 4)
     with pytest.raises(ValidationError):
         bar_e2(P, AlgebraHom.universal(2, 6))
     with pytest.raises(ValidationError):

@@ -19,7 +19,6 @@ from moravak.spacefile import (
     _int,
     parse_file,
     parse_module,
-    parse_space,
     serialize_model,
 )
 
@@ -34,10 +33,10 @@ def write(tmp_path, text, name="case.space"):
 
 def test_all_fixtures_parse():
     for name in ("s3", "point", "rp_inf"):
-        model = parse_space(FIXTURES / f"{name}.space")
+        model = parse_file(FIXTURES / f"{name}.space").model
         assert isinstance(model, SpaceModel)
     for name in ("synth12", "fb12", "m10", "pair12", "genspin"):
-        model = parse_space(FIXTURES / f"{name}.space")
+        model = parse_file(FIXTURES / f"{name}.space").model
         assert isinstance(model, ManifoldData)
 
 
@@ -52,24 +51,24 @@ def test_serialize_reparse_identity(tmp_path):
 def test_parse_errors_carry_line_numbers(tmp_path):
     path = write(tmp_path, "[generators]\nt one polynomial\n")
     with pytest.raises(ParseError) as exc:
-        parse_space(path)
+        parse_file(path).model
     assert "line 2" in str(exc.value)
     path = write(tmp_path, "stray content\n")
     with pytest.raises(ParseError) as exc:
-        parse_space(path)
+        parse_file(path).model
     assert "line 1" in str(exc.value)
     path = write(tmp_path, "[nonsense]\n")
     with pytest.raises(ParseError):
-        parse_space(path)
+        parse_file(path).model
     path = write(tmp_path, "[generators]\nt 1\n[sq]\nt t^2\n")
     with pytest.raises(ParseError):
-        parse_space(path)
+        parse_file(path).model
 
 
 def test_validation_errors_name_the_axiom(tmp_path):
     path = write(tmp_path, "[generators]\nt 1\n[relations]\nt + t^2\n")
     with pytest.raises(ValidationError) as exc:
-        parse_space(path)
+        parse_file(path).model
     assert "homogeneous" in str(exc.value)
     path = write(tmp_path, """
 [generators]
@@ -80,7 +79,7 @@ h 3
 g 1 g
 """.strip())
     with pytest.raises(ValidationError) as exc:
-        parse_space(path)
+        parse_file(path).model
     assert "homogeneous of degree 3" in str(exc.value)
 
 
@@ -93,13 +92,13 @@ t 1 polynomial   # trailing comment
 [metadata]
 cap 6            # another
 """.strip())
-    model = parse_space(path)
+    model = parse_file(path).model
     assert model.algebra.degree_cap == 6
 
 
 def test_missing_file():
     with pytest.raises(ParseError):
-        parse_space("/nonexistent/nowhere.space")
+        parse_file("/nonexistent/nowhere.space").model
     with pytest.raises(ParseError):
         parse_module("/nonexistent/nowhere.module")
 
@@ -110,11 +109,11 @@ def test_json_document_accepted(tmp_path):
         "sq": {"t": {"1": "t^2"}},
         "metadata": {"cap": 8},
     }
-    model = parse_space(write(tmp_path, json.dumps(doc)))
+    model = parse_file(write(tmp_path, json.dumps(doc))).model
     assert isinstance(model, SpaceModel)
     assert model.algebra.degree_cap == 8
     with pytest.raises(ParseError):
-        parse_space(write(tmp_path, "{not json"))
+        parse_file(write(tmp_path, "{not json")).model
 
 
 def test_restriction_without_boundary_rejected(tmp_path):
@@ -130,7 +129,7 @@ dimension 8
 w 6 0
 """.strip())
     with pytest.raises(ParseError):
-        parse_space(path)
+        parse_file(path).model
 
 
 def test_module_file_errors(tmp_path):
@@ -182,6 +181,9 @@ MALFORMED = [
     ("opk.module", MODULE_HEAD + "[operator 3]\n1\n", "tor", 2),
     ("opk.module", MODULE_HEAD + "[operator 3]\n1\n", "khorami", 2),
     ("opk1.module", MODULE_HEAD + "k 1\n[operator 0]\n1\n", "tor", 2),
+    # k names the factor of a single-factor module; a tensor module has none
+    ("ktensor.module", "[module]\nn 2\ntruncation 2\nk 7\nrank 1\n[operator]\n1\n",
+     "khorami", 2),
     ("w.space", "[generators]\nt 1\n[metadata]\nw x g\n", "ahss", 2),
     ("integral.space", "[generators]\nt 1\n[integral]\nx g\n", "ahss", 2),
     ("gens.space", '{"generators": 5}', "ahss", 2),
@@ -257,23 +259,23 @@ def test_largest_admitted_module_is_bounded(tmp_path, capsys):
 def test_json_errors_carry_no_line_number(tmp_path):
     doc = {"generators": [["t", "one"]]}
     with pytest.raises(ParseError) as exc:
-        parse_space(write(tmp_path, json.dumps(doc)))
+        parse_file(write(tmp_path, json.dumps(doc))).model
     assert str(exc.value) == "bad degree 'one'"
     doc = {"generators": [["t", 1]], "boundary": {"sq": []}}
     with pytest.raises(ParseError) as exc:
-        parse_space(write(tmp_path, json.dumps(doc)))
+        parse_file(write(tmp_path, json.dumps(doc))).model
     assert str(exc.value) == "bad JSON document: boundary.sq must be an object"
     for doc, field in (({"generator": [["t", 1]]}, "generator"),
                        ({"boundary": {"integral": {}}}, "boundary.integral")):
         with pytest.raises(ParseError) as exc:
-            parse_space(write(tmp_path, json.dumps(doc)))
+            parse_file(write(tmp_path, json.dumps(doc))).model
         assert str(exc.value) == f"bad JSON document: unknown field {field}"
 
 
 def test_repeated_sections_rejected(tmp_path):
     path = write(tmp_path, "[generators]\nt 1\n[metadata]\ncap 4\n[generators]\ns 2\n")
     with pytest.raises(ParseError) as exc:
-        parse_space(path)
+        parse_file(path).model
     assert str(exc.value) == "line 5: repeated section [generators]"
 
 
