@@ -116,6 +116,14 @@ def corpus_argv() -> list[list[str]]:
               ["obstruct", "--manifold", "m10", "--check", "string", "--h4", "b"],
               ["obstruct", "--manifold", "pair12", "--check", "string", "--h4", "u4"],
               ["obstruct", "--manifold", "m10", "--check", "relative", "--h4", "c"]]
+    # a single-factor module file, which tor reads as is and khorami places
+    # in the default tensor truncation
+    argvs += [["tor", "--module", "b1free", "--against", "M"],
+              ["tor", "--module", "b1free", "--against", "N"],
+              ["tor", "--module", "b1free", "--k", "1"],
+              ["khorami", "--module", "b1free"]]
+    # the degree note at an odd prime
+    argvs += [["twist", "--vanishing", "5", "3", "--p", "3"]]
     return argvs
 
 
