@@ -31,14 +31,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from . import gf2
-from .errors import (
-    DifferentialNotFilledError,
-    InconsistentActionError,
-    IntegralDataRequiredError,
-    NotIntegralError,
-    ValidationError,
-    WrongTwistDegreeError,
-)
+from .errors import ComputationError, ValidationError
 from .f2alg import GradedElement, PresentedAlgebra, ZERO
 from .rbk import _check_height, v_degree
 from .steenrod import IntegralityData, SqAction, TriState, sq
@@ -160,8 +153,7 @@ def _twist_bits(space: SpaceModel, twist: GradedElement, n: int) -> int:
     if key not in space._phis:
         alg = space.algebra
         phi = alg._bits(alg._homogeneous(
-            twist, n + 2, f"twist must be homogeneous of degree {n + 2}",
-            WrongTwistDegreeError))
+            twist, n + 2, f"twist must be homogeneous of degree {n + 2}"))
         for j in range(1, n):
             phi = space.action._q(j, phi)
         space._phis[key] = phi
@@ -206,9 +198,9 @@ def first_differential(page: Page, space: SpaceModel, twist: GradedElement) -> P
                 if gf2.apply_columns(down, col):
                     h = alg.reduce(twist)
                     if beta := sq(1, h, action):  # then h is no integral reduction
-                        raise NotIntegralError(
+                        raise ValidationError(
                             f"twist {h} reduces from no integral class: Sq^1 of it is {beta}")
-                    raise InconsistentActionError(
+                    raise ComputationError(
                         f"d^2 != 0 out of column {p}; the Sq table is inconsistent")
     return Page(n, page.algebra, page.coords, diff, frozenset(incomplete), page.label)
 
@@ -223,7 +215,7 @@ def turn_page(page: Page) -> Page:
     kernel is not computable inside the window.
     """
     if page.diff is None:
-        raise DifferentialNotFilledError("fill the differential before turning")
+        raise ComputationError("fill the differential before turning")
     R = page.step
     coords = dict(page.coords)  # incomplete columns have no diff and stay
     for p, out in page.diff.items():  # out has one column per class
@@ -260,7 +252,7 @@ def integral_first_differential(page: Page, space: SpaceModel,
     innermost factor of the composite).  Everything else is unknown.
     """
     if space.integ is None:
-        raise IntegralDataRequiredError("the space carries no integral-image data")
+        raise ValidationError("the space carries no integral-image data")
     integ = space.integ
     filled = first_differential(page, space, twist)
     h = space.algebra.reduce(twist)

@@ -71,14 +71,7 @@ from operator import ne
 from typing import Mapping, Sequence
 
 from . import gf2
-from .errors import (
-    ComputationError,
-    DegreeCapExceededError,
-    IllFormedElementError,
-    InvalidPairError,
-    ParseError,
-    ValidationError,
-)
+from .errors import ComputationError, ParseError, ValidationError
 
 POLYNOMIAL = "polynomial"
 EXTERIOR = "exterior"
@@ -216,7 +209,7 @@ class PresentedAlgebra:
 
     def generator(self, name: str) -> GradedElement:
         if name not in self._by_name:
-            raise IllFormedElementError(f"unknown generator {name!r}")
+            raise ValidationError(f"unknown generator {name!r}")
         return GradedElement(frozenset({((name, 1),)}))
 
     def element(self, text: str) -> GradedElement:
@@ -249,17 +242,16 @@ class PresentedAlgebra:
         if not degs:
             return None
         if len(degs) > 1:
-            raise IllFormedElementError(f"element is not homogeneous: {e}")
+            raise ValidationError(f"element is not homogeneous: {e}")
         return degs.pop()
 
-    def _homogeneous(self, e: GradedElement, degree: int, message: str,
-                     error: type = ValidationError) -> GradedElement:
+    def _homogeneous(self, e: GradedElement, degree: int, message: str) -> GradedElement:
         """The canonical form of a declared class, which must be zero or
-        of the given degree, else error(message); a form of several
-        degrees raises as in degree_of."""
+        of the given degree, else ValidationError(message); a form of
+        several degrees raises as in degree_of."""
         e = self.reduce(e)
         if e and self.degree_of(e) != degree:
-            raise error(message)
+            raise ValidationError(message)
         return e
 
     # -- canonical form ---------------------------------------------------
@@ -268,7 +260,7 @@ class PresentedAlgebra:
         try:
             return self._by_name[name]
         except KeyError:
-            raise IllFormedElementError(f"unknown generator {name!r}") from None
+            raise ValidationError(f"unknown generator {name!r}") from None
 
     def _check_monomial(self, m: Monomial) -> bool:
         """Validate every factor's generator and exponent; returns False
@@ -277,7 +269,7 @@ class PresentedAlgebra:
         for name, exp in m:
             g = self._gen(name)
             if exp < 0:
-                raise IllFormedElementError(
+                raise ValidationError(
                     f"negative exponent on non-invertible generator {name}")
             square = square or g.kind == EXTERIOR and exp >= 2
         return not square
@@ -398,7 +390,7 @@ class PresentedAlgebra:
 
     def _check_degree(self, d: int):
         if d < 0 or d > self.degree_cap:
-            raise DegreeCapExceededError(
+            raise ValidationError(
                 f"degree {d} outside window [0, {self.degree_cap}]")
 
     def _normalize_relation(self, r: GradedElement) -> GradedElement:
@@ -616,14 +608,14 @@ class AlgebraMap:
         self.images = {}
         for g in source.generators:
             if g.name not in images:
-                raise InvalidPairError(f"no image supplied for generator {g.name}")
+                raise ValidationError(f"no image supplied for generator {g.name}")
             self.images[g.name] = target._homogeneous(
                 images[g.name], g.degree,
-                f"image of {g.name} is not homogeneous of degree {g.degree}", InvalidPairError)
+                f"image of {g.name} is not homogeneous of degree {g.degree}")
         self._map = _GeneratorMap(source, target, {
             name: target._reduced_bits(img) for name, img in self.images.items()})
         if failing := self._map._first_nonzero():
-            raise InvalidPairError(f"relation {failing[0]} is not carried to zero")
+            raise ValidationError(f"relation {failing[0]} is not carried to zero")
 
     def apply(self, e: GradedElement) -> GradedElement:
         """The image of e, term by term: a sum of canonical forms, hence

@@ -26,7 +26,7 @@ from math import comb
 from operator import add, mul
 from typing import Mapping, Sequence
 
-from .errors import ComputationError, Not2TypicalError, ValidationError
+from .errors import ComputationError, ValidationError
 
 DEFAULT_TRUNCATION = 16
 # solve_theta reports one value per theta; longer lists are refused
@@ -302,7 +302,7 @@ def solve_theta(F: FGL, count: int, target: Series | None = None) -> tuple[int, 
         target = two_series(F)
     lin = target.coefficient((1,))
     if lin % 2 != 0 and F.modulus > 2:
-        raise Not2TypicalError(1, "2-series has a unit linear term")
+        raise ComputationError("2-series has a unit linear term")
 
     def plus(acc: Series, exponent: int, c: int) -> Series:
         """acc +_F c x^exponent; F(0, z) = z needs no composition."""
@@ -319,7 +319,7 @@ def solve_theta(F: FGL, count: int, target: Series | None = None) -> tuple[int, 
     resid = target - folded
     low = resid.lowest_term()
     if low is not None:
-        raise Not2TypicalError(sum(low[0]))
+        raise ComputationError(f"not 2-typical: unmatched term at degree {sum(low[0])}")
     return tuple(thetas)
 
 

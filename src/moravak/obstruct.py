@@ -27,15 +27,7 @@ from typing import Mapping, Optional
 
 from . import gf2
 from .ahss import SpaceModel
-from .errors import (
-    AnomalyRelationViolatedError,
-    DegreeCapExceededError,
-    HypothesisViolatedError,
-    InvalidPairError,
-    MissingClassError,
-    NotIntegralError,
-    ValidationError,
-)
+from .errors import HypothesisViolatedError, ValidationError
 from .f2alg import AlgebraMap, GradedElement, ZERO
 from .steenrod import TriState, _beta_certificate, commutes_with_sq, milnor_q, sq
 
@@ -63,7 +55,7 @@ class PairModel:
 
     def __post_init__(self):
         if self.restriction.target is not self.space.algebra:
-            raise InvalidPairError("restriction does not land in the boundary algebra")
+            raise ValidationError("restriction does not land in the boundary algebra")
 
 
 @dataclass
@@ -110,7 +102,7 @@ class ManifoldData:
                 raise ValidationError("string flag requires w_4 = 0")
         if self.lam != ZERO:
             if 4 not in self.sw:
-                raise MissingClassError("lambda declared but w_4 is missing")
+                raise ValidationError("lambda declared but w_4 is missing")
             if self.lam != self.sw[4]:
                 raise ValidationError("lambda must reduce to w_4 mod 2")
         self.pairing = alg._homogeneous(self.pairing, self.dimension,
@@ -120,9 +112,9 @@ class ManifoldData:
         if self.boundary is not None:
             res = self.boundary.restriction
             if res.source is not alg:
-                raise InvalidPairError("restriction is not defined on this space")
+                raise ValidationError("restriction is not defined on this space")
             if not commutes_with_sq(res, self.space.action, self.boundary.space.action):
-                raise InvalidPairError("restriction does not commute with Sq")
+                raise ValidationError("restriction does not commute with Sq")
 
     @property
     def is_spin(self) -> bool:
@@ -142,7 +134,7 @@ class ManifoldData:
             return ZERO
         if self.is_spin and i in (1, 2, 3):
             return ZERO
-        raise MissingClassError(f"w_{i} is required but was not declared")
+        raise ValidationError(f"w_{i} is required but was not declared")
 
     def pair(self, e: GradedElement) -> int:
         """Evaluation <e, [X]> against the declared pairing functional."""
@@ -185,7 +177,7 @@ def wu_sq(m: ManifoldData, i: int, j: int) -> GradedElement:
         raise ValidationError("wu_sq expects 0 <= i <= j with j >= 1")
     alg = m.space.algebra
     if i + j > alg.degree_cap:
-        raise DegreeCapExceededError(
+        raise ValidationError(
             f"Sq^{i}(w_{j}) has degree {i + j}, beyond the cap {alg.degree_cap}")
     out = ZERO
     for t in range(i + 1):
@@ -201,7 +193,7 @@ def _require_integral_degree(m: ManifoldData, e: GradedElement, degree: int,
                              what: str) -> GradedElement:
     e = m.space.algebra._homogeneous(e, degree, f"{what} must be homogeneous of degree {degree}")
     if m.space.integ is not None and not m.space.integ.contains(e):
-        raise NotIntegralError(f"{what} is not in the declared integral image")
+        raise ValidationError(f"{what} is not in the declared integral image")
     return e
 
 
@@ -244,7 +236,7 @@ def heterotic_check(m: ManifoldData, a: GradedElement,
     a, b = (alg._homogeneous(cls, 4, f"class {name} must have degree 4")
             for name, cls in (("a", a), ("b", b)))
     if a + b != m.lam:
-        raise AnomalyRelationViolatedError("a + b = lambda fails on this data")
+        raise ValidationError("a + b = lambda fails on this data")
     failed = []
     if sq(1, sq(2, a, m.space.action), m.space.action) != ZERO:
         failed.append("Sq3(a) = 0")

@@ -27,12 +27,7 @@ from math import comb
 from typing import Sequence
 
 from . import gf2
-from .errors import (
-    ComputationError,
-    InvalidIndexError,
-    InvalidTensorModuleError,
-    ValidationError,
-)
+from .errors import ComputationError, ValidationError
 from .twistgroup import AlgebraHom
 
 DEFAULT_TENSOR_TRUNCATION = 6
@@ -134,16 +129,12 @@ class TensorModule:
         for k, cols in enumerate(ops):
             first.setdefault(cols, k)
         for cols, k in first.items():
-            try:
-                _check_operator(cols, self.degrees, self.n, f"factor {k}")
-            except ValidationError as err:
-                raise InvalidTensorModuleError(str(err)) from None
+            _check_operator(cols, self.degrees, self.n, f"factor {k}")
         distinct = [(cols, k) for cols, k in first.items() if any(cols)]
         for i, (a_cols, a) in enumerate(distinct):
             for b_cols, b in distinct[i + 1:]:
                 if gf2.compose_columns(a_cols, b_cols) != gf2.compose_columns(b_cols, a_cols):
-                    raise InvalidTensorModuleError(
-                        f"operators {a} and {b} do not commute")
+                    raise ValidationError(f"operators {a} and {b} do not commute")
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -228,7 +219,7 @@ def tor(P: RbkModule, against: StandardModule | str, i: int) -> GradedKnModule:
     if against is StandardModule.R:
         raise ValidationError("Tor is computed against the cyclic quotients M or N")
     if i < 0:
-        raise InvalidIndexError(f"homological index must be nonnegative: {i}")
+        raise ValidationError(f"homological index must be nonnegative: {i}")
     maps = _resolution_maps(P.operator, against)
     out = maps[i % 2] if i else [0] * P.rank
     image = maps[(i + 1) % 2]

@@ -43,7 +43,7 @@ import enum
 from typing import Mapping, Sequence
 
 from . import gf2
-from .errors import NotIntegralError, ValidationError
+from .errors import ValidationError
 from .f2alg import (
     AlgebraMap,
     GradedElement,
@@ -290,7 +290,7 @@ def sq_z(k: int, e: GradedElement, action: SqAction,
         raise ValidationError("index must be nonnegative")
     e = action.algebra.reduce(e)
     if not integ.contains(e):
-        raise NotIntegralError(f"class is not in the declared integral image: {e}")
+        raise ValidationError(f"class is not in the declared integral image: {e}")
     return _beta_certificate(sq(2 * k, e, action), action, integ)
 
 

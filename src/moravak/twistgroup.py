@@ -17,12 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from . import gf2
-from .errors import (
-    ComputationError,
-    MalformedExponentListError,
-    NotGrouplikeError,
-    ValidationError,
-)
+from .errors import ComputationError, ValidationError
 
 DEFAULT_TRUNCATION = 8
 # a series truncated at y^(2^M) is an int of 2^M bits; this bounds it
@@ -59,9 +54,9 @@ class TwistElement:
         _check_truncation(self.truncation)
         ks = self.exponents
         if list(ks) != sorted(set(ks)):
-            raise MalformedExponentListError(f"exponents must strictly increase: {ks}")
+            raise ValidationError(f"exponents must strictly increase: {ks}")
         if ks and (ks[0] < 0 or ks[-1] >= self.truncation):
-            raise MalformedExponentListError(
+            raise ValidationError(
                 f"exponents must lie in [0, {self.truncation}): {ks}")
 
     @property
@@ -164,15 +159,15 @@ def factor_series(bits: int, truncation: int) -> TwistElement:
     mask = (1 << (1 << truncation)) - 1
     bits &= mask
     if not bits & 1:
-        raise NotGrouplikeError("series has no constant term 1")
+        raise ComputationError("series has no constant term 1")
     exps = gf2.bits(bits)
     d = 0
     for e in exps:
         d |= e
     if d >= (1 << truncation):
-        raise NotGrouplikeError("series exponents exceed the truncation order")
+        raise ComputationError("series exponents exceed the truncation order")
     if len(exps) != (1 << bin(d).count("1")) or any((e & d) != e for e in exps):
-        raise NotGrouplikeError("series is not a product of (1 + y^{2^k}) factors")
+        raise ComputationError("series is not a product of (1 + y^{2^k}) factors")
     return TwistElement(tuple(gf2.bits(d)), truncation)
 
 

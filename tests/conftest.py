@@ -23,6 +23,12 @@ SEED = int(os.environ.get("MORAVAK_SEED", "20260810"))
 
 FIXTURES = Path(__file__).parent.parent / "src" / "moravak" / "fixtures"
 
+# the messages an ill-formed element raises: an unknown generator, a
+# negative exponent on a generator that is not invertible, a form of
+# several degrees
+ILL_FORMED = (r"^(unknown generator |negative exponent on non-invertible generator "
+              r"|element is not homogeneous: )")
+
 
 @pytest.fixture
 def rng():

@@ -4,13 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from moravak import f2alg, gf2
-from moravak.errors import (
-    ComputationError,
-    DegreeCapExceededError,
-    IllFormedElementError,
-    InvalidPairError,
-    ValidationError,
-)
+from moravak.errors import ComputationError, ValidationError
 from moravak.f2alg import (
     EXTERIOR,
     POLYNOMIAL,
@@ -25,6 +19,7 @@ from moravak.f2alg import (
 )
 
 from conftest import (
+    ILL_FORMED,
     exterior_pair,
     presentations,
     projective_product,
@@ -72,12 +67,12 @@ def test_degreewise_basis_examples():
 
 def test_basis_out_of_window():
     alg, _ = projective_space(8)
-    with pytest.raises(DegreeCapExceededError):
+    with pytest.raises(ValidationError, match=r"^degree 9 outside window \[0, 8\]$"):
         alg.basis(9)
-    with pytest.raises(DegreeCapExceededError):
+    with pytest.raises(ValidationError, match=r"^degree -1 outside window \[0, 8\]$"):
         alg.basis(-1)
     for d in (-1, 9):
-        with pytest.raises(DegreeCapExceededError) as exc:
+        with pytest.raises(ValidationError) as exc:
             alg.express_bits(alg.generator("t"), d)
         assert str(exc.value) == f"degree {d} outside window [0, 8]"
 
@@ -100,9 +95,9 @@ def test_express_roundtrip():
 
 def test_unknown_generator_rejected():
     alg, _ = projective_space(8)
-    with pytest.raises(IllFormedElementError):
+    with pytest.raises(ValidationError, match="^unknown generator 'nope'$"):
         alg.reduce(parse_element("t + nope"))
-    with pytest.raises(IllFormedElementError):
+    with pytest.raises(ValidationError, match="^unknown generator 'nope'$"):
         alg.generator("nope")
     # every factor is checked, also in a term that an exterior square or
     # a folded power zeroes, whatever the name order
@@ -110,7 +105,7 @@ def test_unknown_generator_rejected():
             GradedGenerator("z", 1, EXTERIOR)]
     alg = PresentedAlgebra(gens, [parse_element("t^5")], 12)
     for text in ("e^2*nope", "nope*z^2", "t^9*nope"):
-        with pytest.raises(IllFormedElementError) as exc:
+        with pytest.raises(ValidationError) as exc:
             alg.reduce(parse_element(text))
         assert str(exc.value) == "unknown generator 'nope'"
 
@@ -120,11 +115,12 @@ def test_negative_exponents_refused():
     inverse, square = parse_element("t^-1"), alg.element("t^2")
     for call in (lambda: alg.reduce(inverse), lambda: alg.mul(inverse, square),
                  lambda: alg.mul(square, inverse)):
-        with pytest.raises(IllFormedElementError) as exc:
+        with pytest.raises(ValidationError) as exc:
             call()
         assert str(exc.value) == "negative exponent on non-invertible generator t"
     rbk = rbk_algebra()
-    with pytest.raises(IllFormedElementError):
+    with pytest.raises(ValidationError,
+                       match="^negative exponent on non-invertible generator v$"):
         rbk.reduce(parse_element("v^-1 * b0"))
 
 
@@ -310,7 +306,7 @@ def test_key_intake_agrees_with_the_reference_window(drawn, cap, data):
     m = data.draw(st.sampled_from(sorted(window)) | drawn_term)
     e = GradedElement(frozenset({m}))
     if m not in window and _intake_raises(kinds, m):
-        with pytest.raises(IllFormedElementError):
+        with pytest.raises(ValidationError, match=ILL_FORMED):
             alg._bits(e)
     else:
         assert bool(alg._bits(e)) == (m in window)
@@ -430,7 +426,7 @@ def test_truncation_drops_high_degrees():
 def test_algebra_map_validation():
     src, _ = exterior_pair()
     dst = projective_product(2, 12)[0]
-    with pytest.raises(InvalidPairError):
+    with pytest.raises(ValidationError, match="^image of x3 is not homogeneous of degree 3$"):
         AlgebraMap(src, dst, {"x3": dst.element("t1^2"), "x5": dst.element("t1^5")})
     # degree-preserving zero map is always fine
     fmap = AlgebraMap(src, dst, {"x3": dst.zero, "x5": dst.zero})
@@ -439,7 +435,7 @@ def test_algebra_map_validation():
     # window folds in and which so has no window number
     trunc = PresentedAlgebra([GradedGenerator("t", 1)], [parse_element("t^3")], 8)
     free = projective_space(8)[0]
-    with pytest.raises(InvalidPairError) as exc:
+    with pytest.raises(ValidationError) as exc:
         AlgebraMap(trunc, free, {"t": free.generator("t")})
     assert str(exc.value) == "relation t^3 is not carried to zero"
     short = PresentedAlgebra([GradedGenerator("s", 1)], [parse_element("s^3")], 8)
@@ -452,7 +448,7 @@ def test_exterior_square_must_map_to_zero():
     sends e to t."""
     source = PresentedAlgebra([GradedGenerator("e", 3, EXTERIOR)], (), 8)
     target = PresentedAlgebra([GradedGenerator("t", 3)], (), 8)
-    with pytest.raises(InvalidPairError) as exc:
+    with pytest.raises(ValidationError) as exc:
         AlgebraMap(source, target, {"e": target.generator("t")})
     assert str(exc.value) == "relation e^2 is not carried to zero"
     short = PresentedAlgebra([GradedGenerator("t", 3)], (), 5)
@@ -487,7 +483,7 @@ def test_map_check_matches_the_per_part_reference(source, target, rnd):
     expected = reference_map_refusal(source, target, images)
     try:
         AlgebraMap(source, target, images)
-    except InvalidPairError as err:
+    except ValidationError as err:
         assert str(err) == expected
     else:
         assert expected is None
@@ -655,7 +651,7 @@ def reference_routes(alg: PresentedAlgebra, e: GradedElement):
 
 
 def _error(call) -> str:
-    with pytest.raises(IllFormedElementError) as exc:
+    with pytest.raises(ValidationError, match=ILL_FORMED) as exc:
         call()
     return str(exc.value)
 
@@ -775,7 +771,7 @@ def test_products_outside_the_window_as_before(name, rng):
         a, b = random_unreduced(alg, rng), random_unreduced(alg, rng)
         try:
             expected = reference_mul(alg, a, b)
-        except IllFormedElementError as exc:
+        except ValidationError as exc:
             assert _error(lambda: alg.mul(a, b)) == str(exc)
         else:
             assert alg.mul(a, b) == expected
