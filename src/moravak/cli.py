@@ -321,7 +321,9 @@ class _TorRange:
 def cmd_tor(args) -> Report:
     mod = parse_module(_resolve_path(args.module, ".module"))
     if isinstance(mod, TensorModule):
-        mod = mod.factor(args.k)
+        mod = mod.factor(args.k or 0)
+    elif args.k is not None and args.k != mod.k:
+        raise ParseError(f"--k {args.k} differs from the module's k = {mod.k}")
     lo, hi = args.i
     if hi - lo + 1 > MAX_TOR_INDICES:
         raise ComputationError(
@@ -560,8 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tor", parents=[common], help="Tor against the cyclic quotients")
     p.add_argument("--module", required=True)
     p.add_argument("--against", choices=["M", "N"], default="M")
-    p.add_argument("--k", type=int, default=0,
-                   help="tensor factor to restrict to, for tensor module files")
+    p.add_argument("--k", type=int,
+                   help="factor index: the tensor factor to restrict to (default 0), "
+                        "or a single-factor module's k")
     p.add_argument("--i", nargs=2, type=int, default=(0, 4), metavar=("LO", "HI"))
 
     p = sub.add_parser("khorami", parents=[common], help="twisted homology via the quotient")

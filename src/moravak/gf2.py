@@ -123,9 +123,13 @@ def _augmented(cols: Sequence[int], dim: int) -> list[int]:
     return reduce_rows((cols[j] << dim) | 1 << j for j in range(dim))
 
 
-def kernel_basis(cols: Sequence[int], source_dim: int) -> list[int]:
-    """Reduced basis of the kernel of the map with the given columns."""
-    return [row for row in _augmented(cols, source_dim) if not row >> source_dim]
+def kernel_basis(cols: Sequence[int], source_dim: int) -> _Echelon:
+    """Reduced basis of the kernel of the map with the given columns, as
+    an echelon form: the augmented rows without image bits, which are
+    those with a pivot below source_dim."""
+    rows = _augmented(cols, source_dim)
+    return _Echelon({p: row for p, row in rows.by_pivot.items() if p < source_dim},
+                    rows.mask & (1 << source_dim) - 1)
 
 
 def invert_columns(cols: Sequence[int], dim: int) -> list[int] | None:

@@ -148,15 +148,15 @@ class TensorModule:
         return RbkModule(self.n, k, self.degrees, self.operators[k])
 
     @classmethod
-    def from_single(cls, module: RbkModule,
-                    truncation: int = DEFAULT_TENSOR_TRUNCATION) -> "TensorModule":
-        """Place one R(b_k)-module in a tensor context; other factors act by 0."""
+    def from_single(cls, module: RbkModule) -> "TensorModule":
+        """Place one R(b_k)-module in the default tensor truncation; other
+        factors act by 0."""
         zero = tuple(0 for _ in module.degrees)
-        ops = [zero] * truncation
-        if module.k >= truncation:
+        ops = [zero] * DEFAULT_TENSOR_TRUNCATION
+        if module.k >= DEFAULT_TENSOR_TRUNCATION:
             raise ValidationError("factor index at or above the tensor truncation")
         ops[module.k] = module.operator
-        return cls(module.n, truncation, module.degrees, tuple(ops))
+        return cls(module.n, DEFAULT_TENSOR_TRUNCATION, module.degrees, tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,6 @@ class GradedKnModule:
     @property
     def rank(self) -> int:
         return len(self.degree_classes)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.degree_classes
 
 
 def _resolution_maps(operator: Sequence[int],

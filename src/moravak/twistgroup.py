@@ -139,15 +139,6 @@ def from_exponents(exponents, truncation: int = DEFAULT_TRUNCATION) -> TwistElem
     return TwistElement(tuple(exponents), truncation)
 
 
-def identity(truncation: int = DEFAULT_TRUNCATION) -> TwistElement:
-    return TwistElement((), truncation)
-
-
-def universal(truncation: int = DEFAULT_TRUNCATION) -> TwistElement:
-    """The topological generator 1 + y."""
-    return TwistElement((0,), truncation)
-
-
 def factor_series(bits: int, truncation: int) -> TwistElement:
     """Refactor a truncated series into canonical 2-power factors.
 
@@ -225,11 +216,11 @@ def vanishing_check(m: int, n: int, p: int = 2) -> TwistVerdict:
     raise ValidationError(f"twists by K(Z, {m}) with m < n+2 = {n + 2} are not classified here")
 
 
-def degree_obstruction_report(n: int, p: int, k: int = 1) -> str:
-    """Why odd-prime boundary twists die: |b_k| is not a multiple of |v_n|."""
-    bk = 2 * p**k * (p**n - 1) // (p - 1)
+def degree_obstruction_report(n: int, p: int) -> str:
+    """Why odd-prime boundary twists die: |b_1| is not a multiple of |v_n|."""
+    b1 = 2 * p * (p**n - 1) // (p - 1)
     vn = 2 * (p**n - 1)
     if p == 2:
-        return f"p=2: |b_{k}| = {bk} = 2^{k}*|v_n|, so b_{k} can act as v_n^{2 ** k}"
-    return (f"p={p}: |b_{k}| = {bk} is not a multiple of |v_n| = {vn}, "
-            f"so every graded map kills b_{k}")
+        return f"p=2: |b_1| = {b1} = 2^1*|v_n|, so b_1 can act as v_n^2"
+    return (f"p={p}: |b_1| = {b1} is not a multiple of |v_n| = {vn}, "
+            f"so every graded map kills b_1")

@@ -322,6 +322,8 @@ GROUPLIKE_FIBONACCI = "1+x+x^2+x^3+x^5+x^8+x^13+x^21+x^34+x^55+x^89"
     (("khorami", "--module", "{line}", "--max-degree", "4999"), 4),
     # both report element and series, so one would overwrite the other
     (("twist", "--encode", "(0,1)", "--decode", "5"), 2),
+    # the file's k is 1; --k may repeat it, not contradict it
+    (("tor", "--module", "b1free", "--k", "0"), 2),
 ])
 def test_out_of_range_arguments_are_typed_errors(capsys, tmp_path, argv, code):
     argv = [arg.format(line=line_module(tmp_path)) for arg in argv]
@@ -339,6 +341,11 @@ def test_series_argument_is_built_from_its_terms_in_degree_order():
 def test_truncation_error_names_the_order(capsys):
     assert main(["fgl", "--truncation", "0", "--two-series"]) == 3
     assert "truncation order must be >= 1: 0" in capsys.readouterr().err
+
+
+def test_tor_k_of_a_single_factor_module(capsys):
+    assert main(["tor", "--module", "b1free", "--k", "5"]) == 2
+    assert capsys.readouterr().err == "error: --k 5 differs from the module's k = 1\n"
 
 
 @pytest.mark.parametrize("argv", [

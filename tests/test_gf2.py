@@ -33,7 +33,7 @@ def test_in_span():
 
 def test_kernel_basis():
     # map e0 -> a, e1 -> a, e2 -> 0: kernel is span(e0+e1, e2)
-    kernel = gf2.reduce_rows(gf2.kernel_basis([0b1, 0b1, 0b0], 3))
+    kernel = gf2.kernel_basis([0b1, 0b1, 0b0], 3)
     assert len(kernel) == 2
     assert gf2.in_span(0b011, kernel) and gf2.in_span(0b100, kernel)
     assert not gf2.in_span(0b001, kernel)
@@ -161,7 +161,7 @@ def test_kernel_basis_list_in_span(rng):
         for _ in range(10):
             dim = rng.randint(1, width)
             cols = [rng.getrandbits(rng.randint(1, width)) for _ in range(dim)]
-            kernel = gf2.reduce_rows(gf2.kernel_basis(cols, dim))
+            kernel = gf2.kernel_basis(cols, dim)
             for _ in range(6):
                 member = _xor(k for k in kernel if rng.random() < 0.5)
                 assert gf2.apply_columns(cols, member) == 0
