@@ -129,7 +129,7 @@ def kernel_basis(cols: Sequence[int], source_dim: int) -> _Echelon:
     those with a pivot below source_dim."""
     rows = _augmented(cols, source_dim)
     return _Echelon({p: row for p, row in rows.by_pivot.items() if p < source_dim},
-                    rows.mask & (1 << source_dim) - 1)
+                    rows.mask & ((1 << source_dim) - 1))
 
 
 def invert_columns(cols: Sequence[int], dim: int) -> list[int] | None:

@@ -151,12 +151,12 @@ class TensorModule:
     def from_single(cls, module: RbkModule) -> "TensorModule":
         """Place one R(b_k)-module in the default tensor truncation; other
         factors act by 0."""
-        zero = tuple(0 for _ in module.degrees)
-        ops = [zero] * DEFAULT_TENSOR_TRUNCATION
-        if module.k >= DEFAULT_TENSOR_TRUNCATION:
+        K = DEFAULT_TENSOR_TRUNCATION
+        if module.k >= K:
             raise ValidationError("factor index at or above the tensor truncation")
+        ops = [(0,) * module.rank] * K
         ops[module.k] = module.operator
-        return cls(module.n, DEFAULT_TENSOR_TRUNCATION, module.degrees, tuple(ops))
+        return cls(module.n, K, module.degrees, tuple(ops))
 
 
 @dataclass(frozen=True)

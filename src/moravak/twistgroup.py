@@ -56,8 +56,7 @@ class TwistElement:
         if list(ks) != sorted(set(ks)):
             raise ValidationError(f"exponents must strictly increase: {ks}")
         if ks and (ks[0] < 0 or ks[-1] >= self.truncation):
-            raise ValidationError(
-                f"exponents must lie in [0, {self.truncation}): {ks}")
+            raise ValidationError(f"exponents must lie in [0, {self.truncation}): {ks}")
 
     @property
     def series_bits(self) -> int:
@@ -223,4 +222,4 @@ def degree_obstruction_report(n: int, p: int) -> str:
     if p == 2:
         return f"p=2: |b_1| = {b1} = 2^1*|v_n|, so b_1 can act as v_n^2"
     return (f"p={p}: |b_1| = {b1} is not a multiple of |v_n| = {vn}, "
-            f"so every graded map kills b_1")
+            "so every graded map kills b_1")
