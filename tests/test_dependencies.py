@@ -153,8 +153,9 @@ def test_one_error_class_per_exit_code():
     modules = parsed_modules()
     defined = [node.name for node in modules["errors"].body if isinstance(node, ast.ClassDef)]
     assert defined == ["MoravakError", *EXIT_CODES]
-    assert {name: getattr(errors, name).exit_code for name in EXIT_CODES
-            if getattr(errors, name).__bases__ == (errors.MoravakError,)} == EXIT_CODES
+    for name, code in EXIT_CODES.items():
+        cls = getattr(errors, name)
+        assert cls.__bases__ == (errors.MoravakError,) and cls.exit_code == code
     derived = [f"{stem}.{node.name}" for stem, tree in modules.items() if stem != "errors"
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                if any(getattr(base, "id", getattr(base, "attr", None)) in defined
