@@ -201,12 +201,22 @@ def _parse_exponent_list(raw: str) -> tuple[int, ...]:
         raise ParseError(f"bad exponent list {raw!r}") from None
 
 
+# each twist option that one mode alone reads: (that mode, default, what it is)
+_TWIST_MODE_OPTIONS = {"n": ("hom", 2, "height"), "factors": ("hom", 6, "tensor truncation"),
+                       "p": ("vanishing", 2, "prime")}
+
+
 def cmd_twist(args) -> Report:
     M = args.truncation
     inputs = {"truncation": M}
     payload: dict = {}
     if args.encode is not None and args.decode is not None:
         raise ParseError("twist: --encode and --decode report the same keys; give one")
+    given = vars(args)  # the namespace: a mode option is in it only if given
+    for option, (mode, default, _) in _TWIST_MODE_OPTIONS.items():
+        if option in given and given[mode] is None:
+            raise ParseError(f"twist: --{option} is read only with --{mode}")
+        given.setdefault(option, default)
     if args.encode is not None:
         f = twistgroup.from_exponents(_parse_exponent_list(args.encode), M)
         inputs["encode"] = args.encode
@@ -492,49 +502,45 @@ def _report_payload(report) -> dict:
     return payload
 
 
+# each obstruct check: its function, the operands it takes after the model in
+# call order (the options it reads, and "index" for the file's index table,
+# which the check then requires) and its payload from the function's result
+_OBSTRUCT_CHECKS = {
+    "string": (twisted_string_check, ("h4",), _report_payload),
+    "heterotic": (heterotic_check, ("a", "b"), _report_payload),
+    "fivebrane": (fivebrane_check, ("h5",), _report_payload),
+    "quadratic": (quadratic_refinement_check, ("index", "a", "a2"),
+                  lambda ok: {"refinement_holds": ok}),
+    "phase": (phase_invariance_check, ("index", "a", "b"), _report_payload),
+    "relative": (relative_obstruction, ("h4",), _report_payload),
+    "wu": (wu_sq, ("i", "j"), lambda wu: {"wu": str(wu)}),
+    "integral-sw": (integral_sw, ("i",), lambda result: {
+        "shadow": str(result[0]), "certificate": result[1].value}),
+}
+# each obstruct option's default; a class (a str) is read in the manifold's algebra
+_OBSTRUCT_DEFAULTS = {"h4": "0", "h5": "0", "a": "0", "b": "0", "a2": "0", "i": 7, "j": 8}
+
+
 def cmd_obstruct(args) -> Report:
+    run, names, to_payload = _OBSTRUCT_CHECKS[args.check]
+    given = vars(args)  # the namespace: an obstruct option is in it only if given
+    for option, default in _OBSTRUCT_DEFAULTS.items():
+        if option in given and option not in names:
+            raise ParseError(f"--check {args.check} does not read --{option}")
+        given.setdefault(option, default)
     parsed = parse_file(_resolve_path(args.manifold))
     model = parsed.model
     if not isinstance(model, ManifoldData):
         raise ValidationError("obstruct needs manifold metadata in the space file")
-    algebra = model.space.algebra
-    elem = lambda raw: algebra.element(raw)  # noqa: E731
     inputs = {"manifold": Path(args.manifold).name, "check": args.check,
               "echo": serialize_model(parsed)}
-    check = args.check
-    if check in ("string", "relative"):
-        run = twisted_string_check if check == "string" else relative_obstruction
-        payload = _report_payload(run(model, elem(args.h4)))
-        inputs["h4"] = args.h4
-    elif check == "heterotic":
-        payload = _report_payload(heterotic_check(model, elem(args.a), elem(args.b)))
-        inputs["a"], inputs["b"] = args.a, args.b
-    elif check == "fivebrane":
-        payload = _report_payload(fivebrane_check(model, elem(args.h5)))
-        inputs["h5"] = args.h5
-    elif check == "quadratic":
-        if parsed.index is None:
-            raise ValidationError("quadratic check needs an index table in the file")
-        ok = quadratic_refinement_check(model, parsed.index, elem(args.a), elem(args.a2))
-        inputs["a"], inputs["a2"] = args.a, args.a2
-        payload = {"refinement_holds": ok}
-    elif check == "phase":
-        if parsed.index is None:
-            raise ValidationError("phase check needs an index table in the file")
-        payload = _report_payload(
-            phase_invariance_check(model, parsed.index, elem(args.a), elem(args.b)))
-        inputs["a"], inputs["b"] = args.a, args.b
-    elif check == "wu":
-        result = wu_sq(model, args.i, args.j)
-        inputs["i"], inputs["j"] = args.i, args.j
-        payload = {"wu": str(result)}
-    elif check == "integral-sw":
-        rep, cert = integral_sw(model, args.i)
-        inputs["i"] = args.i
-        payload = {"shadow": str(rep), "certificate": cert.value}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown check {check!r}")
-    return Report("obstruct", inputs, payload)
+    if "index" in names and parsed.index is None:
+        raise ValidationError(f"{args.check} check needs an index table in the file")
+    given["index"] = parsed.index  # an operand, but no option: not echoed
+    inputs.update((name, given[name]) for name in names if name in _OBSTRUCT_DEFAULTS)
+    operands = [model.space.algebra.element(value) if isinstance(value, str) else value
+                for value in map(given.get, names)]
+    return Report("obstruct", inputs, to_payload(run(model, *operands)))
 
 
 # -- dispatch ---------------------------------------------------------------------
@@ -554,9 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiply", nargs=2, metavar=("F", "G"))
     p.add_argument("--hom", help="exponent list; emit the coefficient action")
     p.add_argument("--vanishing", nargs=2, type=int, metavar=("M", "N"))
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--n", type=int, default=2, help="height for --hom")
-    p.add_argument("--factors", type=int, default=6, help="tensor truncation for --hom")
+    for option, (mode, default, what) in _TWIST_MODE_OPTIONS.items():  # defaults in cmd_twist
+        p.add_argument(f"--{option}", type=int, default=argparse.SUPPRESS,
+                       help=f"{what} for --{mode} (default {default})")
     p.add_argument("--truncation", type=int, default=8, help="truncation order M")
 
     p = sub.add_parser("tor", parents=[common], help="Tor against the cyclic quotients")
@@ -589,16 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstruct", parents=[common], help="orientation obstruction checks")
     p.add_argument("--manifold", required=True)
-    p.add_argument("--check", required=True,
-                   choices=["string", "heterotic", "fivebrane", "quadratic",
-                            "phase", "relative", "wu", "integral-sw"])
-    p.add_argument("--h4", default="0")
-    p.add_argument("--h5", default="0")
-    p.add_argument("--a", default="0")
-    p.add_argument("--b", default="0")
-    p.add_argument("--a2", default="0")
-    p.add_argument("--i", type=int, default=7)
-    p.add_argument("--j", type=int, default=8)
+    p.add_argument("--check", required=True, choices=_OBSTRUCT_CHECKS)
+    for option, default in _OBSTRUCT_DEFAULTS.items():  # defaults in cmd_obstruct
+        p.add_argument(f"--{option}", type=type(default), default=argparse.SUPPRESS)
     parser.commands = sub.choices  # name -> subparser, for main's dispatch
     return parser
 

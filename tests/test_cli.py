@@ -16,7 +16,8 @@ from moravak.cli import build_parser, main
 from moravak.rbk import TensorModule, tor
 from moravak.spacefile import parse_module
 
-from test_golden import README
+from test_golden import GOLDEN, README, corpus_argv
+from test_golden import run as run_captured
 from test_input_files import SETTINGS
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -324,6 +325,15 @@ GROUPLIKE_FIBONACCI = "1+x+x^2+x^3+x^5+x^8+x^13+x^21+x^34+x^55+x^89"
     (("twist", "--encode", "(0,1)", "--decode", "5"), 2),
     # the file's k is 1; --k may repeat it, not contradict it
     (("tor", "--module", "b1free", "--k", "0"), 2),
+    # an option given to a mode or check that does not read it
+    (("twist", "--encode", "(0,1)", "--n", "9"), 2),
+    (("twist", "--encode", "(0,1)", "--factors", "3"), 2),
+    (("twist", "--hom", "(0,1)", "--p", "5"), 2),
+    (("obstruct", "--manifold", "genspin", "--check", "wu", "--h4", "w4"), 2),
+    (("obstruct", "--manifold", "genspin", "--check", "wu", "--h5", "w4"), 2),
+    (("obstruct", "--manifold", "genspin", "--check", "wu", "--a", "w4"), 2),
+    (("obstruct", "--manifold", "genspin", "--check", "wu", "--b", "w4"), 2),
+    (("obstruct", "--manifold", "genspin", "--check", "wu", "--a2", "w4"), 2),
 ])
 def test_out_of_range_arguments_are_typed_errors(capsys, tmp_path, argv, code):
     argv = [arg.format(line=line_module(tmp_path)) for arg in argv]
@@ -331,6 +341,53 @@ def test_out_of_range_arguments_are_typed_errors(capsys, tmp_path, argv, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("obstruct", "--manifold", "no-such-file", "--check", "wu", "--i", "5", "--h4", "w4"),
+     "--check wu does not read --h4"),
+    (("obstruct", "--manifold", "no-such-file", "--check", "string", "--j", "3"),
+     "--check string does not read --j"),
+    (("twist", "--encode", "(0,1)", "--n", "9", "--factors", "3", "--p", "5"),
+     "twist: --n is read only with --hom"),
+    (("twist", "--vanishing", "4", "2", "--hom", "(0,1)", "--p", "3", "--factors", "3"),
+     None),
+])
+def test_an_unread_option_is_refused_before_a_file_is_read(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    if message is None:  # each option goes with a mode that is given
+        assert code == 0 and captured.err == ""
+    else:
+        assert (code, captured.err) == (2, f"error: {message}\n")
+
+
+# a valid value, other than the default, of each twist and obstruct option
+OPTION_VALUES = {
+    "--json": [], "--encode": ["(0,2)"], "--decode": ["5"], "--multiply": ["(0)", "(1)"],
+    "--hom": ["(0,2)"], "--vanishing": ["4", "2"], "--p": ["3"], "--n": ["3"],
+    "--factors": ["4"], "--truncation": ["6"], "--manifold": ["m10"], "--check": ["wu"],
+    "--h4": ["b"], "--h5": ["b"], "--a": ["c"], "--b": ["b"], "--a2": ["b"],
+    "--i": ["5"], "--j": ["6"],
+}
+
+
+def test_no_option_is_accepted_and_then_ignored():
+    """Each twist or obstruct option that a golden argv lacks, added with a
+    value other than its default, changes what the argv prints or ends in
+    a typed error.  The options come from the parser, so a new one needs
+    a value above."""
+    recorded = {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+    commands = build_parser().commands
+    for argv in corpus_argv():
+        if argv[0] not in ("twist", "obstruct"):
+            continue
+        options = [action.option_strings[-1] for action in commands[argv[0]]._actions]
+        for option in set(options) - {"--help", *argv}:
+            got = run_captured([*argv, option, *OPTION_VALUES[option]])
+            was = recorded[" ".join(argv)]
+            assert got["code"] in (2, 3, 4, 5) and got["stderr"].startswith("error: ") or (
+                got["code"] == 0 and got["stdout"] != was["stdout"]), got["argv"]
 
 
 def test_series_argument_is_built_from_its_terms_in_degree_order():
