@@ -490,21 +490,31 @@ class PresentedAlgebra:
         Only the rows of the relations' own echelon are multiplied: its
         multiples span what the relations' multiples span, and the fully
         reduced echelon depends only on the span, so a repeated relation
-        or a sum of others adds no work."""
+        or a sum of others adds no work.  Every multiple is homogeneous,
+        so each degree is eliminated on its own, with its numbers shifted
+        down to start at 0; the fully reduced echelon of the window is
+        the union of the degrees' echelons, shifted back."""
         keys, offsets, numbers = self._number_keys, self._offsets, self._key_numbers
         # a term that is a multiple of a folded power is zero in _bits; each
         # row is homogeneous, of the degree of its top key
         relations = [(keys[row.bit_length() - 1] >> self._degree_shift, self._keys(row))
                      for row in gf2.reduce_rows(map(self._bits, self.relations))]
-        # a sum that is no key is zero: an exterior square or a folded power;
-        # the rows are made as the elimination takes them, not held
-        rows = (sum(1 << numbers[k + t] for t in terms if k + t in numbers)
-                for dr, terms in relations
-                for k in keys[:offsets[self.degree_cap - dr + 1]])
-        echelon = gf2.reduce_rows(row for row in rows if row)
-        self._pivots, self._pivot_mask = echelon.by_pivot, echelon.mask
-        self._free = [n for n in range(len(keys)) if n not in self._pivots]
-        self._free_offsets = [bisect_left(self._free, offset) for offset in offsets]
+        lowest = min((dr for dr, _ in relations), default=self.degree_cap + 1)
+        pivots, mask, free = {}, 0, list(range(offsets[lowest]))
+        for d in range(lowest, self.degree_cap + 1):
+            low = offsets[d]
+            # a sum that is no key is zero: an exterior square or a folded
+            # power; the rows are made as the elimination takes them
+            rows = (sum(1 << numbers[k + t] - low for t in terms if k + t in numbers)
+                    for dr, terms in relations if dr <= d
+                    for k in keys[offsets[d - dr]:offsets[d - dr + 1]])
+            echelon = gf2.reduce_rows(row for row in rows if row)
+            for pivot, row in echelon.by_pivot.items():
+                pivots[low + pivot] = row << low
+            mask |= echelon.mask << low
+            free += [n for n in range(low, offsets[d + 1]) if n - low not in echelon.by_pivot]
+        self._pivots, self._pivot_mask, self._free = pivots, mask, free
+        self._free_offsets = [bisect_left(free, offset) for offset in offsets]
 
 
 class _GeneratorMap:

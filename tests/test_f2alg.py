@@ -673,6 +673,26 @@ def two_relations_of_one_degree(cap=8):
                             cap)
 
 
+def test_each_degree_is_eliminated_at_its_own_width(monkeypatch):
+    """After the relations' own echelon, the load eliminates the relation
+    multiples one degree at a time, each row no wider than its degree's
+    monomial count, not as window-wide ints."""
+    calls = []
+    reduce_rows = gf2.reduce_rows
+
+    def recording(rows):
+        calls.append(list(rows))
+        return reduce_rows(calls[-1])
+
+    monkeypatch.setattr(gf2, "reduce_rows", recording)
+    alg = two_relations_of_one_degree()
+    relations, *degrees = calls
+    assert len(relations) == 2 and len(degrees) == alg.degree_cap - 1  # degrees 2 .. cap
+    for d, rows in zip(range(2, alg.degree_cap + 1), degrees):
+        count = alg._offsets[d + 1] - alg._offsets[d]
+        assert rows and all(0 < row < 1 << count for row in rows)
+
+
 INDEX_ALGEBRAS = [lambda gens=gens, cap=cap: PresentedAlgebra(gens, (), cap)
                   for gens, cap in WINDOW_ALGEBRAS] + [
     lambda: truncated_projective(9, 12)[0], cubic_relation, lambda: rbk_algebra(cap=18),
