@@ -153,7 +153,8 @@ class TensorModule:
         factors act by 0."""
         K = DEFAULT_TENSOR_TRUNCATION
         if module.k >= K:
-            raise ValidationError("factor index at or above the tensor truncation")
+            raise ValidationError(f"factor index k = {module.k} is at or above the "
+                                  f"default tensor truncation {K}")
         ops = [(0,) * module.rank] * K
         ops[module.k] = module.operator
         return cls(module.n, K, module.degrees, tuple(ops))

@@ -405,6 +405,15 @@ def test_tor_k_of_a_single_factor_module(capsys):
     assert capsys.readouterr().err == "error: --k 5 differs from the module's k = 1\n"
 
 
+def test_khorami_k_of_a_single_factor_module(capsys, tmp_path):
+    module = tmp_path / "b7.module"
+    module.write_text("[module]\nn 2\nk 7\nrank 1\n\n[operator]\n1\n")
+    assert main(["khorami", "--module", str(module)]) == 3
+    assert capsys.readouterr().err == (
+        "error: factor index k = 7 is at or above the default tensor truncation 6\n")
+    assert main(["tor", "--module", str(module)]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("ahss", "--space", "s3", "--n", "20", "--twist", "0"),
     ("ahss", "--space", "s3", "--n", "1024", "--twist", "0"),

@@ -56,6 +56,10 @@ def test_commutation_guard():
     # neither operator is idempotent, so the defining relation fails first
     with pytest.raises(ValidationError, match="^factor 0: defining relation fails, "):
         TensorModule(2, 2, (0, 0), ops_bad)
+    # both idempotent, but B_0 B_1 e_1 = e_0 while B_1 B_0 e_1 = 0
+    ops_non_commuting = ((0b01, 0b00), (0b01, 0b01))
+    with pytest.raises(ValidationError, match="^operators 0 and 1 do not commute$"):
+        TensorModule(2, 2, (0, 0), ops_non_commuting)
 
 
 def test_tor_examples():
