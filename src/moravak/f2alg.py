@@ -31,13 +31,13 @@ The window monomials are also numbered, degree-major: degree d holds
 the numbers from its offset, the count of all lower degrees, in walk
 order.  An element is then one int with bit n for monomial n.  The
 whole window is built when the algebra loads: one numbering of every
-key, and one echelon of every relation times every window key it can
-multiply within the cap, whose pivots form one window-wide index.  Its
-rows have homogeneous supports, and different degrees have disjoint
-supports, so their span is the direct sum of the spans of each degree's
-rows; a fully reduced echelon depends only on its span, so its rows,
-pivots and bases are each degree's own, and one elimination against
-the index reduces an element of any degrees.  The window numbers that
+key, and per degree one echelon of every relation times every window
+key it can multiply into that degree, eliminated at that degree's width.
+Different degrees have disjoint supports, so the span of all the rows
+is the direct sum of the degrees' spans; a fully reduced echelon
+depends only on its span, so the degrees' echelons, shifted back into
+the window, form one window-wide index, and one elimination against it
+reduces an element of any degrees.  The window numbers that
 are no pivots, ascending, are the basis numbers, each degree a slice.
 A product of two elements is a sum of keys per pair of terms and one
 elimination.  ``reduce``, ``mul`` and ``express_bits`` all go through
