@@ -363,12 +363,12 @@ def test_an_unread_option_is_refused_before_a_file_is_read(capsys, argv, message
 
 
 # a valid value, other than the default, of each twist and obstruct option
+# that a golden argv can lack (every obstruct argv names its manifold and check)
 OPTION_VALUES = {
     "--json": [], "--encode": ["(0,2)"], "--decode": ["5"], "--multiply": ["(0)", "(1)"],
     "--hom": ["(0,2)"], "--vanishing": ["4", "2"], "--p": ["3"], "--n": ["3"],
-    "--factors": ["4"], "--truncation": ["6"], "--manifold": ["m10"], "--check": ["wu"],
-    "--h4": ["b"], "--h5": ["b"], "--a": ["c"], "--b": ["b"], "--a2": ["b"],
-    "--i": ["5"], "--j": ["6"],
+    "--factors": ["4"], "--truncation": ["6"], "--h4": ["b"], "--h5": ["b"], "--a": ["c"],
+    "--b": ["b"], "--a2": ["b"], "--i": ["5"], "--j": ["6"],
 }
 
 
