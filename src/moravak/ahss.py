@@ -14,10 +14,14 @@ The twist is a plain degree-(n+2) class of the space, assumed to reduce
 from an integral class.  The differential on the starting page is
     d(m * v^e) = (Q_n(m) + m * phi) * v^{e-1},
 where phi is the degree-(2^{n+1}-1) class obtained from the twist by
-applying Q_{n-1} ... Q_1 (the twist itself at n = 1).  When d^2 != 0,
-Sq^1 of the twist is checked: a nonzero one shows it reduces from no
-integral class.  Turning the page takes kernel mod image per column
-with deterministic representatives.
+applying Q_{n-1} ... Q_1 (the twist itself at n = 1).  Q_n runs once
+per column, on all of its classes together.  When d^2 != 0, Sq^1 of the
+twist is checked: a nonzero one shows it reduces from no integral
+class.  Turning the page takes each column's rank from one forward
+elimination of its differential: the classes at p less the ranks of d
+out of p and into p.  The kernel-mod-image representatives, which are
+deterministic, are built only when a turned page's classes are first
+read, so a report of ranks builds none.
 
 Columns whose outgoing differential would leave a truncated window are
 flagged edge-incomplete instead of being reported as ranks: the kernel
@@ -78,18 +82,32 @@ class Page:
     ``coords[p]`` holds one int per class of column p, bit i for the i-th
     monomial of ``algebra.basis(p)``, or None for an identity column, whose
     classes are the monomials of ``basis(p)`` themselves, as on E2.
-    ``bases`` builds the elements."""
+    ``bases`` builds the elements.
+
+    A turned page is made from its ranks, one per column of the window,
+    and the page it was turned from; its ``coords`` are that page's
+    homology representatives, built the first time they are read, so
+    ``rank`` never builds them."""
 
     def __init__(self, n: int, algebra: PresentedAlgebra,
-                 coords: Mapping[int, Optional[tuple[int, ...]]],
+                 coords: Optional[Mapping[int, Optional[tuple[int, ...]]]],
                  diff: Optional[Mapping[int, tuple[int, ...]]],
-                 incomplete: frozenset, label: str):
+                 incomplete: frozenset, label: str,
+                 ranks: Optional[Mapping[int, int]] = None,
+                 turned_from: Optional[Page] = None):
         self.n = n
         self.algebra = algebra
-        self.coords = dict(coords)
+        if turned_from is None:
+            self.coords = dict(coords)  # shadows the cached property below
+        self._turned_from = turned_from
+        self._ranks = ranks
         self.diff = dict(diff) if diff is not None else None
         self.incomplete = frozenset(incomplete)
         self.label = label
+
+    @cached_property
+    def coords(self) -> dict[int, Optional[tuple[int, ...]]]:
+        return _representatives(self._turned_from)
 
     @property
     def step(self) -> int:
@@ -109,6 +127,8 @@ class Page:
         return {p: tuple(map(self.algebra._element, self._vectors(p))) for p in self.coords}
 
     def rank(self, p: int) -> int:
+        if self._ranks is not None:
+            return self._ranks.get(p, 0)
         cols = self.coords.get(p, ())
         return len(self.algebra._basis_numbers(p) if cols is None else cols)
 
@@ -155,7 +175,7 @@ def _twist_bits(space: SpaceModel, twist: GradedElement, n: int) -> int:
         phi = alg._bits(alg._homogeneous(
             twist, n + 2, f"twist must be homogeneous of degree {n + 2}"))
         for j in range(1, n):
-            phi = space.action._q(j, phi)
+            phi, = space.action._q(j, [phi])
         space._phis[key] = phi
     return space._phis[key]
 
@@ -184,8 +204,9 @@ def first_differential(page: Page, space: SpaceModel, twist: GradedElement) -> P
     for p in page.window:
         if p + R <= alg.degree_cap:
             # basis monomials are no pivots, so their window bits are reduced
-            diff[p] = tuple(alg._basis_bits(action._q(n, x) ^ alg._mul_bits(x, phi), p + R)
-                            for x in page._vectors(p))
+            xs = page._vectors(p)
+            diff[p] = tuple(alg._basis_bits(q ^ alg._mul_bits(x, phi), p + R)
+                            for x, q in zip(xs, action._q(n, xs)))
         elif space.closed_window:
             # target degree exceeds the dimension: the map is honestly zero
             diff[p] = (0,) * len(page._vectors(p))
@@ -206,26 +227,45 @@ def first_differential(page: Page, space: SpaceModel, twist: GradedElement) -> P
 
 
 def turn_page(page: Page) -> Page:
-    """Homology of the differential, with deterministic representatives.
+    """Homology of the differential, as ranks.
+
+    The rank of column p is its classes less the ranks of d out of p and
+    into p, each the bit count of one forward elimination's pivots; the
+    image lies in the kernel, since d^2 = 0 was verified.  Incomplete
+    columns keep their old rank and stay flagged, since their kernel is
+    not computable inside the window.  The representatives are built by
+    ``_representatives`` when the turned page's ``coords`` are first read.
+    """
+    if page.diff is None:
+        raise ComputationError("fill the differential before turning")
+    R = page.step
+    hit = {p: gf2.pivots(out).bit_count() for p, out in page.diff.items() if out}
+    # out has one column per class
+    ranks = {p: len(out) - hit.get(p, 0) - hit.get(p - R, 0) for p, out in page.diff.items()}
+    ranks.update((p, page.rank(p)) for p in page.incomplete)
+    zero_diff = {p: (0,) * ranks[p] for p in page.diff}
+    label = f"E{2 ** (page.n + 1)}" if page.label == "E2" \
+        else page.label + "+ (upper bound)"
+    return Page(page.n, page.algebra, None, zero_diff, page.incomplete, label,
+                ranks=ranks, turned_from=page)
+
+
+def _representatives(page: Page) -> dict[int, Optional[tuple[int, ...]]]:
+    """The classes of the page turned from ``page``, with deterministic
+    representatives.
 
     Surviving classes in column p are kernel-mod-image vectors reduced to
     their lexicographically least form, mapped through the old column's
     coordinates, and kept as they are on an identity column; incomplete
-    columns keep their old coordinates and stay flagged, since their
-    kernel is not computable inside the window.
+    columns keep their old coordinates.
     """
-    if page.diff is None:
-        raise ComputationError("fill the differential before turning")
     R = page.step
     coords = dict(page.coords)  # incomplete columns have no diff and stay
     for p, out in page.diff.items():  # out has one column per class
         old, image = page.coords[p], page.diff[p - R] if p - R >= 0 else ()
         reps = gf2.homology(out, len(out), image) if out else ()  # no classes, no homology
         coords[p] = tuple(reps if old is None else (gf2.apply_columns(old, r) for r in reps))
-    zero_diff = {p: (0,) * len(coords[p]) for p in page.diff}
-    label = f"E{2 ** (page.n + 1)}" if page.label == "E2" \
-        else page.label + "+ (upper bound)"
-    return Page(page.n, page.algebra, coords, zero_diff, page.incomplete, label)
+    return coords
 
 
 @dataclass(frozen=True)

@@ -503,12 +503,20 @@ class PresentedAlgebra:
         pivots, mask, free = {}, 0, list(range(offsets[lowest]))
         for d in range(lowest, self.degree_cap + 1):
             low = offsets[d]
-            # a sum that is no key is zero: an exterior square or a folded
-            # power; the rows are made as the elimination takes them
-            rows = (sum(1 << numbers[k + t] - low for t in terms if k + t in numbers)
-                    for dr, terms in relations if dr <= d
-                    for k in keys[offsets[d - dr]:offsets[d - dr + 1]])
-            echelon = gf2.reduce_rows(row for row in rows if row)
+            rows = []
+            for dr, terms in relations:
+                if dr > d:
+                    continue
+                for k in keys[offsets[d - dr]:offsets[d - dr + 1]]:
+                    row = 0
+                    for t in terms:
+                        # a sum that is no key is zero: an exterior square
+                        # or a folded power
+                        if (m := numbers.get(k + t)) is not None:
+                            row |= 1 << m - low
+                    if row:
+                        rows.append(row)
+            echelon = gf2.reduce_rows(rows)
             for pivot, row in echelon.by_pivot.items():
                 pivots[low + pivot] = row << low
             mask |= echelon.mask << low

@@ -9,8 +9,9 @@ numbers, where an element is one int: the total square is the
 algebra's ``_GeneratorMap`` from each generator to its total square,
 so each window monomial's total square is one cached int.
 Sq^i of a degree-d monomial is the degree-(d+i) part of that int, one
-AND with the mask of that degree's numbers, and Q_j runs its
-commutator recursion on these ints.  The table holds no entry above a
+AND with the mask of that degree's numbers.  ``_sq`` and ``_q`` take
+and return lists of these ints, and Q_j runs its commutator recursion
+once per list, so a page column's classes share one recursion.  The table holds no entry above a
 generator's degree, so a degree-d total square lies in degrees d..2d:
 Sq^i of a degree-d term is zero for i > d (the unstable axiom), and
 such a term is skipped before its total square is built.  ``sq`` and
@@ -117,37 +118,41 @@ class SqAction:
             return self.algebra.mul(gen, gen)
         return self._table[name].get(i, ZERO)
 
-    def _sq(self, i: int, x: int) -> int:
-        """Sq^i of window vector x: each term's total square masked to
-        the term's degree plus i.  A term of degree d < i is skipped
-        before its total square is built: that square lies in degrees
-        d..2d, so Sq^i of the term is zero."""
+    def _sq(self, i: int, xs: list[int]) -> list[int]:
+        """Sq^i of each window vector in xs: each term's total square
+        masked to the term's degree plus i.  A term of degree d < i is
+        skipped before its total square is built: that square lies in
+        degrees d..2d, so Sq^i of the term is zero."""
         alg = self.algebra
         keys, shift, offsets = alg._number_keys, alg._degree_shift, alg._offsets
         top = alg.degree_cap - i
-        out = 0
-        while x:
-            low = x & -x
-            x ^= low
-            n = low.bit_length() - 1
-            d = keys[n] >> shift
-            if i <= d <= top:
-                d += i
-                mask = self._masks.get(d) or \
-                    self._masks.setdefault(d, (1 << offsets[d + 1]) - (1 << offsets[d]))
-                out ^= self._total(n) & mask
-        return out
+        outs = []
+        for x in xs:
+            out = 0
+            while x:
+                low = x & -x
+                x ^= low
+                n = low.bit_length() - 1
+                d = keys[n] >> shift
+                if i <= d <= top:
+                    d += i
+                    mask = self._masks.get(d) or \
+                        self._masks.setdefault(d, (1 << offsets[d + 1]) - (1 << offsets[d]))
+                    out ^= self._total(n) & mask
+            outs.append(out)
+        return outs
 
-    def _q(self, j: int, x: int) -> int:
-        """Q_j of window vector x by the commutator recursion, which
-        makes no call on a zero vector: Q_j is linear."""
-        if not x:
-            return 0
+    def _q(self, j: int, xs: list[int]) -> list[int]:
+        """Q_j of each window vector in xs by one commutator recursion for
+        the whole list.  A branch whose vectors are all zero is skipped:
+        Q_j is linear, so it returns them as they are."""
+        if not any(xs):
+            return xs
         if j == 0:
-            return self._sq(1, x)
+            return self._sq(1, xs)
         s = 1 << j
-        y, z = self._q(j - 1, x), self._sq(s, x)
-        return (y and self._sq(s, y)) ^ (z and self._q(j - 1, z))
+        y, z = self._q(j - 1, xs), self._sq(s, xs)
+        return [a ^ b for a, b in zip(self._sq(s, y), self._q(j - 1, z))]
 
     def _check_relations(self):
         """Sq^i(r) = 0 for every part r of the presentation, each exterior
@@ -173,7 +178,7 @@ def sq(i: int, e: GradedElement, action: SqAction) -> GradedElement:
     """
     if i < 0:
         raise ValidationError("Sq index must be nonnegative")
-    return action.algebra._element(action._sq(i, action.algebra._bits(e, i)))
+    return action.algebra._element(action._sq(i, [action.algebra._bits(e, i)])[0])
 
 
 def milnor_q(j: int, e: GradedElement, action: SqAction) -> GradedElement:
@@ -186,7 +191,7 @@ def milnor_q(j: int, e: GradedElement, action: SqAction) -> GradedElement:
     """
     if j < 0:
         raise ValidationError("Milnor index must be nonnegative")
-    return action.algebra._element(action._q(j, action.algebra._bits(e, 1)))
+    return action.algebra._element(action._q(j, [action.algebra._bits(e, 1)])[0])
 
 
 def check_derivation(j: int, a: GradedElement, b: GradedElement,

@@ -130,7 +130,8 @@ def test_e2_columns_are_read_as_basis_numbers(monkeypatch):
 def test_one_ahss_request_evaluates_phi_once(monkeypatch, capsys, integral):
     """phi = Q_1(h4) is evaluated once per request, though both the
     report and the differential read it; every other outermost Q is the
-    differential's Q_2."""
+    differential's Q_2, one per complete column (p + 7 <= 16) for all of
+    its classes."""
     outer, depth = [], [0]
     q = SqAction._q
 
@@ -146,7 +147,7 @@ def test_one_ahss_request_evaluates_phi_once(monkeypatch, capsys, integral):
     monkeypatch.setattr(SqAction, "_q", counted)
     argv = ["ahss", "--space", str(FIXTURES / "synth12.space"), "--n", "2", "--twist", "h4"]
     assert cli.main(argv + integral) == 0
-    assert outer.count(1) == 1 and set(outer) == {1, 2}
+    assert outer.count(1) == 1 and outer.count(2) == 10 and set(outer) == {1, 2}
     capsys.readouterr()
 
 
@@ -380,13 +381,48 @@ def reference_turn(page) -> dict:
     (lambda: honest_height2_model(cap=12), 1, ["t1^2*t2 + t1*t2^2"]),
 ], ids=["s3", "rp_inf", "synth12", "product", "product-n1"])
 def test_turned_representatives_are_sums_of_basis_elements(model, n, twists):
+    """On both turns the representatives match the element route, and the
+    rank of every column, taken from pivots before any representative is
+    built, counts its representatives."""
     space = model()
     for text in twists:
-        filled = first_differential(e2_page(space, n), space,
-                                    space.algebra.element(text))
-        once = turn_page(filled)
-        assert once.bases == reference_turn(filled)
-        assert turn_page(once).bases == reference_turn(once)
+        page = first_differential(e2_page(space, n), space, space.algebra.element(text))
+        for _ in range(2):
+            turned = turn_page(page)
+            ranks = {p: turned.rank(p) for p in turned.window}
+            assert turned.bases == reference_turn(page)
+            assert ranks == {p: len(turned.bases[p]) for p in turned.window}
+            page = turned
+
+
+RELATIONS_SPACE = ("[generators]\nt1 1\nt2 1\nt3 1\nt4 1\n"
+                   "[relations]\nt1^5\nt2^6\nt3^6\nt4^7\nt1^4 + t2^4\n[metadata]\ncap 11\n")
+
+
+def test_reported_ranks_build_no_representative(monkeypatch, capsys, tmp_path):
+    """The report prints ranks only: with the homology and kernel routes
+    of gf2 refused, ahss prints the same bytes, on synth12 plain and
+    integral and on a space with a Frobenius relation."""
+    path = tmp_path / "relations.space"
+    path.write_text(RELATIONS_SPACE)
+    synth = ["ahss", "--space", str(FIXTURES / "synth12.space"), "--n", "2", "--twist", "h4"]
+    runs = [synth, synth + ["--integral"],
+            ["ahss", "--space", str(path), "--n", "2", "--twist", "t1^2*t2^2 + t3*t4^3"]]
+
+    def printed():
+        out = []
+        for argv in runs:
+            assert cli.main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    def refuse(*args):
+        raise AssertionError("a representative was built")
+
+    expected = printed()
+    monkeypatch.setattr(gf2, "homology", refuse)
+    monkeypatch.setattr(gf2, "kernel_basis", refuse)
+    assert printed() == expected
 
 
 def test_rank_path_builds_no_element(monkeypatch):

@@ -133,6 +133,25 @@ def test_sq_and_q_match_term_by_term_reference(name, rng):
             assert milnor_q(j, e, act) == ref.milnor_q(j, e), (j, e)
 
 
+@pytest.mark.parametrize("make", [corrupted_action, lambda: projective_product(3, 12)],
+                         ids=["corrupted", "honest"])
+def test_q_of_a_list_is_q_of_each_vector(make):
+    """One commutator recursion over a column's unit vectors, a zero
+    vector and their sum gives Q_j of each vector alone, also on the
+    corrupted table, where Q_2 is no derivation; both routes build the
+    same total squares."""
+    alg = make()[0]
+    for j in range(4):
+        for d in range(alg.degree_cap + 1):
+            units = [1 << n for n in alg._basis_numbers(d)]
+            if not units:
+                continue
+            xs = units + [0, sum(units)]
+            (_, column), (_, single) = make(), make()
+            assert column._q(j, xs) == [single._q(j, [x])[0] for x in xs], (j, d)
+            assert column._squares._images.keys() == single._squares._images.keys(), (j, d)
+
+
 def _outcome(call):
     try:
         return call()
