@@ -207,8 +207,6 @@ _TWIST_MODE_OPTIONS = {"n": ("hom", 2, "height"), "factors": ("hom", 6, "tensor 
 
 
 def cmd_twist(args) -> Report:
-    M = args.truncation
-    inputs = {"truncation": M}
     payload: dict = {}
     if args.encode is not None and args.decode is not None:
         raise ParseError("twist: --encode and --decode report the same keys; give one")
@@ -217,6 +215,13 @@ def cmd_twist(args) -> Report:
         if option in given and given[mode] is None:
             raise ParseError(f"twist: --{option} is read only with --{mode}")
         given.setdefault(option, default)
+    series_modes = (args.encode, args.decode, args.multiply, args.hom)
+    if "truncation" in given and args.vanishing is not None and \
+            all(mode is None for mode in series_modes):
+        raise ParseError("twist: --truncation is read only with "
+                         "--encode, --decode, --multiply or --hom")
+    M = given.setdefault("truncation", 8)
+    inputs = {"truncation": M}
     if args.encode is not None:
         f = twistgroup.from_exponents(_parse_exponent_list(args.encode), M)
         inputs["encode"] = args.encode
@@ -563,7 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     for option, (mode, default, what) in _TWIST_MODE_OPTIONS.items():  # defaults in cmd_twist
         p.add_argument(f"--{option}", type=int, default=argparse.SUPPRESS,
                        help=f"{what} for --{mode} (default {default})")
-    p.add_argument("--truncation", type=int, default=8, help="truncation order M")
+    p.add_argument("--truncation", type=int, default=argparse.SUPPRESS,  # default in cmd_twist
+                   help="truncation order M for --encode, --decode, --multiply and --hom "
+                        "(default 8)")
 
     p = sub.add_parser("tor", parents=[common], help="Tor against the cyclic quotients")
     p.add_argument("--module", required=True)

@@ -334,6 +334,8 @@ GROUPLIKE_FIBONACCI = "1+x+x^2+x^3+x^5+x^8+x^13+x^21+x^34+x^55+x^89"
     (("obstruct", "--manifold", "genspin", "--check", "wu", "--a", "w4"), 2),
     (("obstruct", "--manifold", "genspin", "--check", "wu", "--b", "w4"), 2),
     (("obstruct", "--manifold", "genspin", "--check", "wu", "--a2", "w4"), 2),
+    (("twist", "--vanishing", "4", "2", "--truncation", "3"), 2),
+    (("twist", "--vanishing", "4", "2", "--truncation", "99"), 2),
 ])
 def test_out_of_range_arguments_are_typed_errors(capsys, tmp_path, argv, code):
     argv = [arg.format(line=line_module(tmp_path)) for arg in argv]
@@ -352,6 +354,12 @@ def test_out_of_range_arguments_are_typed_errors(capsys, tmp_path, argv, code):
      "twist: --n is read only with --hom"),
     (("twist", "--vanishing", "4", "2", "--hom", "(0,1)", "--p", "3", "--factors", "3"),
      None),
+    (("twist", "--vanishing", "4", "2", "--truncation", "3"),
+     "twist: --truncation is read only with --encode, --decode, --multiply or --hom"),
+    (("twist", "--vanishing", "4", "2", "--multiply", "(0)", "(1)", "--truncation", "3"),
+     None),
+    (("twist", "--truncation", "3"),  # no mode at all
+     "twist: nothing to do (use --encode/--decode/--multiply/--hom/--vanishing)"),
 ])
 def test_an_unread_option_is_refused_before_a_file_is_read(capsys, argv, message):
     code = main(list(argv))
