@@ -14,6 +14,12 @@ edge-incomplete, each rank it has cancels between two columns of
 opposite sign and the sum over p of (-1)^p rank is the same on E2 and
 E_{2^{n+1}}.  It cannot see a wrong differential, only a wrong
 ``turn_page``.
+
+Kunneth: Q_n is a derivation, so on X x Y with a twist pulled back from
+X the first differential is d_X (x) 1 + 1 (x) d_Y, and over F2 the
+homology of a tensor product of complexes is the tensor product of
+their homologies.  So the E_{2^{n+1}} ranks of the product are the
+convolution of the factors' ranks.
 """
 
 import contextlib
@@ -139,3 +145,32 @@ def test_turning_keeps_the_euler_characteristic(a, e, b, spare, n, data):
         except MoravakError:
             continue
         assert e2 == turned, twist
+
+
+def projective(names: str, tops: tuple[int, ...]) -> str:
+    """The product of the RP^top, one degree-1 generator each, as a closed
+    window: the sum of the tops is its top degree, the cap one above."""
+    gens = "".join(f"{x} 1 polynomial\n" for x in names)
+    rels = "".join(f"{x}^{top + 1}\n" for x, top in zip(names, tops))
+    return (f"[generators]\n{gens}[relations]\n{rels}"
+            f"[metadata]\ncap {sum(tops) + 1}\ntopdegree {sum(tops)}\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("a, b", [(3, 2), (5, 4), (7, 3), (6, 6), (9, 5)])
+def test_product_ranks_are_the_convolution_of_the_factors(a, b, n, tmp_path):
+    """E_{2^{n+1}} ranks of RP^a x RP^b against those of RP^a and RP^b,
+    untwisted and with the twist x^{n+2} of RP^a where it is nonzero."""
+    label = f"E{2 ** (n + 1)}"
+    files = {}
+    for names, tops in (("x", (a,)), ("y", (b,)), ("xy", (a, b))):
+        files[names] = tmp_path / f"{names}.space"
+        files[names].write_text(projective(names, tops))
+    right = pages(files["y"], n, "0")[label]
+    for twist in ["0"] + ([f"x^{n + 2}"] if n + 2 <= a else []):
+        left = pages(files["x"], n, twist)[label]
+        product = pages(files["xy"], n, twist)[label]
+        convolution = {f"p={p:02d}": sum(left.get(f"p={i:02d}", 0) * right.get(f"p={p - i:02d}", 0)
+                                         for i in range(p + 1))
+                       for p in range(a + b + 2)}
+        assert product == convolution, twist
