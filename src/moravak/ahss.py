@@ -233,8 +233,7 @@ def turn_page(page: Page) -> Page:
     into p, each the bit count of one forward elimination's pivots; the
     image lies in the kernel, since d^2 = 0 was verified.  Incomplete
     columns keep their old rank and stay flagged, since their kernel is
-    not computable inside the window.  The representatives are built by
-    ``_representatives`` when the turned page's ``coords`` are first read.
+    not computable inside the window.
     """
     if page.diff is None:
         raise ComputationError("fill the differential before turning")

@@ -11,10 +11,11 @@ so each window monomial's total square is one cached int.
 Sq^i of a degree-d monomial is the degree-(d+i) part of that int, one
 AND with the mask of that degree's numbers.  ``_sq`` and ``_q`` take
 and return lists of these ints, and Q_j runs its commutator recursion
-once per list, so a page column's classes share one recursion.  The table holds no entry above a
-generator's degree, so a degree-d total square lies in degrees d..2d:
-Sq^i of a degree-d term is zero for i > d (the unstable axiom), and
-such a term is skipped before its total square is built.  ``sq`` and
+once per list, so a page column's classes share one recursion.  The
+table holds no entry above a generator's degree, so a degree-d total
+square lies in degrees d..2d: Sq^i of a degree-d term is zero for
+i > d (the unstable axiom), and such a term is skipped before its
+total square is built.  ``sq`` and
 ``milnor_q`` take an element in through the algebra's one intake,
 ``_bits`` with the operator's reach, and convert back on exit.
 Validation is eager and cannot be skipped: an action whose table is
