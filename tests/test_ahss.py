@@ -395,16 +395,13 @@ def test_turned_representatives_are_sums_of_basis_elements(model, n, twists):
             page = turned
 
 
-RELATIONS_SPACE = ("[generators]\nt1 1\nt2 1\nt3 1\nt4 1\n"
-                   "[relations]\nt1^5\nt2^6\nt3^6\nt4^7\nt1^4 + t2^4\n[metadata]\ncap 11\n")
-
-
 def test_reported_ranks_build_no_representative(monkeypatch, capsys, tmp_path):
     """The report prints ranks only: with the homology and kernel routes
     of gf2 refused, ahss prints the same bytes, on synth12 plain and
     integral and on a space with a Frobenius relation."""
     path = tmp_path / "relations.space"
-    path.write_text(RELATIONS_SPACE)
+    path.write_text("[generators]\nt1 1\nt2 1\nt3 1\nt4 1\n[relations]\n"
+                    "t1^5\nt2^6\nt3^6\nt4^7\nt1^4 + t2^4\n[metadata]\ncap 11\n")
     synth = ["ahss", "--space", str(FIXTURES / "synth12.space"), "--n", "2", "--twist", "h4"]
     runs = [synth, synth + ["--integral"],
             ["ahss", "--space", str(path), "--n", "2", "--twist", "t1^2*t2^2 + t3*t4^3"]]
