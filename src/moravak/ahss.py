@@ -2,13 +2,12 @@
 
 The coefficient ring is a graded field on one invertible class v of
 degree w = 2^{n+1} - 2, so a page is determined by one fundamental
-strip: for each column p we store a basis of the cell, as coordinate
-ints over the algebra's ``basis(p)``, and one differential matrix into
-column p + (2^{n+1} - 1); every other row of the page is the v-power
-translate of the strip, and the differential sends the v-exponent e to
-e - 1.  On E2 every column is the identity over ``basis(p)``, so no
-coordinate int is built: its classes are read as their window numbers.
-Classes are built as elements only on request.
+strip: for each column p we store its rank and one differential matrix
+into column p + (2^{n+1} - 1); every other row of the page is the
+v-power translate of the strip, and the differential sends the
+v-exponent e to e - 1.  A column's classes are read from the algebra's
+``basis(p)`` in window numbers, and only a turned page maps them through
+coordinate ints.  Classes are built as elements only on request.
 
 The twist is a plain degree-(n+2) class of the space, assumed to reduce
 from an integral class.  The differential on the starting page is
@@ -36,7 +35,7 @@ from typing import Mapping, Optional
 
 from . import gf2
 from .errors import ComputationError, ValidationError
-from .f2alg import GradedElement, PresentedAlgebra, ZERO
+from .f2alg import GradedElement, PresentedAlgebra
 from .rbk import _check_height, v_degree
 from .steenrod import IntegralityData, SqAction, TriState, sq
 
@@ -79,34 +78,29 @@ class SpaceModel:
 class Page:
     """One fundamental strip of a bigraded page plus its differential.
 
+    Every page stores its ranks, one per column of the window.
     ``coords[p]`` holds one int per class of column p, bit i for the i-th
     monomial of ``algebra.basis(p)``, or None for an identity column, whose
-    classes are the monomials of ``basis(p)`` themselves, as on E2.
-    ``bases`` builds the elements.
+    classes are the monomials of ``basis(p)`` themselves.  They are built
+    when first read: identity columns, unless the page was turned, when
+    they are the homology representatives of the page it was turned
+    from.  So ``rank`` never builds them; ``bases`` builds the elements."""
 
-    A turned page is made from its ranks, one per column of the window,
-    and the page it was turned from; its ``coords`` are that page's
-    homology representatives, built the first time they are read, so
-    ``rank`` never builds them."""
-
-    def __init__(self, n: int, algebra: PresentedAlgebra,
-                 coords: Optional[Mapping[int, Optional[tuple[int, ...]]]],
+    def __init__(self, n: int, algebra: PresentedAlgebra, ranks: Mapping[int, int],
                  diff: Optional[Mapping[int, tuple[int, ...]]],
-                 incomplete: frozenset, label: str,
-                 ranks: Optional[Mapping[int, int]] = None,
-                 turned_from: Optional[Page] = None):
+                 incomplete: frozenset, label: str, turned_from: Optional[Page] = None):
         self.n = n
         self.algebra = algebra
-        if turned_from is None:
-            self.coords = dict(coords)  # shadows the cached property below
-        self._turned_from = turned_from
         self._ranks = ranks
         self.diff = dict(diff) if diff is not None else None
         self.incomplete = frozenset(incomplete)
         self.label = label
+        self._turned_from = turned_from
 
     @cached_property
     def coords(self) -> dict[int, Optional[tuple[int, ...]]]:
+        if self._turned_from is None:
+            return dict.fromkeys(self.window)
         return _representatives(self._turned_from)
 
     @property
@@ -127,10 +121,7 @@ class Page:
         return {p: tuple(map(self.algebra._element, self._vectors(p))) for p in self.coords}
 
     def rank(self, p: int) -> int:
-        if self._ranks is not None:
-            return self._ranks.get(p, 0)
-        cols = self.coords.get(p, ())
-        return len(self.algebra._basis_numbers(p) if cols is None else cols)
+        return self._ranks.get(p, 0)
 
     def _vectors(self, p: int) -> list[int]:
         """The classes of column p in window numbers: its basis numbers'
@@ -185,8 +176,9 @@ def e2_page(space: SpaceModel, n: int) -> Page:
     if n < 1:
         raise ValidationError("height must be >= 1")
     _check_height(n)
-    identity = dict.fromkeys(range(space.algebra.degree_cap + 1))
-    return Page(n, space.algebra, identity, None, frozenset(), "E2")
+    alg = space.algebra
+    ranks = {p: len(alg._basis_numbers(p)) for p in range(alg.degree_cap + 1)}
+    return Page(n, alg, ranks, None, frozenset(), "E2")
 
 
 def first_differential(page: Page, space: SpaceModel, twist: GradedElement) -> Page:
@@ -209,7 +201,7 @@ def first_differential(page: Page, space: SpaceModel, twist: GradedElement) -> P
                             for x, q in zip(xs, action._q(n, xs)))
         elif space.closed_window:
             # target degree exceeds the dimension: the map is honestly zero
-            diff[p] = (0,) * len(page._vectors(p))
+            diff[p] = (0,) * page.rank(p)
         else:
             incomplete.add(p)
     for p in page.window:
@@ -223,7 +215,8 @@ def first_differential(page: Page, space: SpaceModel, twist: GradedElement) -> P
                             f"twist {h} reduces from no integral class: Sq^1 of it is {beta}")
                     raise ComputationError(
                         f"d^2 != 0 out of column {p}; the Sq table is inconsistent")
-    return Page(n, page.algebra, page.coords, diff, frozenset(incomplete), page.label)
+    return Page(n, page.algebra, page._ranks, diff, frozenset(incomplete), page.label,
+                page._turned_from)
 
 
 def turn_page(page: Page) -> Page:
@@ -245,8 +238,7 @@ def turn_page(page: Page) -> Page:
     zero_diff = {p: (0,) * ranks[p] for p in page.diff}
     label = f"E{2 ** (page.n + 1)}" if page.label == "E2" \
         else page.label + "+ (upper bound)"
-    return Page(page.n, page.algebra, None, zero_diff, page.incomplete, label,
-                ranks=ranks, turned_from=page)
+    return Page(page.n, page.algebra, ranks, zero_diff, page.incomplete, label, page)
 
 
 def _representatives(page: Page) -> dict[int, Optional[tuple[int, ...]]]:
@@ -289,28 +281,18 @@ def integral_first_differential(page: Page, space: SpaceModel,
     integral image, and the twist contribution must vanish integrally
     (zero twist, or Sq^2 of the twist inside the image, which kills the
     innermost factor of the composite).  Everything else is unknown.
+    Each column's classes are squared by one Sq^{2^{n+1}-2} call in
+    window numbers and tested against the integral echelon.
     """
     if space.integ is None:
         raise ValidationError("the space carries no integral-image data")
-    integ = space.integ
+    span, action = space.integ._span, space.action
     filled = first_differential(page, space, twist)
-    h = space.algebra.reduce(twist)
-    if h == ZERO:
-        twist_ok = True
-    elif page.n >= 2:
-        twist_ok = integ.contains(sq(2, h, space.action))
-    else:
-        twist_ok = False
-    certificates: dict[int, tuple] = {}
-    for p, cols in filled.diff.items():  # the complete columns
-        verdicts = []
-        for x, col in zip(filled._vectors(p), cols):
-            if col:
-                verdicts.append(TriState.NO)
-            else:
-                m = space.algebra._element(x)
-                qn_ok = integ.contains(sq(filled.v_width, m, space.action))
-                verdicts.append(TriState.YES if (qn_ok and twist_ok)
-                                else TriState.UNKNOWN)
-        certificates[p] = tuple(verdicts)
+    h = space.algebra._reduced_bits(twist)
+    twist_ok = not h or page.n >= 2 and gf2.in_span(action._sq(2, [h])[0], span)
+    certificates = {
+        p: tuple(TriState.NO if col else
+                 TriState.YES if twist_ok and gf2.in_span(s, span) else TriState.UNKNOWN
+                 for col, s in zip(cols, action._sq(filled.v_width, filled._vectors(p))))
+        for p, cols in filled.diff.items()}  # the complete columns
     return IntegralPageResult(filled, certificates)

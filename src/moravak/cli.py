@@ -415,12 +415,8 @@ def cmd_ahss(args) -> Report:
     if args.integral:
         result = integral_first_differential(page2, space, twist)
         filled = result.page
-        certs = {}
-        for p in sorted(result.certificates):
-            row = result.certificates[p]
-            if row:
-                certs[f"p={p:02d}"] = [t.value for t in row]
-        payload["certificates"] = certs
+        payload["certificates"] = {f"p={p:02d}": [t.value for t in row]
+                                   for p, row in sorted(result.certificates.items()) if row}
     else:
         filled = first_differential(page2, space, twist)
     turned = turn_page(filled)
