@@ -36,8 +36,9 @@ from typing import Mapping, Optional
 from . import gf2
 from .errors import ComputationError, ValidationError
 from .f2alg import GradedElement, PresentedAlgebra
-from .rbk import _check_height, v_degree
+from .rbk import v_degree
 from .steenrod import IntegralityData, SqAction, TriState, sq
+from .twistgroup import _check_height
 
 
 @dataclass

@@ -28,25 +28,17 @@ from typing import Sequence
 
 from . import gf2
 from .errors import ComputationError, ValidationError
-from .twistgroup import AlgebraHom
+from .twistgroup import AlgebraHom, _check_height
 
 DEFAULT_TENSOR_TRUNCATION = 6
 # bar_e2 refuses complexes with more generators than this (the slowest
 # shape at the limit, rank 1 over one factor, takes 23-33 ms on 2 shared vCPUs)
 MAX_BAR_COMPLEX = 5000
-# reports name 2^(n+1) - 1 and |v| = 2^(n+1) - 2; past n of about 14 000
-# these numbers no longer convert to a string
-MAX_HEIGHT = 1024
 
 
 def v_degree(n: int) -> int:
     """Degree of the periodicity class at height n."""
     return 2 ** (n + 1) - 2
-
-
-def _check_height(n: int) -> None:
-    if n > MAX_HEIGHT:
-        raise ComputationError(f"height {n} exceeds the limit {MAX_HEIGHT}")
 
 
 def b_degree(n: int, k: int) -> int:

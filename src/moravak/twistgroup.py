@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import isqrt
 
 from . import gf2
 from .errors import ComputationError, ValidationError
@@ -24,6 +25,13 @@ DEFAULT_TRUNCATION = 8
 MAX_SERIES_TRUNCATION = 16
 # an algebra hom is reported with one assignment per tensor factor
 MAX_FACTORS = 64
+# reports name 2^(n+1) - 1 and |v| = 2^(n+1) - 2; past n of about 14 000
+# these numbers no longer convert to a string
+MAX_HEIGHT = 1024
+# the degree note prints numbers near p^n; p is tested for primality by
+# trial division up to its square root
+MAX_PRIME_BITS = 32
+MAX_POWER_BITS = 4096
 
 
 def _check_truncation(truncation: int) -> None:
@@ -33,6 +41,11 @@ def _check_truncation(truncation: int) -> None:
         raise ComputationError(
             f"truncation order {truncation} means series of 2^{truncation} "
             f"coefficients; the limit is 2^{MAX_SERIES_TRUNCATION}")
+
+
+def _check_height(n: int) -> None:
+    if n > MAX_HEIGHT:
+        raise ComputationError(f"height {n} exceeds the limit {MAX_HEIGHT}")
 
 
 def _check_factors(truncation: int) -> None:
@@ -110,6 +123,7 @@ class AlgebraHom:
     def __post_init__(self):
         if self.height < 1:
             raise ValidationError("height must be >= 1")
+        _check_height(self.height)
         _check_factors(self.truncation)
         if any(k < 0 or k >= self.truncation for k in self.active):
             raise ValidationError("active factors must lie below the truncation")
@@ -200,7 +214,9 @@ def vanishing_check(m: int, n: int, p: int = 2) -> TwistVerdict:
     odd p the coefficient ring has no class in degree 2 p^k (p^n-1)/(p-1)
     for the candidate images to land in, so only the trivial twist
     remains.  Below the boundary the classification is not part of this
-    tool's contract.
+    tool's contract.  A height or p whose degree note could not be
+    printed is refused before p^n is built, and only then is p tested
+    for primality.
     """
     if p < 2:
         raise ValidationError(f"p must be at least 2: {p}")
@@ -208,6 +224,14 @@ def vanishing_check(m: int, n: int, p: int = 2) -> TwistVerdict:
         raise ValidationError("m must be >= 1")
     if n < 1:
         raise ValidationError("n must be >= 1")
+    _check_height(n)
+    bits = p.bit_length()
+    if bits > MAX_PRIME_BITS or n * bits > MAX_POWER_BITS:
+        raise ComputationError(
+            f"p of {bits} bits at n = {n}: p must lie below 2^{MAX_PRIME_BITS} "
+            f"and n times its bits must be at most {MAX_POWER_BITS}")
+    if not all(p % d for d in range(2, isqrt(p) + 1)):
+        raise ValidationError(f"p must be prime: {p}")
     if m > n + 2:
         return TwistVerdict.NO_NONTRIVIAL_TWISTS
     if m == n + 2:
@@ -216,7 +240,8 @@ def vanishing_check(m: int, n: int, p: int = 2) -> TwistVerdict:
 
 
 def degree_obstruction_report(n: int, p: int) -> str:
-    """Why odd-prime boundary twists die: |b_1| is not a multiple of |v_n|."""
+    """Why odd-prime boundary twists die: |b_1| is not a multiple of |v_n|.
+    For an (n, p) that vanishing_check accepts."""
     b1 = 2 * p * (p**n - 1) // (p - 1)
     vn = 2 * (p**n - 1)
     if p == 2:

@@ -336,6 +336,12 @@ GROUPLIKE_FIBONACCI = "1+x+x^2+x^3+x^5+x^8+x^13+x^21+x^34+x^55+x^89"
     (("obstruct", "--manifold", "genspin", "--check", "wu", "--a2", "w4"), 2),
     (("twist", "--vanishing", "4", "2", "--truncation", "3"), 2),
     (("twist", "--vanishing", "4", "2", "--truncation", "99"), 2),
+    (("twist", "--vanishing", "20002", "20000"), 4),
+    (("twist", "--vanishing", "1002", "1000", "--p", "1000000007"), 4),
+    (("twist", "--vanishing", "999999999999999999999999999999", "18446744073709551616"), 4),
+    (("twist", "--vanishing", "3", "1", "--p", "4294967311"), 4),
+    (("twist", "--vanishing", "3", "1", "--p", "4"), 3),
+    (("twist", "--hom", "(0,2)", "--n", "1025"), 4),
 ])
 def test_out_of_range_arguments_are_typed_errors(capsys, tmp_path, argv, code):
     argv = [arg.format(line=line_module(tmp_path)) for arg in argv]
@@ -428,6 +434,9 @@ def test_khorami_k_of_a_single_factor_module(capsys, tmp_path):
     ("ahss", "--space", "rp_inf", "--n", "40", "--twist", "0"),
     ("tor", "--module", "r0free", "--i", "0", "2047"),
     ("twist", "--hom", "(0,1)", "--factors", "64"),
+    # the largest power the degree note prints, and the largest prime p it takes
+    ("twist", "--vanishing", "1026", "1024", "--p", "13"),
+    ("twist", "--vanishing", "3", "1", "--p", "4294967291"),
     ("fgl", "--solve-theta", "1024"),
     ("fgl", "--law", "additive", "--truncation", "64", "--solve-theta", "1024"),
     ("fgl", "--law", "gm", "--modulus", "1048576", "--truncation", "400",

@@ -138,3 +138,32 @@ def test_vanishing_check():
         tw.vanishing_check(2, 2)
     with pytest.raises(ValidationError):
         tw.vanishing_check(0, 1)
+
+
+def test_vanishing_check_bounds_p_to_the_n_before_primality():
+    """A height above MAX_HEIGHT, or a p whose degree note would print
+    numbers past p^n of MAX_POWER_BITS bits, is refused before the power
+    is built; only then is p tested for primality."""
+    top = tw.MAX_HEIGHT
+    for n, p in ((top + 1, 2), (2 ** 64, 4), (1, 1 << tw.MAX_PRIME_BITS),
+                 (tw.MAX_POWER_BITS // 5 + 1, 17), (1000, 1000000007)):
+        with pytest.raises(ComputationError, match="^(height|p of)"):
+            tw.vanishing_check(n + 2, n, p)
+    # n times the bits of p at the limit: 1024 * 4 for 13, 819 * 5 for 17
+    assert tw.vanishing_check(top + 2, top, 13) is tw.TwistVerdict.ODD_PRIME_TRIVIAL
+    assert tw.vanishing_check(821, 819, 17) is tw.TwistVerdict.ODD_PRIME_TRIVIAL
+    assert len(tw.degree_obstruction_report(top, 13)) < 2500
+
+
+def test_vanishing_check_takes_only_a_prime_p():
+    accepted = []
+    for p in range(2, 50):
+        try:
+            tw.vanishing_check(3, 1, p)
+            accepted.append(p)
+        except ValidationError as error:
+            assert str(error) == f"p must be prime: {p}"
+    assert accepted == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    assert tw.vanishing_check(3, 1, 4294967291) is tw.TwistVerdict.ODD_PRIME_TRIVIAL
+    with pytest.raises(ValidationError, match="^p must be prime: 4292870399$"):
+        tw.vanishing_check(3, 1, 65519 * 65521)  # two primes near 2^16
