@@ -245,6 +245,8 @@ def cmd_twist(args) -> Report:
         f = twistgroup.from_exponents(_parse_exponent_list(args.hom), M)
         hom = twistgroup.to_algebra_hom(f, args.n, args.factors)
         inputs["hom"] = args.hom
+        inputs["n"] = args.n
+        inputs["factors"] = args.factors
         payload["assignments"] = {
             f"b{k}": (f"v^{hom.assignment(k)}" if hom.assignment(k) is not None else "0")
             for k in range(hom.truncation)}
