@@ -376,30 +376,48 @@ def test_an_unread_option_is_refused_before_a_file_is_read(capsys, argv, message
         assert (code, captured.err) == (2, f"error: {message}\n")
 
 
-# a valid value, other than the default, of each twist and obstruct option
-# that a golden argv can lack (every obstruct argv names its manifold and check)
+# two values of each twist and obstruct option: the first, other than the
+# default, is added where a golden argv lacks the option, and the last that
+# differs from the argv's own replaces it where the argv has it
 OPTION_VALUES = {
-    "--json": [], "--encode": ["(0,2)"], "--decode": ["5"], "--multiply": ["(0)", "(1)"],
-    "--hom": ["(0,2)"], "--vanishing": ["4", "2"], "--p": ["3"], "--n": ["3"],
-    "--factors": ["4"], "--truncation": ["6"], "--h4": ["b"], "--h5": ["b"], "--a": ["c"],
-    "--b": ["b"], "--a2": ["b"], "--i": ["5"], "--j": ["6"],
+    "--json": [[]], "--encode": [["(0,2)"], ["(1)"]], "--decode": [["5"], ["6"]],
+    "--multiply": [["(0)", "(1)"], ["(1)", "(0,2)"]], "--hom": [["(0,2)"], ["(0,1)"]],
+    "--vanishing": [["4", "2"], ["5", "3"]], "--p": [["3"], ["5"]], "--n": [["3"], ["4"]],
+    "--factors": [["4"], ["5"]], "--truncation": [["6"], ["5"]], "--h4": [["b"], ["0"]],
+    "--h5": [["b"], ["0"]], "--a": [["c"], ["0"]], "--b": [["b"], ["0"]],
+    "--a2": [["b"], ["0"]], "--i": [["5"], ["6"]], "--j": [["6"], ["5"]],
+    "--manifold": [["genspin"], ["m10"]], "--check": [["wu"], ["string"]],
 }
+
+
+def perturbed(argv: list[str], options: list[str]) -> list[list[str]]:
+    """argv with each option of ``options`` that it lacks added, and with
+    each option it has changed to another value, one at a time."""
+    out = [[*argv, option, *OPTION_VALUES[option][0]]
+           for option in sorted(set(options) - {"--help", *argv})]
+    for i, option in enumerate(argv):
+        if option.startswith("--"):
+            k = len(OPTION_VALUES[option][0])
+            other = [values for values in OPTION_VALUES[option] if values != argv[i + 1:i + 1 + k]]
+            if other:  # a flag has no other value
+                out.append([*argv[:i + 1], *other[-1], *argv[i + 1 + k:]])
+    return out
 
 
 def test_no_option_is_accepted_and_then_ignored():
     """Each twist or obstruct option that a golden argv lacks, added with a
-    value other than its default, changes what the argv prints or ends in
-    a typed error.  The options come from the parser, so a new one needs
-    a value above."""
+    value other than its default, and each option it has, changed to
+    another value, changes what the argv prints or ends in a typed error.
+    The options come from the parser, so a new one needs values above."""
     recorded = {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
     commands = build_parser().commands
     for argv in corpus_argv():
         if argv[0] not in ("twist", "obstruct"):
             continue
         options = [action.option_strings[-1] for action in commands[argv[0]]._actions]
-        for option in set(options) - {"--help", *argv}:
-            got = run_captured([*argv, option, *OPTION_VALUES[option]])
-            was = recorded[" ".join(argv)]
+        was = recorded[" ".join(argv)]
+        for variant in perturbed(argv, options):
+            got = run_captured(variant)
             assert got["code"] in (2, 3, 4, 5) and got["stderr"].startswith("error: ") or (
                 got["code"] == 0 and got["stdout"] != was["stdout"]), got["argv"]
 
