@@ -424,8 +424,7 @@ def test_reported_ranks_build_no_representative(monkeypatch, capsys, tmp_path):
 
 def test_rank_path_builds_no_element(monkeypatch):
     """Ranks come from coordinates alone: with every route from basis
-    coordinates to elements refused, the page turns to the same ranks.
-    The certificates, which read classes as elements, stay as they were."""
+    coordinates to elements refused, the page turns to the same ranks."""
     def ranks():
         alg, act = projective_product(3, 17)
         space = SpaceModel(alg, act)
@@ -449,6 +448,27 @@ def test_rank_path_builds_no_element(monkeypatch):
                                              syn.algebra.element(text))
         assert {p: "".join(t.name[0] for t in row)
                 for p, row in result.certificates.items() if row} == expected
+
+
+def test_certificates_build_no_element(monkeypatch):
+    """integral_first_differential reads each column's classes as window
+    vectors, squared by one Sq call and tested against the integral
+    echelon: with PresentedAlgebra._element refused it returns the same
+    certificates on synth12.  The twists and their twist terms are built
+    first, as a request builds them once."""
+    syn = synth12()
+    twists = [syn.algebra.element(text) for text in ("0", "h4")]
+
+    def certificates():
+        return [integral_first_differential(e2_page(syn, 2), syn, twist).certificates
+                for twist in twists]
+
+    def refuse(*args):
+        raise AssertionError("the certificate path built an element")
+
+    expected = certificates()
+    monkeypatch.setattr(PresentedAlgebra, "_element", refuse)
+    assert certificates() == expected
 
 
 def all_integral_model(cap=18):

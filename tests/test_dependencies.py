@@ -1,5 +1,6 @@
 """The engine is dependency-free: src/moravak imports only the standard
-library and itself, and every public name in it has a caller there."""
+library and itself, every name it imports is read, and every public name
+in it has a caller there."""
 
 import ast
 import re
@@ -27,6 +28,23 @@ def imported_packages(path: Path) -> set[str]:
                          ids=lambda p: str(p.relative_to(SOURCE)))
 def test_engine_imports_only_the_standard_library(path):
     assert imported_packages(path) - set(sys.stdlib_module_names) - {"moravak"} == set()
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SOURCE)))
+def test_every_imported_name_is_read(path):
+    """A name an import binds is read in the module that imports it; the
+    __future__ switches bind none."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert bound - read == set()
 
 
 # public names with no caller in src/moravak that stay: paper content

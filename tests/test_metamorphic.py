@@ -20,6 +20,12 @@ X the first differential is d_X (x) 1 + 1 (x) d_Y, and over F2 the
 homology of a tensor product of complexes is the tensor product of
 their homologies.  So the E_{2^{n+1}} ranks of the product are the
 convolution of the factors' ranks.
+
+Certificates: a zero shadow is upgraded to a vanishing certificate only
+through the declared integral image.  Shrinking that image to a closed
+sub-span can turn ``yes`` into ``unknown``, but never ``unknown`` or
+``no`` into ``yes``, and never changes a ``no``; relabeling keeps each
+column's multiset of verdicts.
 """
 
 import contextlib
@@ -174,3 +180,109 @@ def test_product_ranks_are_the_convolution_of_the_factors(a, b, n, tmp_path):
                                          for i in range(p + 1))
                        for p in range(a + b + 2)}
         assert product == convolution, twist
+
+
+INTEGRAL_FIXTURES = ["fb12", "m10", "pair12", "rp6", "synth12", "trunc_mix"]
+# (full image, shrunk image): a verdict may only lose its yes
+SHRINKS = {("yes", "yes"), ("yes", "unknown"), ("unknown", "unknown"), ("no", "no")}
+LOSES_A_YES = {("m10", 1), ("m10", 2), ("rp6", 1), ("trunc_mix", 1)}
+
+
+def certificates(path: Path, n: int, twist: str) -> int | dict:
+    """The certificates of ``ahss --integral --json``, or the exit code of
+    a run that ends in a typed error."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["ahss", "--space", str(path), "--n", str(n), "--twist", twist, "--integral", "--json"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code or json.loads(out.getvalue())["payload"]["certificates"]
+
+
+def with_integral(text: str, rows: list[str]) -> str:
+    """text with the rows of its [integral] section replaced by rows."""
+    lines, out, inside = text.splitlines(), [], False
+    for line in lines:
+        if line.startswith("["):
+            inside = line.strip() == "[integral]"
+            out += [line, *rows] if inside else [line]
+        elif not inside or not line.strip() or line.lstrip().startswith("#"):
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def closed_sub_spans(text: str, algebra) -> list[list[str]]:
+    """Rows of closed sub-spans of the declared integral image: the unit
+    alone (an empty section would declare no image at all), and for each
+    declared row x the powers of x and of x^2.  The image is closed under
+    products, so each power lies in it."""
+    section = text.split("[integral]", 1)[1].split("\n[", 1)[0]
+    spans = [["0 1"]]
+    for line in section.splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        degree, expr = line.split(None, 1)
+        x = algebra.element(expr)
+        for base, step in ((x, int(degree)), (algebra.mul(x, x), 2 * int(degree))):
+            rows, power, d = [], base, step
+            while power and d <= algebra.degree_cap:
+                rows.append(f"{d} {power}")
+                power, d = algebra.mul(power, base), d + step
+            if rows and rows not in spans:
+                spans.append(rows)
+    return spans
+
+
+def fixture_twists(algebra, n: int) -> list[str]:
+    return ["0"] + [str(e) for e in algebra.basis_elements(n + 2)] \
+        if n + 2 <= algebra.degree_cap else ["0"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("fixture", INTEGRAL_FIXTURES)
+def test_shrinking_the_integral_image_never_upgrades_a_verdict(fixture, n, tmp_path):
+    """Every declared image against each of its closed sub-spans, with the
+    twist 0 and each basis class of degree n + 2.  Some yes turns into
+    unknown exactly on the fixtures of LOSES_A_YES, so the relation is
+    not met by leaving every verdict as it was."""
+    text = fixtures.path(fixture, ".space").read_text()
+    full = tmp_path / "full.space"
+    full.write_text(text)
+    algebra = getattr(parse_file(full).model, "space", parse_file(full).model).algebra
+    shrunk = tmp_path / "shrunk.space"
+    lost = 0
+    for rows in closed_sub_spans(text, algebra):
+        shrunk.write_text(with_integral(text, rows))
+        for twist in fixture_twists(algebra, n):
+            was, now = certificates(full, n, twist), certificates(shrunk, n, twist)
+            if isinstance(was, int):
+                assert now == was, (rows, twist)
+                continue
+            assert now.keys() == was.keys(), (rows, twist)
+            for p, row in was.items():
+                assert len(now[p]) == len(row) and set(zip(row, now[p])) <= SHRINKS, \
+                    (rows, twist, p)
+                lost += sum(a != b for a, b in zip(row, now[p]))
+    assert bool(lost) == ((fixture, n) in LOSES_A_YES)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("fixture", INTEGRAL_FIXTURES)
+def test_relabeling_keeps_each_columns_verdicts(fixture, n, tmp_path):
+    """The generators renamed by reversing and by rotating their names."""
+    text = fixtures.path(fixture, ".space").read_text()
+    path = tmp_path / "space.space"
+    path.write_text(text)
+    algebra = getattr(parse_file(path).model, "space", parse_file(path).model).algebra
+    names = [g.name for g in algebra.generators]
+    relabeled = tmp_path / "relabeled.space"
+    for image in (names[::-1], names[1:] + names[:1]):
+        permutation = dict(zip(names, image))
+        relabeled.write_text(renamed(text, permutation))
+        for twist in fixture_twists(algebra, n):
+            was = certificates(path, n, twist)
+            now = certificates(relabeled, n, renamed(twist, permutation))
+            if isinstance(was, int):
+                assert now == was, (permutation, twist)
+            else:
+                assert {p: sorted(row) for p, row in now.items()} == \
+                    {p: sorted(row) for p, row in was.items()}, (permutation, twist)
