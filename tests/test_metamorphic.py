@@ -200,8 +200,8 @@ def certificates(path: Path, n: int, twist: str) -> int | dict:
 
 def with_integral(text: str, rows: list[str]) -> str:
     """text with the rows of its [integral] section replaced by rows."""
-    lines, out, inside = text.splitlines(), [], False
-    for line in lines:
+    out, inside = [], False
+    for line in text.splitlines():
         if line.startswith("["):
             inside = line.strip() == "[integral]"
             out += [line, *rows] if inside else [line]
@@ -232,9 +232,16 @@ def closed_sub_spans(text: str, algebra) -> list[list[str]]:
     return spans
 
 
+def fixture_algebra(path: Path):
+    model = parse_file(path).model
+    return getattr(model, "space", model).algebra
+
+
 def fixture_twists(algebra, n: int) -> list[str]:
-    return ["0"] + [str(e) for e in algebra.basis_elements(n + 2)] \
-        if n + 2 <= algebra.degree_cap else ["0"]
+    """0 and each basis class of degree n + 2."""
+    if n + 2 > algebra.degree_cap:
+        return ["0"]
+    return ["0"] + [str(e) for e in algebra.basis_elements(n + 2)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -244,10 +251,8 @@ def test_shrinking_the_integral_image_never_upgrades_a_verdict(fixture, n, tmp_p
     twist 0 and each basis class of degree n + 2.  Some yes turns into
     unknown exactly on the fixtures of LOSES_A_YES, so the relation is
     not met by leaving every verdict as it was."""
-    text = fixtures.path(fixture, ".space").read_text()
-    full = tmp_path / "full.space"
-    full.write_text(text)
-    algebra = getattr(parse_file(full).model, "space", parse_file(full).model).algebra
+    full = fixtures.path(fixture, ".space")
+    text, algebra = full.read_text(), fixture_algebra(full)
     shrunk = tmp_path / "shrunk.space"
     lost = 0
     for rows in closed_sub_spans(text, algebra):
@@ -269,10 +274,8 @@ def test_shrinking_the_integral_image_never_upgrades_a_verdict(fixture, n, tmp_p
 @pytest.mark.parametrize("fixture", INTEGRAL_FIXTURES)
 def test_relabeling_keeps_each_columns_verdicts(fixture, n, tmp_path):
     """The generators renamed by reversing and by rotating their names."""
-    text = fixtures.path(fixture, ".space").read_text()
-    path = tmp_path / "space.space"
-    path.write_text(text)
-    algebra = getattr(parse_file(path).model, "space", parse_file(path).model).algebra
+    path = fixtures.path(fixture, ".space")
+    text, algebra = path.read_text(), fixture_algebra(path)
     names = [g.name for g in algebra.generators]
     relabeled = tmp_path / "relabeled.space"
     for image in (names[::-1], names[1:] + names[:1]):
